@@ -33,7 +33,7 @@ from .matkernel import exchange_matrix, exp_iQ, cartan_decompose_gminus, \
     gamma_split, pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, canonical_angle, domain_membership,
-                     lambda_of_z, require_inside)
+                     require_inside)
 from .rsvd import (A_check, F_squared_branches, dual_H0, f_vector, h_matrix)
 from .sutherland import lax_Y, hamiltonians, momentum_residual, \
     real_constraint_vector
@@ -213,42 +213,59 @@ def _wrap_to_reference(delta):
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
+def _fd_pullback(fun, x0, fd_step: float, angle_rows=(),
+                 richardson: bool = False):
+    """(J^T Omega J, Omega) for the FD Jacobian J of x -> fun(x) in R^{2m}.
+
+    Output components in ``angle_rows`` live on the circle; they are measured
+    from their value at x0 and wrapped to the principal branch, so the central
+    differences need no wrapping.  Omega is the block symplectic matrix
+    [[0, I], [-I, 0]].
+    """
+    from .dynamics import fd_gradient
+
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size % 2:
+        raise ValueError("phase-space dimension must be even")
+    m = x0.size // 2
+    rows = list(angle_rows)
+    ref = np.asarray(fun(x0), dtype=float)[rows] if rows else 0.0
+
+    def lifted(x):
+        y = np.array(fun(x), dtype=float)
+        y[rows] = _wrap_to_reference(y[rows] - ref)
+        return y
+
+    J = fd_gradient(lifted, x0, fd_step, richardson)
+    Omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
+    return J.T @ Omega @ J, Omega
+
+
 def fd_symplectic_residual(fun, x0, fd_step: float = 1e-5,
                            angle_rows=(), scale: float = 1.0,
                            richardson: bool = False) -> float:
     """|| J^T Omega J - scale * Omega || for the map x -> fun(x) in R^{2m}.
 
-    ``angle_rows`` marks output components living on the circle, whose finite
-    differences are wrapped to the principal branch.  Omega is the standard
-    block symplectic matrix [[0, I], [-I, 0]].  ``richardson`` combines the
-    central differences at steps h and h/2, which suppresses the h^2
-    truncation error near steep chamber walls.
+    ``angle_rows`` marks output components living on the circle.
+    ``richardson`` combines the central differences at steps h and h/2, which
+    suppresses the h^2 truncation error near steep chamber walls.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    if dim % 2:
-        raise ValueError("phase-space dimension must be even")
-    m = dim // 2
-    angle_rows = list(angle_rows)
+    pullback, Omega = _fd_pullback(fun, x0, fd_step, angle_rows, richardson)
+    return float(np.linalg.norm(pullback - scale * Omega))
 
-    def jacobian(h):
-        J = np.zeros((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = h
-            fp = np.asarray(fun(x0 + e), dtype=float)
-            fm = np.asarray(fun(x0 - e), dtype=float)
-            d = fp - fm
-            if angle_rows:
-                d[angle_rows] = _wrap_to_reference(d[angle_rows])
-            J[:, j] = d / (2.0 * h)
-        return J
 
-    J = jacobian(fd_step)
-    if richardson:
-        J = (4.0 * jacobian(fd_step / 2.0) - J) / 3.0
-    Omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
-    return float(np.linalg.norm(J.T @ Omega @ J - scale * Omega))
+def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
+                      fd_step: float, richardson: bool = False):
+    """:func:`_fd_pullback` of the forward map (q, p) -> (lambda, theta)."""
+    n = point.n
+
+    def fun(x):
+        dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params,
+                                   validate=False)
+        return np.r_[dual.lam, dual.theta]
+
+    return _fd_pullback(fun, np.r_[point.q, point.p], fd_step,
+                        angle_rows=range(n, 2 * n), richardson=richardson)
 
 
 def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
@@ -262,29 +279,24 @@ def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
     by the constant ``DUAL_PAIRING``; the calibrated test passes
     ``scale=DUAL_PAIRING`` and is FD-exact (see module docstring).
     """
-    n = point.n
-
-    def fun(x):
-        pt = SutherlandPoint(q=x[:n], p=x[n:])
-        dual, _ = forward_map_full(pt, params, validate=False)
-        return np.r_[dual.lam, dual.theta]
-
-    x0 = np.r_[point.q, point.p]
-    return fd_symplectic_residual(fun, x0, fd_step,
-                                  angle_rows=range(n, 2 * n), scale=scale,
-                                  richardson=richardson)
+    pullback, Omega = _forward_pullback(point, params, fd_step, richardson)
+    return float(np.linalg.norm(pullback - scale * Omega))
 
 
 def round_trip_report(point: SutherlandPoint, params: CouplingParams,
                       fd_step: float = 1e-5) -> DualityReport:
-    """Forward-then-backward report with all standing residuals attached."""
+    """Forward-then-backward report with all standing residuals attached.
+
+    Both canonicity residuals, uncalibrated and calibrated, are read off one
+    finite-difference Jacobian of the forward map.
+    """
     dual, fdiag = forward_map_full(point, params)
     back, bdiag = backward_map_full(dual, params)
     err = float(max(np.max(np.abs(back.q - point.q)),
                     np.max(np.abs(back.p - point.p))))
-    can = canonicity_residual(point, params, fd_step=fd_step, scale=1.0)
-    can_cal = canonicity_residual(point, params, fd_step=fd_step,
-                                  scale=DUAL_PAIRING)
+    pullback, Omega = _forward_pullback(point, params, fd_step)
+    can, can_cal = (float(np.linalg.norm(pullback - s * Omega))
+                    for s in (1.0, DUAL_PAIRING))
     return DualityReport(
         input_point=point.to_dict(),
         output_point=dual.to_dict(),
@@ -363,24 +375,17 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
 
 
 def rank_of_dlambda(osc: OscillatorPoint, params: CouplingParams,
-                    fd_step: float = 1e-6, sv_rel_tol: float = 1e-7) -> int:
+                    sv_rel_tol: float = 1e-7) -> int:
     """Numerical rank of the Jacobian of z -> lambda(z) over the real chart.
 
-    Equals the number of nonvanishing components of z (the dimension of the
+    lambda_k = const + sum_{j>=k} |z_j|^2, so the Jacobian is exact:
+    d lambda_k / d(Re z_j, Im z_j) = 2 (Re z_j, Im z_j) for j >= k.  The rank
+    equals the number of nonvanishing components of z (the dimension of the
     span of the action differentials at that point).
     """
     z = osc.z
-    n = z.size
-    x0 = np.r_[z.real, z.imag]
-
-    def lam_of(x):
-        return lambda_of_z(x[:n] + 1j * x[n:], params)
-
-    J = np.zeros((n, 2 * n))
-    for j in range(2 * n):
-        e = np.zeros(2 * n)
-        e[j] = fd_step
-        J[:, j] = (lam_of(x0 + e) - lam_of(x0 - e)) / (2.0 * fd_step)
+    upper = np.triu(np.ones((z.size, z.size)))
+    J = 2.0 * np.hstack((upper * z.real, upper * z.imag))
     sv = np.linalg.svd(J, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

@@ -115,15 +115,27 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def fd_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
+def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarray:
+    """Central-difference derivative of fn at x: the package's one FD stencil.
+
+    Returns the gradient for a scalar fn and the Jacobian, one column per
+    component of x, for a vector fn.  With ``richardson`` the steps h and h/2
+    are combined as (4 D(h/2) - D(h)) / 3, which cancels the h^2 error.
+    """
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        g[j] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
+
+    def central(h):
+        cols = []
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            cols.append(np.subtract(fn(x + e), fn(x - e)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    d = central(step)
+    if richardson:
+        d = (4.0 * central(step / 2.0) - d) / 3.0
+    return d
 
 
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
@@ -194,7 +206,6 @@ def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
     itself a finite-difference field); anything worse raises.
     """
     x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
     x1 = x0 + dt * f(x0)
     for _ in range(4):
         x1 = x0 + dt * f(0.5 * (x0 + x1))
@@ -212,12 +223,7 @@ def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
             break
         best = nrm
         if Jg is None:
-            Jf = np.zeros((dim, dim))
-            for j in range(dim):
-                e = np.zeros(dim)
-                e[j] = jac_step
-                Jf[:, j] = (f(mid + e) - f(mid - e)) / (2.0 * jac_step)
-            Jg = np.eye(dim) - 0.5 * dt * Jf
+            Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, jac_step)
         x1 = x1 - np.linalg.solve(Jg, F)
     raise NonConvergenceError(
         f"implicit midpoint Newton stalled at residual {np.linalg.norm(F):.3e}")
@@ -232,32 +238,29 @@ def _check_boundary(x, chart, params, margin):
     return status
 
 
-def default_monitors(flow: FlowSpec, params: CouplingParams) -> dict:
-    """Monitor callables keyed by column name, chosen per chart.
+def default_monitors(flow: FlowSpec, params: CouplingParams):
+    """One callable x -> {column: value} for the flow's chart.
 
-    qp chart: every H_k and every action component; lambda_theta chart: the
-    flow Hamiltonian and the dual actions q_j recovered by the backward map.
+    qp chart: the flow Hamiltonian, every H_k and every action component, from
+    one ``hamiltonians`` and one ``action_map`` call; lambda_theta chart: the
+    flow Hamiltonian and the dual actions q_j, from one backward map.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
-    mons = {"H_flow": lambda x: float(H(x))}
     if flow.chart == "qp":
-        for k in range(1, n + 1):
-            mons[f"H{k}"] = (lambda kk: lambda x: float(
-                hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params)[kk - 1]))(k)
-        for j in range(n):
-            mons[f"lambda{j+1}"] = (lambda jj: lambda x: float(
-                action_map(SutherlandPoint(q=x[:n], p=x[n:]), params)[jj]))(j)
+        def monitor(x):
+            pt = SutherlandPoint(q=x[:n], p=x[n:])
+            Hs, lam = hamiltonians(pt, params), action_map(pt, params)
+            return {"H_flow": float(H(x)),
+                    **{f"H{k+1}": float(Hs[k]) for k in range(n)},
+                    **{f"lambda{j+1}": float(lam[j]) for j in range(n)}}
     else:
-        for j in range(n):
-            def make(jj):
-                def mon(x):
-                    pt, _ = backward_map_full(
-                        DualPoint(lam=x[:n], theta=x[n:]), params, validate=False)
-                    return float(pt.q[jj])
-                return mon
-            mons[f"q{j+1}"] = make(j)
-    return mons
+        def monitor(x):
+            pt, _ = backward_map_full(
+                DualPoint(lam=x[:n], theta=x[n:]), params, validate=False)
+            return {"H_flow": float(H(x)),
+                    **{f"q{j+1}": float(pt.q[j]) for j in range(n)}}
+    return monitor
 
 
 def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
@@ -269,15 +272,14 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     nsteps = int(round(flow.T / flow.dt))
     f = vector_field(flow, params)
-    monitors = default_monitors(flow, params)
-    if flow.monitors:
-        monitors = {k: v for k, v in monitors.items() if k in flow.monitors}
+    monitor = default_monitors(flow, params)
 
     states = np.empty((nsteps + 1, x0.size))
     states[0] = x0
     times = flow.dt * np.arange(nsteps + 1)
     mon_idx = [0]
-    mon_vals = {name: [fn(x0)] for name, fn in monitors.items()}
+    mon_vals = {name: [v] for name, v in monitor(x0).items()
+                if not flow.monitors or name in flow.monitors}
 
     x = x0
     for step in range(1, nsteps + 1):
@@ -295,8 +297,9 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
                 partial=partial)
         if step % flow.monitor_stride == 0 or step == nsteps:
             mon_idx.append(step)
-            for name, fn in monitors.items():
-                mon_vals[name].append(fn(x))
+            vals = monitor(x)
+            for name, series in mon_vals.items():
+                series.append(vals[name])
     return Trajectory(
         times=times, states=states, chart=flow.chart,
         monitor_times=times[np.asarray(mon_idx, dtype=int)],
@@ -311,17 +314,9 @@ def poisson_bracket_fd(fa, fb, x, step: float = 1e-5,
     x is ordered (positions, momenta).  With ``richardson`` the two-step
     extrapolation (4 D(h/2) - D(h))/3 is applied to each gradient.
     """
-    x = np.asarray(x, dtype=float)
-    m = x.size // 2
-
-    def grad(fn, h):
-        return fd_gradient(fn, x, h)
-
-    ga = grad(fa, step)
-    gb = grad(fb, step)
-    if richardson:
-        ga = (4.0 * grad(fa, step / 2.0) - ga) / 3.0
-        gb = (4.0 * grad(fb, step / 2.0) - gb) / 3.0
+    m = np.size(x) // 2
+    ga = fd_gradient(fa, x, step, richardson)
+    gb = fd_gradient(fb, x, step, richardson)
     return float(ga[:m] @ gb[m:] - ga[m:] @ gb[:m])
 
 
@@ -368,11 +363,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams,
                                   validate=False)
         return flow_H(np.r_[pt.q, pt.p])
 
-    dHdlam = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = fd_step
-        dHdlam[j] = (energy_at(lam0 + e) - energy_at(lam0 - e)) / (2.0 * fd_step)
+    dHdlam = fd_gradient(energy_at, lam0, fd_step)
 
     sample_dt = float(ts[1] - ts[0]) if ts.size > 1 else float(traj.flow.dt)
     unwrap_hazard = bool(sample_dt * float(np.max(np.abs(slopes))) > np.pi)

@@ -217,13 +217,8 @@ class OscillatorPoint:
         return cls(z=z)
 
 
-def point_to_dict(point):
-    """Serialize any of the three point types to its JSON dict."""
-    return point.to_dict()
-
-
 def point_from_dict(d):
-    """Inverse of :func:`point_to_dict`; dispatches on the keys present."""
+    """Point from its ``to_dict`` form; dispatches on the keys present."""
     if "q" in d:
         return SutherlandPoint.from_dict(d)
     if "lambda" in d:

@@ -22,8 +22,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .matkernel import (StructuredMatrix, conj_by_C, exchange_matrix,
                         gamma_split, pair_diagonalize_gminus)
-from .params import (CouplingParams, SutherlandPoint, domain_membership,
-                     require_inside)
+from .params import CouplingParams, SutherlandPoint, require_inside
 
 #: tolerance for the internal spectral-vs-closed-form H_1 self check
 H1_SELFCHECK_TOL = 1e-8
@@ -231,8 +230,3 @@ def sutherland_section(point: SutherlandPoint, params: CouplingParams):
 
     lax = lax_Y(point, params)
     return exp_iQ(point.q), lax.Y.m, real_constraint_vector(point.n)
-
-
-def membership_of(point, params: CouplingParams, margin: float = 1e-9) -> str:
-    """Convenience re-export of the domain classification."""
-    return domain_membership(point, params, margin)

@@ -187,6 +187,26 @@ def test_report_serialization(rng):
                       "canonicity_residual_calibrated", "constraint_residuals"}
 
 
+def test_round_trip_report_reads_one_jacobian(rng, monkeypatch):
+    import bcsuth.duality as duality
+
+    p = sample_params(rng, 2, CFG)
+    pt = sample_sutherland(rng, 2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_map_full(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "forward_map_full", counted)
+    rep = round_trip_report(pt, p, fd_step=1e-5)
+    assert len(calls) <= 10
+    assert rep.canonicity_residual == canonicity_residual(
+        pt, p, fd_step=1e-5, scale=1.0)
+    assert rep.canonicity_residual_calibrated == canonicity_residual(
+        pt, p, fd_step=1e-5, scale=DUAL_PAIRING)
+
+
 def test_hamiltonian_pullbacks(rng):
     # dual Hamiltonians through the global Lax matrix match their closed forms
     # in the dual action variables q

@@ -3,11 +3,11 @@ import pytest
 
 from bcsuth.duality import DUAL_PAIRING, forward_map_full
 from bcsuth.dynamics import (FlowSpec, angle_linearity_check, default_monitors,
-                             implicit_midpoint_step, integrate,
+                             fd_gradient, implicit_midpoint_step, integrate,
                              poisson_bracket_fd, vector_field)
 from bcsuth.errors import BoundaryApproachError
 from bcsuth.params import SutherlandPoint, couplings_from_rsvd
-from bcsuth.sutherland import closed_form_H1, hamiltonians
+from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
 from bcsuth.verification import SuiteConfig, sample_params, sample_sutherland
 
 P1 = couplings_from_rsvd(1.0, 2.0, 0.0, 1)
@@ -159,5 +159,63 @@ def test_monitor_selection():
                     monitors=("H_flow",))
     traj = integrate(flow, np.array([np.pi / 4, 1.0]), P1)
     assert set(traj.monitors) == {"H_flow"}
-    mons = default_monitors(flow, P1)
-    assert {"H_flow", "H1", "lambda1"} <= set(mons)
+    monitor = default_monitors(flow, P1)
+    assert {"H_flow", "H1", "lambda1"} <= set(monitor(np.array([np.pi / 4, 1.0])))
+
+
+def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
+    import bcsuth.dynamics as dynamics
+
+    n = 2
+    p = sample_params(rng, n, CFG)
+    pt = sample_sutherland(rng, n, gap=0.15)
+    calls = {"hamiltonians": 0, "action_map": 0, "backward_map_full": 0}
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=0.02,
+                    monitor_stride=5)
+    traj = integrate(flow, np.r_[pt.q, pt.p], p)
+    samples = traj.monitor_times.size
+    assert calls["hamiltonians"] == calls["action_map"] == samples
+    for row, i in enumerate(np.searchsorted(traj.times, traj.monitor_times)):
+        x = SutherlandPoint(q=traj.states[i, :n], p=traj.states[i, n:])
+        Hs = hamiltonians(x, p)
+        lam = action_map(x, p)
+        for k in range(n):
+            assert traj.monitors[f"H{k+1}"][row] == Hs[k]
+            assert traj.monitors[f"lambda{k+1}"][row] == lam[k]
+
+    dual, _ = forward_map_full(pt, p, validate=False)
+    dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
+                     T=0.005, gradient="fd", monitor_stride=1)
+    dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
+    assert calls["backward_map_full"] == dtraj.monitor_times.size
+    assert {f"q{j+1}" for j in range(n)} <= set(dtraj.monitors)
+
+
+def test_fd_gradient_jacobian_of_vector_function():
+    A = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 4.0, -1.5, 2.0],
+                  [-3.0, 0.0, 1.0, -0.75]])
+    x0 = np.array([0.3, -1.1, 0.7, 2.0])
+    J = fd_gradient(lambda x: A @ x, x0, 1e-2)
+    assert J.shape == A.shape
+    assert np.max(np.abs(J - A)) < 1e-12
+
+    def cubic(x):
+        return np.array([x[0] ** 3 + x[1], x[0] * x[1] ** 2, x[2] ** 3 * x[3]])
+
+    a, b, c, d = x0
+    exact = np.array([[3 * a**2, 1.0, 0.0, 0.0], [b**2, 2 * a * b, 0.0, 0.0],
+                      [0.0, 0.0, 3 * c**2 * d, c**3]])
+    plain = np.max(np.abs(fd_gradient(cubic, x0, 1e-2) - exact))
+    rich = np.max(np.abs(fd_gradient(cubic, x0, 1e-2, richardson=True) - exact))
+    assert rich < 1e-3 * plain
