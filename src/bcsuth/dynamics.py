@@ -1,8 +1,11 @@
 """Hamiltonian flows in both charts, FD Poisson brackets, conservation monitors.
 
 The integrator is the implicit midpoint rule (symplectic, second order) with
-Newton inner iterations; gradients are analytic where available (the physical
-Sutherland Hamiltonian) and central finite differences elsewhere.
+Newton inner iterations.  Gradients are closed-form where a closed form is
+known, ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
+``grad_dual_H0`` for the dual H0.  ``gradient="fd"`` uses central finite
+differences; it is the only mode for the higher H_k and the dual h_k, and the
+reference the closed forms are tested against.
 
 Chart conventions: in the (q, p) chart the equations are the canonical
 qdot = dH/dp, pdot = -dH/dq.  In the (lambda, theta) chart the equations are
@@ -26,11 +29,13 @@ from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
 from .errors import BoundaryApproachError, NonConvergenceError
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
                      domain_membership)
-from .rsvd import dual_H0
+from .rsvd import dual_H0, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
 SYSTEMS = ("sutherland_H1", "sutherland_Hk", "dual_H0", "dual_Hk")
 CHARTS = ("qp", "lambda_theta")
+#: systems with a closed-form gradient (``FlowSpec.gradient == "analytic"``)
+ANALYTIC_SYSTEMS = ("sutherland_H1", "dual_H0")
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,9 @@ class FlowSpec:
             raise ValueError("need 0 < dt < T")
         if self.gradient not in ("analytic", "fd"):
             raise ValueError("gradient mode must be 'analytic' or 'fd'")
-        if self.gradient == "analytic" and self.system != "sutherland_H1":
+        if self.gradient == "analytic" and self.system not in ANALYTIC_SYSTEMS:
             raise ValueError(
-                "analytic gradients exist only for sutherland_H1; "
+                f"analytic gradients exist only for {' and '.join(ANALYTIC_SYSTEMS)}; "
                 "use gradient='fd' for the other systems")
         if self.system in ("sutherland_Hk", "dual_Hk") and self.k < 1:
             raise ValueError("k must be >= 1")
@@ -173,12 +178,16 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     n = params.n
     H = hamiltonian_function(flow, params)
 
-    if flow.chart == "qp" and flow.system == "sutherland_H1" \
-            and flow.gradient == "analytic":
+    if flow.gradient == "analytic":
+        if flow.system == "sutherland_H1":
+            def f(x):
+                dq, dp = grad_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)
+                return np.concatenate((dp, -dq))
+            return f
+
         def f(x):
-            pt = SutherlandPoint(q=x[:n], p=x[n:])
-            dq, dp = grad_H1(pt, params)
-            return np.r_[dp, -dq]
+            dlam, dtheta = grad_dual_H0(x[:n], x[n:], params)
+            return np.concatenate((DUAL_PAIRING * dtheta, -DUAL_PAIRING * dlam))
         return f
 
     def grad(x):
@@ -187,12 +196,12 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     if flow.chart == "qp":
         def f(x):
             g = grad(x)
-            return np.r_[g[n:], -g[:n]]
+            return np.concatenate((g[n:], -g[:n]))
         return f
 
     def f(x):
         g = grad(x)
-        return np.r_[DUAL_PAIRING * g[n:], -DUAL_PAIRING * g[:n]]
+        return np.concatenate((DUAL_PAIRING * g[n:], -DUAL_PAIRING * g[:n]))
     return f
 
 
@@ -243,11 +252,16 @@ def default_monitors(flow: FlowSpec, params: CouplingParams):
 
     qp chart: the flow Hamiltonian, every H_k and every action component, from
     one ``hamiltonians`` and one ``action_map`` call; lambda_theta chart: the
-    flow Hamiltonian and the dual actions q_j, from one backward map.
+    flow Hamiltonian and the dual actions q_j, from one backward map.  When
+    ``flow.monitors`` selects only "H_flow", the callable returns that column
+    alone and skips the Lax data.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
-    if flow.chart == "qp":
+    if flow.monitors and set(flow.monitors) <= {"H_flow"}:
+        def monitor(x):
+            return {"H_flow": float(H(x))}
+    elif flow.chart == "qp":
         def monitor(x):
             pt = SutherlandPoint(q=x[:n], p=x[n:])
             Hs, lam = hamiltonians(pt, params), action_map(pt, params)

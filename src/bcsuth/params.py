@@ -261,18 +261,34 @@ def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARG
 
 def require_inside(point, params: CouplingParams, margin: float = DOMAIN_MARGIN):
     """Raise DomainError (with the failing inequality) unless strictly inside."""
+    if isinstance(point, DualPoint):
+        require_chamber(point.lam.tolist(), params, margin)
+        return
     status = domain_membership(point, params, margin)
     if status == "inside":
         return
-    if isinstance(point, SutherlandPoint):
-        raise DomainError(
-            f"q must satisfy pi/2 > q1 > ... > qn > 0 with slack > {margin}; "
-            f"point is {status} (q = {point.q.tolist()})"
-        )
+    raise DomainError(
+        f"q must satisfy pi/2 > q1 > ... > qn > 0 with slack > {margin}; "
+        f"point is {status} (q = {point.q.tolist()})"
+    )
+
+
+def require_chamber(lam: list, params: CouplingParams, margin: float = DOMAIN_MARGIN):
+    """:func:`require_inside` for a spectrum given as a list of floats.
+
+    Same slacks and classification as :func:`domain_membership`, in plain
+    float arithmetic, so hot loops need not build a DualPoint.
+    """
+    wall = max(abs(params.nu), abs(params.kappa))
+    slacks = [a - b - 2 * params.mu for a, b in zip(lam, lam[1:])]
+    slacks.append(lam[-1] - wall)
+    if all(s > margin for s in slacks):
+        return
+    status = "outside" if any(s < -margin for s in slacks) else "boundary"
     raise DomainError(
         f"lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
         f"lambda_n > max(|nu|,|kappa|) with slack > {margin}; "
-        f"point is {status} (lambda = {point.lam.tolist()})"
+        f"point is {status} (lambda = {lam})"
     )
 
 

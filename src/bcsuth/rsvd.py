@@ -21,6 +21,7 @@ domains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,8 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .matkernel import StructuredMatrix, exchange_matrix
 from .params import (CouplingParams, DualPoint, OscillatorPoint, lambda_of_z,
-                     require_inside, strongly_regular, z_from_angles)
+                     require_chamber, require_inside, strongly_regular,
+                     z_from_angles)
 
 #: guard for internal identity checks (a violation means a bug, not bad data)
 SELFCHECK_TOL = 1e-8
@@ -431,6 +433,61 @@ def commutator_residual(A, F, lam, params: CouplingParams) -> float:
     return float(np.linalg.norm(R))
 
 
+def _h0_weights(lam: list, coef: list, params: CouplingParams,
+                grad: bool = False):
+    """Shared kernel of :func:`dual_H0` and :func:`grad_dual_H0`, on plain floats.
+
+    With H0 = sum_j cos(theta_j) w_j - (nu*kappa/4mu^2) (P - 1), returns the
+    products coef_j * w_j (multiplied left to right from ``coef_j``, the
+    operation order of the closed form) and P = prod_j (1 - 4mu^2/lam_j^2).
+    With ``grad`` also G and dP: G[j][m] = d log w_j / d lam_m, using
+    d/dx (1/2) log(1 - a^2/x^2) = a^2 / (x (x^2 - a^2)), and dP[m] = dP/dlam_m.
+    The caller guarantees lam lies inside the chamber, where every factor of
+    w_j is positive.
+    """
+    # the factors of w_j square with ``** 2`` and those of P with ``x * x``;
+    # the two can round apart in the last bit, and this choice fixes the
+    # values of H0 (and of the verify residuals built on them) bit for bit
+    mu4, nu2, kappa2 = 4 * params.mu**2, params.nu**2, params.kappa**2
+    n = len(lam)
+    w, G = [], []
+    P = 1.0
+    for j, x in enumerate(lam):
+        x2 = x ** 2
+        wj = coef[j] * math.sqrt(1 - nu2 / x2) * math.sqrt(1 - kappa2 / x2)
+        if grad:
+            g = [0.0] * n
+            g[j] = nu2 / (x * (x2 - nu2)) + kappa2 / (x * (x2 - kappa2))
+        for k, y in enumerate(lam):
+            if k == j:
+                continue
+            d, s = x - y, x + y
+            d2, s2 = d ** 2, s ** 2
+            wj *= math.sqrt(1 - mu4 / d2)
+            wj *= math.sqrt(1 - mu4 / s2)
+            if grad:
+                gd = mu4 / (d * (d2 - mu4))
+                gs = mu4 / (s * (s2 - mu4))
+                g[j] += gd + gs
+                g[k] += gs - gd
+        w.append(wj)
+        if grad:
+            G.append(g)
+        P *= 1 - mu4 / (x * x)
+    if not grad:
+        return w, P
+    # dP/dlam_m = (8mu^2/lam_m^3) prod_{j != m} (1 - 4mu^2/lam_j^2), with no
+    # division by the m-th factor, which vanishes at lam_m = 2mu
+    dP = []
+    for m, x in enumerate(lam):
+        rest = 2 * mu4 / (x * x * x)
+        for j, y in enumerate(lam):
+            if j != m:
+                rest *= 1 - mu4 / (y * y)
+        dP.append(rest)
+    return w, P, G, dP
+
+
 def dual_H0(dual: DualPoint, params: CouplingParams,
             validate: bool = True) -> float:
     """The dual many-body Hamiltonian in closed form.
@@ -442,22 +499,14 @@ def dual_H0(dual: DualPoint, params: CouplingParams,
     With ``validate`` the value is checked against tr(h A_check h)/2.
     """
     require_inside(dual, params)
-    lam, theta = dual.lam, dual.theta
-    mu, nu, kappa = params.mu, params.nu, params.kappa
-    n = dual.n
+    lam = dual.lam.tolist()
+    terms, P = _h0_weights(lam, [math.cos(t) for t in dual.theta.tolist()], params)
     total = 0.0
-    for j in range(n):
-        term = np.cos(theta[j]) * np.sqrt(1 - nu**2 / lam[j] ** 2) \
-            * np.sqrt(1 - kappa**2 / lam[j] ** 2)
-        for k in range(n):
-            if k == j:
-                continue
-            term *= np.sqrt(1 - 4 * mu**2 / (lam[j] - lam[k]) ** 2)
-            term *= np.sqrt(1 - 4 * mu**2 / (lam[j] + lam[k]) ** 2)
+    for term in terms:  # left to right: sum() compensates on Python >= 3.12
         total += term
-    total -= nu * kappa / (4 * mu**2) * (np.prod(1 - 4 * mu**2 / lam**2) - 1.0)
+    total -= params.nu * params.kappa / (4 * params.mu**2) * (P - 1.0)
     if validate:
-        h = h_matrix(lam, params).h.m
+        h = h_matrix(dual.lam, params).h.m
         A = A_check(dual, params, validate=False).m
         spectral = float(np.trace(h @ A @ h).real / 2.0)
         if abs(total - spectral) > SELFCHECK_TOL * max(1.0, abs(total)):
@@ -466,6 +515,28 @@ def dual_H0(dual: DualPoint, params: CouplingParams,
                 f"tr(h A h)/2 = {spectral!r}"
             )
     return float(total)
+
+
+def grad_dual_H0(lam, theta, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradient (dH0/dlambda, dH0/dtheta) of :func:`dual_H0`.
+
+    dH0/dtheta_j = -sin(theta_j) w_j and
+    dH0/dlambda_m = sum_j cos(theta_j) w_j dlog w_j/dlambda_m
+                    - (nu*kappa/4mu^2) dP/dlambda_m,
+    with w_j the square-root product and P the product term of ``dual_H0``.
+    Raises DomainError unless lambda is inside the chamber with the slack
+    ``dual_H0`` requires.
+    """
+    lam = np.asarray(lam, dtype=float).tolist()
+    theta = np.asarray(theta, dtype=float).tolist()
+    require_chamber(lam, params)
+    w, _, G, dP = _h0_weights(lam, [1.0] * len(lam), params, grad=True)
+    c = params.nu * params.kappa / (4 * params.mu**2)
+    cw = [math.cos(t) * wj for t, wj in zip(theta, w)]
+    dlam = [sum(cwj * Gj[m] for cwj, Gj in zip(cw, G)) - c * dPm
+            for m, dPm in enumerate(dP)]
+    dtheta = [-math.sin(t) * wj for t, wj in zip(theta, w)]
+    return np.array(dlam), np.array(dtheta)
 
 
 # ---------------------------------------------------------------------------

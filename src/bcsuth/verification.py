@@ -591,8 +591,7 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         dual = DualPoint(lam=lambda_of_z(z2, params),
                          theta=rng.uniform(0, 2 * math.pi, n))
         dflow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
-                                  dt=5e-4, T=1.0, gradient="fd",
-                                  monitor_stride=200)
+                                  dt=5e-4, T=1.0, monitor_stride=200)
         dtraj = dynamics.integrate(dflow, np.r_[dual.lam, dual.theta], params)
         q_cols = [dtraj.monitors[f"q{j+1}"] for j in range(n)]
         col.add("dynamics.dual_q_drift",

@@ -278,7 +278,7 @@ def test_criterion_8c_dual_flow_position_drift():
         pt = _gentle_orbit(rng, n, params, 0.2)
         dual, _ = duality.forward_map_full(pt, params, validate=False)
         flow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
-                                 dt=1e-3, T=10.0, gradient="fd",
+                                 dt=1e-3, T=10.0, gradient="analytic",
                                  monitor_stride=200)
         traj = dynamics.integrate(flow, np.r_[dual.lam, dual.theta], params)
         for j in range(n):

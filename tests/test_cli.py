@@ -78,6 +78,25 @@ def test_flow_row_count(tmp_path, capsys):
     assert summary["rows"] == 101
 
 
+def test_flow_dual_H0_default_analytic_gradient(tmp_path, capsys):
+    out_csv = tmp_path / "d.csv"
+    code, out, err = run_cli(
+        capsys, "--out", str(out_csv), "flow", "--system", "dual_H0",
+        "--chart", "lambda_theta", "--n", "1", "--mu", "1", "--nu", "2",
+        "--x0", "2.23606797749979,4.71238898038469", "--dt", "1e-3",
+        "--T", "0.1")
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["flow"]["gradient"] == "analytic"
+    assert summary["rows"] == 101
+    lines = out_csv.read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[:3] == ["t", "lambda1", "theta1"]
+    # the dual H0 flow leaves the Sutherland position q1 = pi/4 where it is
+    q1 = [row.split(",")[header.index("q1")] for row in lines[2:]]
+    assert max(abs(float(q) - np.pi / 4) for q in q1 if q) < 1e-9
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "rsvd", "--seed", "42", "--n-max", "2",

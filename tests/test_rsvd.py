@@ -3,13 +3,14 @@ import pytest
 
 from conftest import match_spectra
 
+from bcsuth.dynamics import fd_gradient
 from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
 from bcsuth.params import DualPoint, couplings_from_rsvd, z_from_angles
 from bcsuth.rsvd import (A_check, A_check_direct, A_tilde, F_squared_branches,
                          L_tilde, appendix_chain, commutator_residual, dual_H0,
-                         dual_Hk, f_vector, g_functions, h_matrix, m_of_theta,
-                         phi_vector, w_system_residual, w_weights)
+                         dual_Hk, f_vector, g_functions, grad_dual_H0, h_matrix,
+                         m_of_theta, phi_vector, w_system_residual, w_weights)
 from bcsuth.verification import (SuiteConfig, sample_dual, sample_params,
                                  sample_oscillator)
 
@@ -158,6 +159,32 @@ def test_dual_H0_matches_trace_random(rng):
         A = A_check(dual, p, validate=False).m
         ref = np.trace(h @ A @ h).real / 2.0
         assert dual_H0(dual, p) == pytest.approx(ref, abs=1e-10)
+
+
+def test_grad_dual_H0_matches_richardson_fd(rng):
+    for n in (1, 2, 3, 4, 8):
+        for kappa_frac in (0.0, 0.6, -0.8):
+            p = sample_params(rng, n, CFG)
+            p = couplings_from_rsvd(p.mu, p.nu, kappa_frac * p.nu, n)
+            dual = sample_dual(rng, n, p)
+            x = np.r_[dual.lam, dual.theta]
+            ref = fd_gradient(
+                lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), p,
+                                  validate=False),
+                x, 1e-5, richardson=True)
+            dlam, dtheta = grad_dual_H0(dual.lam, dual.theta, p)
+            err = np.max(np.abs(np.r_[dlam, dtheta] - ref))
+            assert err <= 1e-8 * np.max(np.abs(ref)), (n, kappa_frac, err)
+
+
+def test_grad_dual_H0_refuses_points_off_the_chamber():
+    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
+    grad_dual_H0([5.0, 2.0 + 1e-6], [0.1, 0.2], p)
+    for lam in ([5.0, 2.0 + 1e-10], [5.0, 1.9], [5.0 + 1e-10, 3.0]):
+        with pytest.raises(DomainError):
+            grad_dual_H0(lam, [0.1, 0.2], p)
+        with pytest.raises(DomainError):
+            dual_H0(DualPoint(lam=lam, theta=[0.1, 0.2]), p, validate=False)
 
 
 def test_g_functions_positive_everywhere(rng):
