@@ -1,8 +1,14 @@
 """Hamiltonian flows in both charts, FD Poisson brackets, conservation monitors.
 
-The integrator is the implicit midpoint rule (symplectic, second order) with
-Newton inner iterations.  Gradients are closed-form where a closed form is
-known, ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
+The integrator is the implicit midpoint rule (symplectic, second order).  Each
+step iterates the fixed point x_{k+1} = x0 + dt f((x0 + x_k)/2) until the
+increment, which is the residual of x_k, falls to the Newton tolerance; only
+when the iteration stops contracting (an increment shrinks by less than half)
+does Newton with an FD Jacobian take over.  The steps of the H_1 and dual H0
+flows work on raw coordinate arrays and build no point value types.
+
+Gradients are closed-form where a closed form is known,
+``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
 ``grad_dual_H0`` for the dual H0.  ``gradient="fd"`` uses central finite
 differences; it is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.
@@ -21,6 +27,7 @@ carried to Sutherland-chart flows by the backward map.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +35,8 @@ import numpy as np
 from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
 from .errors import BoundaryApproachError, NonConvergenceError
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
-                     domain_membership)
-from .rsvd import dual_H0, grad_dual_H0
+                     chart_membership)
+from .rsvd import _dual_H0_kernel, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
 SYSTEMS = ("sutherland_H1", "sutherland_Hk", "dual_H0", "dual_Hk")
@@ -60,6 +67,12 @@ class FlowSpec:
             raise ValueError(f"unknown chart {self.chart!r}; expected one of {CHARTS}")
         if not (self.dt > 0 and self.T > 0 and self.dt < self.T):
             raise ValueError("need 0 < dt < T")
+        steps = self.T / self.dt
+        if not abs(steps - round(steps)) <= 1e-9 * steps:
+            raise ValueError(f"T / dt must be an integer, got T = {self.T!r}, "
+                             f"dt = {self.dt!r} (T / dt = {steps!r})")
+        if not self.boundary_margin >= 0:
+            raise ValueError("boundary_margin must be >= 0")
         if self.gradient not in ("analytic", "fd"):
             raise ValueError("gradient mode must be 'analytic' or 'fd'")
         if self.gradient == "analytic" and self.system not in ANALYTIC_SYSTEMS:
@@ -155,8 +168,7 @@ def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
                 hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1])
         raise ValueError(f"system {flow.system} is not defined in the qp chart")
     if flow.system == "dual_H0":
-        return lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), params,
-                                 validate=False)
+        return lambda x: _dual_H0_kernel(x[:n], x[n:], params)
     if flow.system == "dual_Hk":
         # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
         from .params import z_from_angles
@@ -181,7 +193,7 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     if flow.gradient == "analytic":
         if flow.system == "sutherland_H1":
             def f(x):
-                dq, dp = grad_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)
+                dq, dp = grad_H1(x[:n], x[n:], params)
                 return np.concatenate((dp, -dq))
             return f
 
@@ -207,24 +219,39 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
 
 def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
                            max_iter: int = 50, jac_step: float = 1e-7):
-    """One implicit-midpoint step solved by Newton with an FD Jacobian.
+    """One implicit-midpoint step: x1 = x0 + dt f((x0 + x1)/2).
 
-    A few fixed-point sweeps refine the Euler predictor first; Newton then
-    polishes the residual x1 - x0 - dt f((x0 + x1)/2) below ``newton_tol``.
-    A stall strictly below 1e-10 is accepted (the attainable floor when f is
-    itself a finite-difference field); anything worse raises.
+    Fixed-point sweeps x_{k+1} = x0 + dt f((x0 + x_k)/2) start from the Euler
+    predictor.  The increment |x_{k+1} - x_k| is the residual of x_k, and
+    x_{k+1} is returned as soon as that increment is at most
+    ``newton_tol`` * max(1, |x_{k+1}|) (Hairer-Lubich-Wanner, Geometric
+    Numerical Integration, VIII.6).  Only when an increment shrinks by less
+    than half, or after ``max_iter`` sweeps, does Newton with an FD Jacobian
+    take over from the last sweep and polish the residual
+    x1 - x0 - dt f((x0 + x1)/2) below ``newton_tol``.  A Newton stall
+    strictly below 1e-10 is accepted (the attainable floor when f is itself
+    a finite-difference field); anything worse raises NonConvergenceError.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = x0 + dt * f(x0)
-    for _ in range(4):
-        x1 = x0 + dt * f(0.5 * (x0 + x1))
+    last = math.inf
+    for _ in range(max_iter):
+        x_next = x0 + dt * f(0.5 * (x0 + x1))
+        d = x_next - x1
+        inc = math.sqrt(d @ d)
+        x1 = x_next
+        if inc <= newton_tol * max(1.0, math.sqrt(x1 @ x1)):
+            return x1
+        if not inc <= 0.5 * last:
+            break
+        last = inc
     Jg = None
-    best = np.inf
+    best = math.inf
     for _ in range(max_iter):
         mid = 0.5 * (x0 + x1)
         F = x1 - x0 - dt * f(mid)
-        nrm = float(np.linalg.norm(F))
-        if nrm <= newton_tol * max(1.0, float(np.linalg.norm(x1))):
+        nrm = math.sqrt(F @ F)
+        if nrm <= newton_tol * max(1.0, math.sqrt(x1 @ x1)):
             return x1
         if nrm >= 0.9 * best:
             if nrm <= 1e-10:
@@ -235,16 +262,7 @@ def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
             Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, jac_step)
         x1 = x1 - np.linalg.solve(Jg, F)
     raise NonConvergenceError(
-        f"implicit midpoint Newton stalled at residual {np.linalg.norm(F):.3e}")
-
-
-def _check_boundary(x, chart, params, margin):
-    n = params.n
-    if chart == "qp":
-        status = domain_membership(SutherlandPoint(q=x[:n], p=x[n:]), params, margin)
-    else:
-        status = domain_membership(DualPoint(lam=x[:n], theta=x[n:]), params, margin)
-    return status
+        f"implicit midpoint Newton stalled at residual {nrm:.3e}")
 
 
 def default_monitors(flow: FlowSpec, params: CouplingParams):
@@ -284,6 +302,7 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     the state comes within ``boundary_margin`` of a chamber wall.
     """
     x0 = np.asarray(x0, dtype=float)
+    n = params.n
     nsteps = int(round(flow.T / flow.dt))
     f = vector_field(flow, params)
     monitor = default_monitors(flow, params)
@@ -299,7 +318,9 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     for step in range(1, nsteps + 1):
         x = implicit_midpoint_step(f, x, flow.dt)
         states[step] = x
-        if _check_boundary(x, flow.chart, params, flow.boundary_margin) != "inside":
+        status = chart_membership(x[:n].tolist(), flow.chart, params,
+                                  flow.boundary_margin)
+        if status != "inside":
             partial = Trajectory(
                 times=times[: step + 1], states=states[: step + 1],
                 chart=flow.chart,

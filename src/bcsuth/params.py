@@ -228,14 +228,29 @@ def point_from_dict(d):
     raise ValueError(f"unrecognized point dict with keys {sorted(d)}")
 
 
-def _sutherland_slacks(point: SutherlandPoint):
-    q = point.q
-    return np.concatenate(([math.pi / 2 - q[0]], q[:-1] - q[1:], [q[-1]]))
+def chart_membership(pos: list, chart: str, params: CouplingParams,
+                     margin: float = DOMAIN_MARGIN) -> str:
+    """:func:`domain_membership` on positions given as a list of floats.
 
-
-def _dual_slacks(lam, params: CouplingParams):
-    wall = max(abs(params.nu), abs(params.kappa))
-    return np.concatenate((lam[:-1] - lam[1:] - 2 * params.mu, [lam[-1] - wall]))
+    ``pos`` is q for chart "qp" (slacks pi/2 - q_1, q_a - q_(a+1), q_n) and
+    lambda for chart "lambda_theta" (slacks lambda_a - lambda_(a+1) - 2*mu,
+    lambda_n - max(|nu|, |kappa|)).  Plain float arithmetic, so hot loops
+    need build no point.
+    """
+    if chart == "qp":
+        slacks = [math.pi / 2 - pos[0]] + [a - b for a, b in zip(pos, pos[1:])]
+        slacks.append(pos[-1])
+    else:
+        wall = max(abs(params.nu), abs(params.kappa))
+        slacks = [a - b - 2 * params.mu for a, b in zip(pos, pos[1:])]
+        slacks.append(pos[-1] - wall)
+    status = "inside"
+    for s in slacks:
+        if s < -margin:
+            return "outside"
+        if not s > margin:
+            status = "boundary"
+    return status
 
 
 def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> str:
@@ -247,16 +262,10 @@ def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARG
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if isinstance(point, SutherlandPoint):
-        slacks = _sutherland_slacks(point)
-    elif isinstance(point, DualPoint):
-        slacks = _dual_slacks(point.lam, params)
-    else:
-        raise TypeError("domain_membership expects a SutherlandPoint or DualPoint")
-    if np.all(slacks > margin):
-        return "inside"
-    if np.any(slacks < -margin):
-        return "outside"
-    return "boundary"
+        return chart_membership(point.q.tolist(), "qp", params, margin)
+    if isinstance(point, DualPoint):
+        return chart_membership(point.lam.tolist(), "lambda_theta", params, margin)
+    raise TypeError("domain_membership expects a SutherlandPoint or DualPoint")
 
 
 def require_inside(point, params: CouplingParams, margin: float = DOMAIN_MARGIN):
@@ -274,17 +283,10 @@ def require_inside(point, params: CouplingParams, margin: float = DOMAIN_MARGIN)
 
 
 def require_chamber(lam: list, params: CouplingParams, margin: float = DOMAIN_MARGIN):
-    """:func:`require_inside` for a spectrum given as a list of floats.
-
-    Same slacks and classification as :func:`domain_membership`, in plain
-    float arithmetic, so hot loops need not build a DualPoint.
-    """
-    wall = max(abs(params.nu), abs(params.kappa))
-    slacks = [a - b - 2 * params.mu for a, b in zip(lam, lam[1:])]
-    slacks.append(lam[-1] - wall)
-    if all(s > margin for s in slacks):
+    """:func:`require_inside` for a spectrum given as a list of floats."""
+    status = chart_membership(lam, "lambda_theta", params, margin)
+    if status == "inside":
         return
-    status = "outside" if any(s < -margin for s in slacks) else "boundary"
     raise DomainError(
         f"lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
         f"lambda_n > max(|nu|,|kappa|) with slack > {margin}; "

@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .matkernel import StructuredMatrix, exchange_matrix
-from .params import (CouplingParams, DualPoint, OscillatorPoint, lambda_of_z,
-                     require_chamber, require_inside, strongly_regular,
-                     z_from_angles)
+from .params import (TWO_PI, CouplingParams, DualPoint, OscillatorPoint,
+                     lambda_of_z, require_chamber, require_inside,
+                     strongly_regular, z_from_angles)
 
 #: guard for internal identity checks (a violation means a bug, not bad data)
 SELFCHECK_TOL = 1e-8
@@ -488,6 +488,25 @@ def _h0_weights(lam: list, coef: list, params: CouplingParams,
     return w, P, G, dP
 
 
+def _dual_H0_kernel(lam, theta, params: CouplingParams) -> float:
+    """:func:`dual_H0` at raw coordinates, without building a DualPoint.
+
+    Each theta_j is reduced to [0, 2*pi) as :func:`canonical_angle` reduces
+    it, so the value is the one ``dual_H0`` returns bit for bit.
+    """
+    lam = np.asarray(lam, dtype=float).tolist()
+    require_chamber(lam, params)
+    cos = []
+    for t in np.asarray(theta, dtype=float).tolist():
+        t %= TWO_PI
+        cos.append(math.cos(0.0 if t >= TWO_PI else t))
+    terms, P = _h0_weights(lam, cos, params)
+    total = 0.0
+    for term in terms:  # left to right: sum() compensates on Python >= 3.12
+        total += term
+    return total - params.nu * params.kappa / (4 * params.mu**2) * (P - 1.0)
+
+
 def dual_H0(dual: DualPoint, params: CouplingParams,
             validate: bool = True) -> float:
     """The dual many-body Hamiltonian in closed form.
@@ -498,13 +517,7 @@ def dual_H0(dual: DualPoint, params: CouplingParams,
 
     With ``validate`` the value is checked against tr(h A_check h)/2.
     """
-    require_inside(dual, params)
-    lam = dual.lam.tolist()
-    terms, P = _h0_weights(lam, [math.cos(t) for t in dual.theta.tolist()], params)
-    total = 0.0
-    for term in terms:  # left to right: sum() compensates on Python >= 3.12
-        total += term
-    total -= params.nu * params.kappa / (4 * params.mu**2) * (P - 1.0)
+    total = _dual_H0_kernel(dual.lam, dual.theta, params)
     if validate:
         h = h_matrix(dual.lam, params).h.m
         A = A_check(dual, params, validate=False).m
@@ -514,7 +527,7 @@ def dual_H0(dual: DualPoint, params: CouplingParams,
                 f"closed-form dual Hamiltonian {total!r} disagrees with "
                 f"tr(h A h)/2 = {spectral!r}"
             )
-    return float(total)
+    return total
 
 
 def grad_dual_H0(lam, theta, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ whose k = 1 member is the physical Hamiltonian
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,25 +150,28 @@ def odd_trace_residual(point: SutherlandPoint, params: CouplingParams,
     return float(worst)
 
 
-def grad_H1(point: SutherlandPoint, params: CouplingParams):
-    """Analytic gradient (dH/dq, dH/dp) of the closed-form Hamiltonian."""
-    q, p = point.q, point.p
-    n = point.n
+def grad_H1(q, p, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (dH/dq, dH/dp) of the closed-form Hamiltonian at raw q, p.
+
+    Loops over Python floats (``math.*``): at n <= 3 numpy's per-call
+    overhead would dominate.
+    """
     g, g1, g2 = params.gamma, params.gamma1, params.gamma2
-    dq = np.zeros(n)
-    for j in range(n):
+    q = np.asarray(q, dtype=float).tolist()
+    dq = []
+    for j, x in enumerate(q):
         acc = 0.0
-        for k in range(n):
+        for k, y in enumerate(q):
             if k == j:
                 continue
-            d = q[j] - q[k]
-            s = q[j] + q[k]
-            acc += -2.0 * g * np.cos(d) / np.sin(d) ** 3
-            acc += -2.0 * g * np.cos(s) / np.sin(s) ** 3
-        acc += -2.0 * g1 * np.cos(q[j]) / np.sin(q[j]) ** 3
-        acc += -4.0 * g2 * np.cos(2.0 * q[j]) / np.sin(2.0 * q[j]) ** 3
-        dq[j] = acc
-    return dq, p.copy()
+            d = x - y
+            s = x + y
+            acc += -2.0 * g * math.cos(d) / math.sin(d) ** 3
+            acc += -2.0 * g * math.cos(s) / math.sin(s) ** 3
+        acc += -2.0 * g1 * math.cos(x) / math.sin(x) ** 3
+        acc += -4.0 * g2 * math.cos(2.0 * x) / math.sin(2.0 * x) ** 3
+        dq.append(acc)
+    return np.array(dq), np.array(p, dtype=float)
 
 
 def action_map(point: SutherlandPoint, params: CouplingParams,

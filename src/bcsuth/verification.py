@@ -100,6 +100,13 @@ class SuiteConfig:
 
 @dataclass
 class CheckResult:
+    """One report row.  ``headroom`` is how far the row is from flipping:
+    tol / max_residual for a check, max_residual / (10 tol) for a negative
+    control (whose residual must exceed ten times tol).  Above 1 the row
+    passes, below 1 it fails; None where the ratio is not finite (a zero or
+    missing residual).
+    """
+
     name: str
     max_residual: float
     mean_residual: float
@@ -107,13 +114,14 @@ class CheckResult:
     passed: bool
     negative_control: bool = False
     counterexample: dict | None = None
+    headroom: float | None = None
 
     def to_dict(self):
         return {
             "name": self.name, "max_residual": self.max_residual,
             "mean_residual": self.mean_residual, "tol": self.tol,
             "passed": self.passed, "negative_control": self.negative_control,
-            "counterexample": self.counterexample,
+            "counterexample": self.counterexample, "headroom": self.headroom,
         }
 
 
@@ -138,10 +146,11 @@ class SuiteReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["check", "max_residual", "mean_residual", "tol",
-                         "passed", "negative_control"])
+                         "passed", "negative_control", "headroom"])
         for c in self.checks:
             writer.writerow([c.name, repr(c.max_residual), repr(c.mean_residual),
-                             repr(c.tol), c.passed, c.negative_control])
+                             repr(c.tol), c.passed, c.negative_control,
+                             "" if c.headroom is None else repr(c.headroom)])
         return buf.getvalue()
 
 
@@ -170,11 +179,15 @@ class _Collector:
         mean = sum(vals) / len(vals)
         tol = self.config.tol(name)
         if negative_control:
-            passed = mx > 10.0 * tol if tol > 0 else mx > 1e-3
+            trip = 10.0 * tol if tol > 0 else 1e-3
+            passed = mx > trip
+            headroom = mx / trip
         else:
             passed = mx <= tol
+            headroom = tol / mx if mx > 0 else math.inf
         example = None if passed else self.examples.get(name)
-        return CheckResult(name, mx, mean, tol, passed, negative_control, example)
+        return CheckResult(name, mx, mean, tol, passed, negative_control, example,
+                           headroom if math.isfinite(headroom) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +331,7 @@ def _suite_sutherland(config: SuiteConfig) -> list:
                     abs(H[0] - sutherland.closed_form_H1(pt, params))
                     / max(1.0, abs(H[0])), ctx)
 
-            dq, dp = sutherland.grad_H1(pt, params)
+            dq, dp = sutherland.grad_H1(pt.q, pt.p, params)
             fd = dynamics.fd_gradient(
                 lambda x: sutherland.closed_form_H1(
                     SutherlandPoint(q=x[:n], p=x[n:]), params),

@@ -78,6 +78,18 @@ def test_flow_row_count(tmp_path, capsys):
     assert summary["rows"] == 101
 
 
+def test_flow_rejects_a_fractional_step_count(tmp_path, capsys):
+    # T / dt = 10/3 would have stopped the trajectory at t = 0.09
+    out_csv = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        capsys, "--out", str(out_csv), "flow", "--system", "sutherland_H1",
+        "--chart", "qp", "--n", "1", "--mu", "1", "--nu", "2",
+        "--x0", "0.7853981633974483,1.0", "--dt", "0.03", "--T", "0.1")
+    assert code == 2
+    assert "T / dt must be an integer" in err
+    assert not out_csv.exists()
+
+
 def test_flow_dual_H0_default_analytic_gradient(tmp_path, capsys):
     out_csv = tmp_path / "d.csv"
     code, out, err = run_cli(

@@ -3,14 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bcsuth.duality import DUAL_PAIRING, forward_map_full
+from bcsuth.duality import DUAL_PAIRING, backward_map, forward_map_full
 from bcsuth.dynamics import (FlowSpec, angle_linearity_check, default_monitors,
                              fd_gradient, implicit_midpoint_step, integrate,
                              poisson_bracket_fd, vector_field)
-from bcsuth.errors import BoundaryApproachError
-from bcsuth.params import SutherlandPoint, couplings_from_rsvd
+from bcsuth.errors import BoundaryApproachError, NonConvergenceError
+from bcsuth.params import DualPoint, SutherlandPoint, couplings_from_rsvd
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
-from bcsuth.verification import SuiteConfig, sample_params, sample_sutherland
+from bcsuth.verification import (SuiteConfig, run_suite, sample_lambda,
+                                 sample_params, sample_sutherland)
 
 P1 = couplings_from_rsvd(1.0, 2.0, 0.0, 1)
 CFG = SuiteConfig(suite="dynamics")
@@ -26,6 +27,89 @@ def test_flow_spec_validation():
             FlowSpec(system=system, chart="qp", dt=1e-3, T=1.0, k=2)
         FlowSpec(system=system, chart="qp", dt=1e-3, T=1.0, k=2, gradient="fd")
     FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3, T=1.0)
+
+
+def test_flow_spec_requires_a_whole_number_of_steps():
+    # a fractional T / dt used to end the trajectory short of T
+    for dt, T in ((0.03, 0.1), (0.3, 1.0)):
+        with pytest.raises(ValueError, match="T / dt must be an integer"):
+            FlowSpec(system="sutherland_H1", chart="qp", dt=dt, T=T)
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=0.025, T=0.1)
+    traj = integrate(flow, np.array([np.pi / 4, 1.0]), P1)
+    assert traj.times[-1] == pytest.approx(0.1, rel=1e-12)
+
+
+def _counting_fd_gradient(monkeypatch):
+    import bcsuth.dynamics as dynamics
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd_gradient(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "fd_gradient", counted)
+    return calls
+
+
+def test_sweeps_stop_when_converged(rng, monkeypatch):
+    # a typical orbit, its start drawn on the dual side: each sweep gains
+    # about two digits, so a step takes the Euler predictor and six or seven
+    # sweeps.  Newton belongs only to the few steps next to a wall, where a
+    # sweep shrinks the increment by less than half.
+    n = 2
+    p = sample_params(rng, n, CFG)
+    dual = DualPoint(lam=sample_lambda(rng, n, p),
+                     theta=rng.uniform(0, 2 * np.pi, n))
+    pt = backward_map(dual, p)
+    f = vector_field(FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3,
+                              T=0.2), p)
+    evals = []
+
+    def counted_f(x):
+        evals.append(1)
+        return f(x)
+    jacobians = _counting_fd_gradient(monkeypatch)
+    x = np.r_[pt.q, pt.p]
+    for _ in range(200):
+        x0 = x
+        x = implicit_midpoint_step(counted_f, x0, 1e-3)
+        defect = x - x0 - 1e-3 * f(0.5 * (x0 + x))
+        assert np.linalg.norm(defect) <= 1e-13 * max(1.0, np.linalg.norm(x))
+    assert len(evals) / 200 < 10
+    assert len(jacobians) <= 10
+
+
+def test_stalled_sweeps_fall_back_to_newton(monkeypatch):
+    # a stiff linear field: each sweep shrinks the increment by dt*omega/2 =
+    # 0.75 only, so the second sweep hands the step to Newton, which solves it
+    dt, omega = 0.1, 15.0
+    A = np.array([[0.0, 1.0], [-omega**2, 0.0]])
+    x0 = np.array([1.0, 0.5])
+    jacobians = _counting_fd_gradient(monkeypatch)
+    evals = []
+
+    def f(x):
+        if not jacobians:
+            evals.append(1)
+        return A @ x
+    x1 = implicit_midpoint_step(f, x0, dt)
+    assert len(jacobians) == 1
+    assert len(evals) == 4  # Euler predictor, two sweeps, Newton's residual
+    defect = x1 - x0 - dt * A @ (0.5 * (x0 + x1))
+    assert np.linalg.norm(defect) <= 1e-13 * max(1.0, np.linalg.norm(x1))
+    exact = np.linalg.solve(np.eye(2) - 0.5 * dt * A, x0 + 0.5 * dt * A @ x0)
+    assert np.max(np.abs(x1 - exact)) < 1e-13
+    # x1 = dt (1 + ((x0 + x1)/2)^2) has no real root at dt = 2, x0 = 0
+    with pytest.raises(NonConvergenceError):
+        implicit_midpoint_step(lambda x: 1.0 + x**2, np.array([0.0]), 2.0)
+
+
+def test_time_reversal_returns_to_start():
+    # verify's 2000-step H_1 orbits at n = 1, 2, 3, stepped back with the same
+    # rule; steps solved to the tolerance retrace them to roundoff
+    report = run_suite(SuiteConfig(suite="dynamics", seed=42))
+    row, = [c for c in report.checks if c.name == "dynamics.time_reversal"]
+    assert row.max_residual < 1e-12
 
 
 def test_equilibrium_is_stationary():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsuth.errors import DegenerateChartError, ParameterError
 from bcsuth.params import (CouplingParams, DualPoint, OscillatorPoint,
                            SutherlandPoint, angles_from_z, canonical_angle,
-                           couplings_from_rsvd, couplings_from_sutherland,
-                           domain_membership, lambda_of_z, point_from_dict,
-                           strongly_regular, z_from_angles)
+                           chart_membership, couplings_from_rsvd,
+                           couplings_from_sutherland, domain_membership,
+                           lambda_of_z, point_from_dict, strongly_regular,
+                           z_from_angles)
 
 
 def test_couplings_forward():
@@ -55,6 +58,60 @@ def test_domain_membership_examples():
                              margin=0.0) == "inside"
     assert domain_membership(DualPoint(lam=[4.5, 1.9], theta=[0, 0]), p2,
                              margin=0.0) == "outside"
+
+
+def _membership_numpy(x, chart, params, margin):
+    """The slack classification as numpy array code: the float helper's reference."""
+    if chart == "qp":
+        slacks = np.concatenate(([np.pi / 2 - x[0]], x[:-1] - x[1:], [x[-1]]))
+    else:
+        wall = max(abs(params.nu), abs(params.kappa))
+        slacks = np.concatenate((x[:-1] - x[1:] - 2 * params.mu, [x[-1] - wall]))
+    if np.all(slacks > margin):
+        return "inside"
+    if np.any(slacks < -margin):
+        return "outside"
+    return "boundary"
+
+
+@st.composite
+def _chart_points(draw):
+    """(chart, positions, params, margin) with slacks often within +-margin of 0."""
+    n = draw(st.integers(1, 4))
+    margin = draw(st.sampled_from([0.0, 1e-9, 1e-6, 0.05]))
+    near = st.builds(lambda k, e: k * margin * (1 + e),
+                     st.sampled_from([-1.0, 0.0, 1.0]),
+                     st.sampled_from([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
+    slacks = draw(st.lists(st.one_of(near, st.floats(-0.3, 0.3)),
+                           min_size=n + 1, max_size=n + 1))
+    params = couplings_from_rsvd(draw(st.floats(0.1, 2.0)), 2.0,
+                                 draw(st.floats(-1.9, 1.9)), n)
+    chart = draw(st.sampled_from(["qp", "lambda_theta"]))
+    x = np.empty(n)
+    if chart == "qp" and draw(st.booleans()):
+        x[0] = np.pi / 2 - slacks[n]  # build down from the pi/2 wall
+        for a in range(1, n):
+            x[a] = x[a - 1] - slacks[a - 1]
+    elif chart == "qp":
+        x[-1] = slacks[n]  # build up from the q = 0 wall
+        for a in range(n - 2, -1, -1):
+            x[a] = x[a + 1] + slacks[a]
+    else:
+        x[-1] = 2.0 + slacks[n]
+        for a in range(n - 2, -1, -1):
+            x[a] = x[a + 1] + 2 * params.mu + slacks[a]
+    return chart, x, params, margin
+
+
+@given(_chart_points())
+@settings(max_examples=400, deadline=None)
+def test_chart_membership_classifies_as_domain_membership(case):
+    chart, x, params, margin = case
+    status = chart_membership(x.tolist(), chart, params, margin)
+    assert status == _membership_numpy(x, chart, params, margin)
+    point = (SutherlandPoint(q=x, p=np.zeros_like(x)) if chart == "qp"
+             else DualPoint(lam=x, theta=np.zeros_like(x)))
+    assert domain_membership(point, params, margin) == status
 
 
 def test_strongly_regular_examples():

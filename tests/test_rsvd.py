@@ -8,9 +8,10 @@ from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
 from bcsuth.params import DualPoint, couplings_from_rsvd, z_from_angles
 from bcsuth.rsvd import (A_check, A_check_direct, A_tilde, F_squared_branches,
-                         L_tilde, appendix_chain, commutator_residual, dual_H0,
-                         dual_Hk, f_vector, g_functions, grad_dual_H0, h_matrix,
-                         m_of_theta, phi_vector, w_system_residual, w_weights)
+                         L_tilde, _dual_H0_kernel, appendix_chain,
+                         commutator_residual, dual_H0, dual_Hk, f_vector,
+                         g_functions, grad_dual_H0, h_matrix, m_of_theta,
+                         phi_vector, w_system_residual, w_weights)
 from bcsuth.verification import (SuiteConfig, sample_dual, sample_params,
                                  sample_oscillator)
 
@@ -149,6 +150,22 @@ def test_dual_H0_vanishes_towards_wall():
     # the boundary factor kills the Hamiltonian as lambda -> nu
     val = dual_H0(DualPoint(lam=[2.0 + 1e-7], theta=[0.3]), P1, validate=False)
     assert abs(val) < 1e-3
+
+
+def test_dual_H0_kernel_equals_dual_point_route_bit_for_bit(rng):
+    # the raw kernel reduces theta with Python's float %; DualPoint with
+    # canonical_angle's numpy %.  Both must give the same H0 to the last bit,
+    # also where theta rounds up to 2*pi.
+    edges = [0.0, -1e-17, 2 * np.pi, -2 * np.pi, 4 * np.pi - 1e-15]
+    for i in range(20000):
+        n = 1 + i % 3
+        p = sample_params(rng, n, CFG)
+        lam = sample_dual(rng, n, p).lam
+        theta = rng.uniform(-20.0, 20.0, n)
+        if i < len(edges):
+            theta[0] = edges[i]
+        assert _dual_H0_kernel(lam, theta, p) \
+            == dual_H0(DualPoint(lam=lam, theta=theta), p, validate=False)
 
 
 def test_dual_H0_matches_trace_random(rng):

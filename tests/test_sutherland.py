@@ -69,13 +69,13 @@ def test_hamiltonians_match_matrix_route(rng):
 
 
 def test_grad_H1_equilibrium():
-    dq, dp = grad_H1(SutherlandPoint(q=[np.pi / 4], p=[0.0]), P1)
+    dq, dp = grad_H1([np.pi / 4], [0.0], P1)
     assert dq == pytest.approx([0.0], abs=1e-13)
     assert dp == pytest.approx([0.0], abs=1e-15)
 
 
 def test_grad_H1_momentum_part():
-    _, dp = grad_H1(SutherlandPoint(q=[np.pi / 4], p=[1.0]), P1)
+    _, dp = grad_H1([np.pi / 4], [1.0], P1)
     assert dp == pytest.approx([1.0])
 
 
@@ -84,12 +84,43 @@ def test_grad_H1_matches_finite_differences(rng):
     for n in (1, 2, 3):
         params = sample_params(rng, n, cfg)
         pt = sample_sutherland(rng, n)
-        dq, dp = grad_H1(pt, params)
+        dq, dp = grad_H1(pt.q, pt.p, params)
         fd = fd_gradient(
             lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params),
             np.r_[pt.q, pt.p], 1e-6)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(np.r_[dq, dp] - fd)) / scale < 1e-6
+
+
+def _grad_H1_numpy(q, p, params):
+    """grad_H1 as numpy scalar loops: the reference for the float kernel."""
+    g, g1, g2 = params.gamma, params.gamma1, params.gamma2
+    dq = np.zeros(q.size)
+    for j in range(q.size):
+        acc = 0.0
+        for k in range(q.size):
+            if k == j:
+                continue
+            d = q[j] - q[k]
+            s = q[j] + q[k]
+            acc += -2.0 * g * np.cos(d) / np.sin(d) ** 3
+            acc += -2.0 * g * np.cos(s) / np.sin(s) ** 3
+        acc += -2.0 * g1 * np.cos(q[j]) / np.sin(q[j]) ** 3
+        acc += -4.0 * g2 * np.cos(2.0 * q[j]) / np.sin(2.0 * q[j]) ** 3
+        dq[j] = acc
+    return dq, p.copy()
+
+
+def test_grad_H1_equals_numpy_reference_bit_for_bit(rng):
+    cfg = SuiteConfig(suite="sutherland")
+    for i in range(5000):
+        n = 1 + i % 3
+        params = sample_params(rng, n, cfg)
+        pt = sample_sutherland(rng, n, gap=0.01)
+        q, p = pt.q, 3.0 * pt.p
+        dq, dp = grad_H1(q, p, params)
+        ref_q, ref_p = _grad_H1_numpy(q, p, params)
+        assert dq.tolist() == ref_q.tolist() and dp.tolist() == ref_p.tolist()
 
 
 def test_action_map_examples():

@@ -48,6 +48,23 @@ def test_negative_controls_present_and_flagged():
             assert c.max_residual > 10 * c.tol or c.tol == 0.0
 
 
+def test_rows_report_headroom():
+    report = run_suite(_cfg("sutherland", n_values=(1, 2), samples=3))
+    for c in report.checks:
+        if c.max_residual == 0.0:
+            assert c.headroom is None
+        elif c.negative_control:
+            assert c.headroom == c.max_residual / (10.0 * c.tol)
+        else:
+            assert c.headroom == c.tol / c.max_residual
+        assert (c.headroom is None) or ((c.headroom > 1.0) == c.passed)
+    rows = report.to_csv().splitlines()
+    assert rows[0].split(",")[-1] == "headroom"
+    assert [float(r.split(",")[-1]) for r in rows[1:]] \
+        == [c.headroom for c in report.checks]
+    assert '"headroom"' in report.to_json()
+
+
 def test_tolerance_override_fails_suite():
     cfg = _cfg("rsvd", tolerances={"rsvd.unitarity": 1e-18})
     report = run_suite(cfg)
