@@ -12,8 +12,8 @@ from .matkernel import (PairedSpectrum, StructuredMatrix,
 from .sutherland import (action_map, closed_form_H1, grad_H1, hamiltonians,
                          lax_Y, momentum_residual)
 from .rsvd import (A_check, A_tilde, DualFrame, F_squared_branches, L_tilde,
-                   WSystemData, dual_H0, dual_Hk, f_vector, g_functions,
-                   grad_dual_H0, h_matrix, m_of_theta, w_system_residual)
+                   dual_H0, dual_Hk, f_vector, g_functions, grad_dual_H0,
+                   h_matrix, m_of_theta, w_system_residual)
 from .duality import (DUAL_PAIRING, DualityReport, backward_map,
                       canonicity_residual, forward_map, invariant_crosscheck,
                       rank_of_dlambda, round_trip_report,
@@ -34,8 +34,8 @@ __all__ = [
     "action_map", "closed_form_H1", "grad_H1", "hamiltonians", "lax_Y",
     "momentum_residual",
     "A_check", "A_tilde", "DualFrame", "F_squared_branches", "L_tilde",
-    "WSystemData", "dual_H0", "dual_Hk", "f_vector", "g_functions",
-    "grad_dual_H0", "h_matrix", "m_of_theta", "w_system_residual",
+    "dual_H0", "dual_Hk", "f_vector", "g_functions", "grad_dual_H0",
+    "h_matrix", "m_of_theta", "w_system_residual",
     "DUAL_PAIRING", "DualityReport", "backward_map", "canonicity_residual",
     "forward_map", "invariant_crosscheck", "rank_of_dlambda",
     "round_trip_report", "superintegrability_data",

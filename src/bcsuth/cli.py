@@ -19,10 +19,9 @@ from .duality import round_trip_report
 from .dynamics import FlowSpec, integrate
 from .errors import (BcsuthError, BoundaryApproachError, DegenerateChartError,
                      DegenerateTorusError, DomainError, ParameterError)
-from .matkernel import StructuredMatrix, structure_residual
-from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, couplings_from_rsvd,
-                     couplings_from_sutherland)
+from .matkernel import structure_residual
+from .params import (CouplingParams, DualPoint, SutherlandPoint,
+                     couplings_from_rsvd, couplings_from_sutherland)
 from .rsvd import A_check, L_tilde
 from .sutherland import lax_Y
 
@@ -130,7 +129,7 @@ def cmd_map(args) -> int:
 
         dual = DualPoint(lam=_parse_reals(args.lam), theta=_parse_reals(args.theta))
         point, bdiag = backward_map_full(dual, params)
-        image, _ = forward_map_full(point, params, validate=False)
+        image, _ = forward_map_full(point, params)
         err = max(float(np.max(np.abs(image.lam - dual.lam))),
                   float(np.max(np.abs(np.minimum(
                       np.abs(image.theta - dual.theta),
@@ -156,23 +155,15 @@ def cmd_flow(args) -> int:
                     monitor_stride=args.monitor_stride)
     x0 = _parse_reals(args.x0)
     traj = integrate(flow, x0, params)
+    text = traj.to_csv()
     if args.out:
-        traj.write_csv(args.out)
+        with open(args.out, "w") as fh:
+            fh.write(text)
         summary = {"rows": int(traj.times.size), "out": args.out,
                    "params": _params_echo(params), "flow": flow.to_dict()}
         print(json.dumps(summary, sort_keys=True))
     else:
-        import os
-        import tempfile
-
-        fd, tmp = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-        try:
-            traj.write_csv(tmp)
-            with open(tmp) as fh:
-                sys.stdout.write(fh.read())
-        finally:
-            os.unlink(tmp)
+        sys.stdout.write(text)
     return 0
 
 

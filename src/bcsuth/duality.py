@@ -32,17 +32,14 @@ from .errors import ConsistencyError, DegenerateTorusError, DomainError
 from .matkernel import exchange_matrix, exp_iQ, cartan_decompose_gminus, \
     gamma_split, pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, canonical_angle, domain_membership,
+                     SutherlandPoint, canonical_angle, chart_membership,
                      require_inside)
 from .rsvd import (A_check, F_squared_branches, dual_H0, f_vector, h_matrix)
-from .sutherland import lax_Y, hamiltonians, momentum_residual, \
+from .sutherland import lax_Y, momentum_residual, \
     real_constraint_vector
 
 #: pullback constant: forward_map^* [sum dlambda ^ dtheta] = DUAL_PAIRING * sum dq ^ dp
 DUAL_PAIRING = -2.0
-
-#: internal tolerance for the duality self-checks (branch moduli, Hamiltonian match)
-SELFCHECK_TOL = 1e-7
 
 
 @dataclass
@@ -87,8 +84,7 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def forward_map_full(point: SutherlandPoint, params: CouplingParams,
-                     validate: bool = True):
+def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     """Map (q, p) to the dual chart, returning the point plus diagnostics.
 
     Steps: Lax matrix -> C-odd part -> paired spectrum d with Gplus frame g ->
@@ -97,6 +93,9 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams,
     The residual central freedom multiplies both args by a common phase, so
     theta is well defined.  Raises DegenerateTorusError when lambda lands on
     the chamber wall (the angle chart is undefined there; use the z chart).
+    The diagnostics hold the defects of |F|^2 against the plus branch and of
+    dual_H0 against -sum cos(2q), measured by the verify rows
+    ``duality.moduli_vs_plus_branch`` and ``duality.dual_H0_consistency``.
     """
     require_inside(point, params)
     n = point.n
@@ -104,8 +103,7 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams,
     _, K = gamma_split(lax.Y.m)
     spec = pair_diagonalize_gminus(K)
     lam = np.sqrt(spec.values**2 + params.kappa**2)
-    probe = domain_membership(
-        DualPoint(lam=lam, theta=np.zeros(n)), params, margin=1e-9)
+    probe = chart_membership(lam.tolist(), "lambda_theta", params, 1e-9)
     if probe != "inside":
         raise DegenerateTorusError(
             f"degenerate torus: action vector {lam.tolist()} is {probe} "
@@ -117,23 +115,14 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams,
     theta = canonical_angle(np.angle(F[n:]) - np.angle(F[:n]))
     dual = DualPoint(lam=lam, theta=theta)
 
-    branches = F_squared_branches(lam, params)
-    moduli_err = float(np.max(np.abs(np.abs(F) ** 2 - branches.Fsq_plus)))
-    h0 = dual_H0(dual, params, validate=False)
-    h0_err = abs(h0 + float(np.sum(np.cos(2.0 * point.q))))
+    Fsq_plus, _ = F_squared_branches(lam, params)
     diag = {
         "F": F,
         "frame": g,
-        "moduli_vs_plus_branch": moduli_err,
-        "dual_H0_consistency": h0_err,
+        "moduli_vs_plus_branch": float(np.max(np.abs(np.abs(F) ** 2 - Fsq_plus))),
+        "dual_H0_consistency": abs(dual_H0(dual, params)
+                                   + float(np.sum(np.cos(2.0 * point.q)))),
     }
-    if validate:
-        if moduli_err > SELFCHECK_TOL:
-            raise ConsistencyError(
-                f"|F|^2 deviates from the plus branch by {moduli_err:.3e}")
-        if h0_err > SELFCHECK_TOL:
-            raise ConsistencyError(
-                f"dual Hamiltonian consistency off by {h0_err:.3e}")
     return dual, diag
 
 
@@ -161,8 +150,7 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     B = -hAh.conj().T
     eta_s, q = cartan_decompose_gminus(B)
     eta = eta_s.m
-    qpoint_probe = domain_membership(
-        SutherlandPoint(q=q, p=np.zeros(n)), params, margin=1e-12)
+    qpoint_probe = chart_membership(q.tolist(), "qp", params, 1e-12)
     if qpoint_probe != "inside":
         raise DomainError(
             f"recovered q = {q.tolist()} is {qpoint_probe} relative to the "
@@ -260,8 +248,7 @@ def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
     n = point.n
 
     def fun(x):
-        dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params,
-                                   validate=False)
+        dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params)
         return np.r_[dual.lam, dual.theta]
 
     return _fd_pullback(fun, np.r_[point.q, point.p], fd_step,
@@ -322,10 +309,9 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     Returns the evaluated pairs and the maximum absolute errors.
     """
     n = point.n
-    dual, _ = forward_map_full(point, params, validate=False)
+    dual, _ = forward_map_full(point, params)
     lam, theta = dual.lam, dual.theta
-    branches = F_squared_branches(lam, params)
-    Fsq = branches.Fsq_plus
+    Fsq, _ = F_squared_branches(lam, params)
     X = np.sqrt(Fsq[:n] * Fsq[n:])
     kappa = params.kappa
 
@@ -374,14 +360,14 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     }
 
 
-def rank_of_dlambda(osc: OscillatorPoint, params: CouplingParams,
-                    sv_rel_tol: float = 1e-7) -> int:
+def rank_of_dlambda(osc: OscillatorPoint, params: CouplingParams) -> int:
     """Numerical rank of the Jacobian of z -> lambda(z) over the real chart.
 
     lambda_k = const + sum_{j>=k} |z_j|^2, so the Jacobian is exact:
     d lambda_k / d(Re z_j, Im z_j) = 2 (Re z_j, Im z_j) for j >= k.  The rank
     equals the number of nonvanishing components of z (the dimension of the
-    span of the action differentials at that point).
+    span of the action differentials at that point); singular values below
+    1e-7 times the largest count as zero.
     """
     z = osc.z
     upper = np.triu(np.ones((z.size, z.size)))
@@ -389,12 +375,12 @@ def rank_of_dlambda(osc: OscillatorPoint, params: CouplingParams,
     sv = np.linalg.svd(J, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > sv_rel_tol * sv[0]))
+    return int(np.sum(sv > 1e-7 * sv[0]))
 
 
-def degeneracy_count(osc: OscillatorPoint, zero_tol: float = 1e-9) -> int:
-    """Number of components of z away from zero (the torus dimension)."""
-    return int(np.sum(np.abs(osc.z) > zero_tol))
+def degeneracy_count(osc: OscillatorPoint) -> int:
+    """Number of components of z above 1e-9 in modulus (the torus dimension)."""
+    return int(np.sum(np.abs(osc.z) > 1e-9))
 
 
 def dual_hamiltonian_restricted(q, k: int) -> float:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,13 +104,7 @@ class Trajectory:
     flow: FlowSpec
     params: CouplingParams
 
-    def state_points(self):
-        n = self.states.shape[1] // 2
-        if self.chart == "qp":
-            return [SutherlandPoint(q=s[:n], p=s[n:]) for s in self.states]
-        return [DualPoint(lam=s[:n], theta=s[n:]) for s in self.states]
-
-    def write_csv(self, path):
+    def to_csv(self) -> str:
         """CSV rows t, state components, monitors; JSON header line with the flow settings."""
         n = self.states.shape[1] // 2
         if self.chart == "qp":
@@ -119,18 +113,18 @@ class Trajectory:
             cols = [f"lambda{i+1}" for i in range(n)] + [f"theta{i+1}" for i in range(n)]
         mon_names = sorted(self.monitors)
         header_meta = {"flow": self.flow.to_dict(), "params": self.params.to_dict()}
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(header_meta, sort_keys=True) + "\n")
-            fh.write(",".join(["t"] + cols + mon_names) + "\n")
-            mon_lookup = {t: i for i, t in enumerate(self.monitor_times)}
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.states[i]]
-                if t in mon_lookup:
-                    j = mon_lookup[t]
-                    row += [repr(float(self.monitors[mname][j])) for mname in mon_names]
-                else:
-                    row += [""] * len(mon_names)
-                fh.write(",".join(row) + "\n")
+        lines = ["# " + json.dumps(header_meta, sort_keys=True),
+                 ",".join(["t"] + cols + mon_names)]
+        mon_lookup = {t: i for i, t in enumerate(self.monitor_times)}
+        for i, t in enumerate(self.times):
+            row = [repr(float(t))] + [repr(float(v)) for v in self.states[i]]
+            if t in mon_lookup:
+                j = mon_lookup[t]
+                row += [repr(float(self.monitors[mname][j])) for mname in mon_names]
+            else:
+                row += [""] * len(mon_names)
+            lines.append(",".join(row))
+        return "\n".join(lines) + "\n"
 
 
 def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarray:
@@ -375,8 +369,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams,
     thetas = np.empty((idx.size, n))
     for row, i in enumerate(idx):
         s = traj.states[i]
-        dual, _ = forward_map_full(
-            SutherlandPoint(q=s[:n], p=s[n:]), params, validate=False)
+        dual, _ = forward_map_full(SutherlandPoint(q=s[:n], p=s[n:]), params)
         lams[row] = dual.lam
         thetas[row] = dual.theta
     thetas = np.unwrap(thetas, axis=0)

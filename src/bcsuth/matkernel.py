@@ -55,12 +55,6 @@ def conj_by_C(X: np.ndarray) -> np.ndarray:
     return X[np.ix_(idx, idx)]
 
 
-def Q_matrix(q) -> np.ndarray:
-    """diag(q, -q) for q in R^n."""
-    q = np.asarray(q, dtype=float)
-    return np.diag(np.r_[q, -q]).astype(complex)
-
-
 def exp_iQ(q) -> np.ndarray:
     """Diagonal unitary exp(i*diag(q, -q))."""
     q = np.asarray(q, dtype=float)
@@ -123,15 +117,6 @@ class StructuredMatrix:
             return 0.0
         return structure_residual(self.m, self.tag)
 
-    def to_dict(self):
-        N = self.m.shape[0]
-        flat = self.m.reshape(-1)
-        return {
-            "shape": [N, N],
-            "tag": self.tag,
-            "entries": [[float(w.real), float(w.imag)] for w in flat],
-        }
-
 
 @dataclass(frozen=True)
 class PairedSpectrum:
@@ -141,11 +126,10 @@ class PairedSpectrum:
     frame: StructuredMatrix
 
 
-def _require_structure(X, tag, tol=CHECK_TOL):
+def _require_structure(X, tag):
     r = structure_residual(X, tag)
-    if r > tol:
-        raise StructureError(f"input fails {tag} residual check: {r:.3e} > {tol:.1e}")
-    return r
+    if r > CHECK_TOL:
+        raise StructureError(f"input fails {tag} residual check: {r:.3e} > {CHECK_TOL:.1e}")
 
 
 def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
@@ -210,32 +194,32 @@ def _pair_zero_modes(basis: np.ndarray, C: np.ndarray, context: str) -> list[np.
     return [(ep + em) / math.sqrt(2.0) for ep, em in zip(plus, minus)]
 
 
-def pair_diagonalize_gminus(Yminus, pair_tol: float = PAIR_TOL,
-                            check_tol: float = CHECK_TOL) -> PairedSpectrum:
+def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     """Write a gminus element as g * i*diag(d, -d) * g^{-1} with g in Gplus.
 
     The Hermitian matrix -i*Y_minus anticommutes with C, so its spectrum comes
     in (+d, -d) pairs and C maps the +d eigenvector v to a -d eigenvector; the
     frame takes columns (v_j, C v_j).  (Near-)zero eigenvalues are paired
-    inside the kernel through the C eigenbasis.
+    inside the kernel through the C eigenbasis.  Eigenvalues within PAIR_TOL
+    of zero count as zero; the input must be gminus within CHECK_TOL.
     """
     Y = np.asarray(Yminus, dtype=complex)
-    _require_structure(Y, "gminus", check_tol)
+    _require_structure(Y, "gminus")
     n = Y.shape[0] // 2
     C = exchange_matrix(n)
     H = -1j * Y
     w, v = np.linalg.eigh(H)
 
-    pos = [i for i in range(2 * n) if w[i] > pair_tol]
-    zero = [i for i in range(2 * n) if abs(w[i]) <= pair_tol]
-    neg = [i for i in range(2 * n) if w[i] < -pair_tol]
+    pos = [i for i in range(2 * n) if w[i] > PAIR_TOL]
+    zero = [i for i in range(2 * n) if abs(w[i]) <= PAIR_TOL]
+    neg = [i for i in range(2 * n) if w[i] < -PAIR_TOL]
     if len(pos) != len(neg):
         raise PairingError(
             f"spectrum does not pair into +-d: {len(pos)} positive vs {len(neg)} negative"
         )
     d_pos = sorted((w[i] for i in pos), reverse=True)
     d_neg = sorted((-w[i] for i in neg), reverse=True)
-    if any(abs(a - b) > max(pair_tol, 1e-12 * max(1.0, abs(a))) * 10 for a, b in zip(d_pos, d_neg)):
+    if any(abs(a - b) > max(PAIR_TOL, 1e-12 * max(1.0, abs(a))) * 10 for a, b in zip(d_pos, d_neg)):
         raise PairingError("positive and negative eigenvalues do not match in +- pairs")
 
     order = sorted(pos, key=lambda i: -w[i])
@@ -260,8 +244,7 @@ def pair_diagonalize_gminus(Yminus, pair_tol: float = PAIR_TOL,
     return PairedSpectrum(values=d, frame=StructuredMatrix(g, "Gplus"))
 
 
-def cartan_decompose_gminus(B, pair_tol: float = PAIR_TOL,
-                            check_tol: float = CHECK_TOL):
+def cartan_decompose_gminus(B):
     """Factor a (decomposable) Gminus element as eta * exp(2i*Q(q)) * eta^{-1}.
 
     Returns (eta, q) with eta in Gplus and q sorted descending in [0, pi/2].
@@ -269,10 +252,10 @@ def cartan_decompose_gminus(B, pair_tol: float = PAIR_TOL,
     C v span each pair.  Eigenvalues at +-1 (q = 0 or pi/2) are paired through
     the C eigenbasis of the corresponding eigenspace; if that space is not
     C-balanced the element admits no such factorization and PairingError is
-    raised.
+    raised.  The input must be Gminus within CHECK_TOL.
     """
     B = np.asarray(B, dtype=complex)
-    _require_structure(B, "Gminus", check_tol)
+    _require_structure(B, "Gminus")
     n = B.shape[0] // 2
     C = exchange_matrix(n)
 
@@ -285,7 +268,7 @@ def cartan_decompose_gminus(B, pair_tol: float = PAIR_TOL,
     ang = np.angle(evals)
 
     # angle tolerance matched to the eigenvalue pairing tolerance
-    ang_tol = max(pair_tol, 1e-12)
+    ang_tol = max(PAIR_TOL, 1e-12)
     upper = [i for i in range(2 * n) if ang_tol < ang[i] < math.pi - ang_tol]
     lower = [i for i in range(2 * n) if -math.pi + ang_tol < ang[i] < -ang_tol]
     real_plus = [i for i in range(2 * n) if abs(ang[i]) <= ang_tol]

@@ -48,12 +48,6 @@ def canonical_angle(theta):
     return np.where(t >= TWO_PI, 0.0, t)
 
 
-def angle_distance(a, b):
-    """Elementwise distance on the circle, in [0, pi]."""
-    d = np.abs(canonical_angle(a) - canonical_angle(b))
-    return np.minimum(d, TWO_PI - d)
-
-
 @dataclass(frozen=True)
 class CouplingParams:
     """Validated coupling constants and particle number.

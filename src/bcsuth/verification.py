@@ -48,6 +48,7 @@ DEFAULT_TOLERANCES = {
     "rsvd.f_moduli_vs_branch": 1e-10,
     "rsvd.smooth_vs_direct": 1e-9,
     "rsvd.dual_H0_identity": 1e-10,
+    "rsvd.h_frame_identity": 1e-10,
     "rsvd.f_vs_g_factorization": 1e-10,
     "rsvd.boundary_exclusion": 0.0,
     "duality.round_trip": 1e-8,
@@ -378,23 +379,22 @@ def _suite_rsvd(config: SuiteConfig) -> list:
             col.add("rsvd.commutator_identity",
                     rsvd.commutator_residual(A, f, lam, params), ctx)
 
-            branches = rsvd.F_squared_branches(lam, params)
+            Fsq_plus, Fsq_minus = rsvd.F_squared_branches(lam, params)
             N = 2 * n
-            col.add("rsvd.sum_plus", abs(branches.Fsq_plus.sum() - N), ctx)
-            col.add("rsvd.sum_minus", abs(branches.Fsq_minus.sum() + N), ctx)
+            col.add("rsvd.sum_plus", abs(Fsq_plus.sum() - N), ctx)
+            col.add("rsvd.sum_minus", abs(Fsq_minus.sum() + N), ctx)
             col.add("rsvd.w_system_plus",
-                    max(rsvd.w_system_residual(lam, branches.Fsq_plus, params)), ctx)
+                    max(rsvd.w_system_residual(lam, Fsq_plus, params)), ctx)
             col.add("rsvd.w_system_minus",
-                    max(rsvd.w_system_residual(lam, branches.Fsq_minus, params)), ctx)
+                    max(rsvd.w_system_residual(lam, Fsq_minus, params)), ctx)
             col.add("rsvd.moduli_positive",
-                    0.0 if np.all(branches.Fsq_plus > 0) else 1.0, ctx)
-            minus_ok = all(
-                branches.Fsq_minus[c] < 0 or branches.Fsq_minus[n + c] < 0
-                for c in range(n))
+                    0.0 if np.all(Fsq_plus > 0) else 1.0, ctx)
+            minus_ok = all(Fsq_minus[c] < 0 or Fsq_minus[n + c] < 0
+                           for c in range(n))
             col.add("rsvd.minus_branch_obstruction",
                     0.0 if minus_ok else 1.0, ctx)
             col.add("rsvd.f_moduli_vs_branch",
-                    float(np.max(np.abs(np.abs(f) ** 2 - branches.Fsq_plus))), ctx)
+                    float(np.max(np.abs(np.abs(f) ** 2 - Fsq_plus))), ctx)
 
             # smooth z-route against the raw entry formula, away from resonance
             try:
@@ -404,10 +404,18 @@ def _suite_rsvd(config: SuiteConfig) -> list:
             except BcsuthError:
                 pass
 
-            h0 = rsvd.dual_H0(dual, params, validate=False)
-            h = rsvd.h_matrix(lam, params).h.m
+            h0 = rsvd.dual_H0(dual, params)
+            frame = rsvd.h_matrix(lam, params)
+            h = frame.h.m
             col.add("rsvd.dual_H0_identity",
                     abs(h0 - float(np.trace(h @ A @ h).real) / 2.0), ctx)
+            # h rotates diag(lambda, -lambda) into diag(d, -d) - kappa*C
+            d = np.sqrt(lam**2 - params.kappa**2)
+            target = np.diag(np.r_[d, -d]) - params.kappa * matkernel.exchange_matrix(n)
+            col.add("rsvd.h_frame_identity", max(
+                float(np.max(np.abs(frame.alpha**2 + frame.beta**2 - 1.0))),
+                float(np.linalg.norm(h @ np.diag(np.r_[lam, -lam]) @ h.conj().T
+                                     - target))), ctx)
 
             z = z_from_angles(dual, params).z
             g = rsvd.g_functions(z, params)
@@ -422,8 +430,7 @@ def _suite_rsvd(config: SuiteConfig) -> list:
             lam_bad = _lambda_just_outside(rng, lam, params,
                                            shrink_gap=(n > 1 and s % 2 == 0))
             if lam_bad is not None:
-                bad = rsvd.F_squared_branches(lam_bad, params)
-                obstructed = np.any(bad.Fsq_plus < 0)
+                obstructed = np.any(rsvd.F_squared_branches(lam_bad, params)[0] < 0)
                 col.add("rsvd.boundary_exclusion",
                         0.0 if obstructed else 1.0,
                         {"lambda_outside": lam_bad.tolist()})
@@ -432,8 +439,7 @@ def _suite_rsvd(config: SuiteConfig) -> list:
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 2, config)
     dual = sample_dual(rngn, 2, params)
-    branches = rsvd.F_squared_branches(dual.lam, params)
-    Fsq_bad = branches.Fsq_plus.copy()
+    Fsq_bad, _ = rsvd.F_squared_branches(dual.lam, params)
     Fsq_bad[0] += 1e-3
     colneg = _Collector(config)
     colneg.add("rsvd.w_system_plus",
@@ -521,7 +527,7 @@ def _suite_duality(config: SuiteConfig) -> list:
     pt = sample_sutherland(rngn, 2)
     dual, _ = duality.forward_map_full(pt, params)
     shifted = DualPoint(lam=dual.lam, theta=dual.theta + 0.3)
-    h0 = rsvd.dual_H0(shifted, params, validate=False)
+    h0 = rsvd.dual_H0(shifted, params)
     colneg = _Collector(config)
     colneg.add("duality.dual_H0_consistency",
                abs(h0 + float(np.sum(np.cos(2 * pt.q)))),
@@ -663,7 +669,7 @@ def _suite_appendix(config: SuiteConfig) -> list:
             col.add("appendix.w_system_from_chain",
                     max(chain["linear_equation"],
                         chain["quadratic_equation"]), ctx)
-            for Fsq in (branches.Fsq_plus, branches.Fsq_minus):
+            for Fsq in branches:
                 col.add("appendix.w_system_from_chain",
                         max(rsvd.w_system_residual(lam, Fsq, params)), ctx)
     checks = [col.result(name) for name in sorted(col.data)]

@@ -69,10 +69,10 @@ def test_criteria_2_and_3_core_matrix_and_sums():
             f = rsvd.f_vector(dual, params)
             worst_comm = max(worst_comm,
                              rsvd.commutator_residual(A, f, dual.lam, params))
-            br = rsvd.F_squared_branches(dual.lam, params)
+            Fsq_plus, Fsq_minus = rsvd.F_squared_branches(dual.lam, params)
             worst_sum = max(worst_sum,
-                            abs(br.Fsq_plus.sum() - 2 * n),
-                            abs(br.Fsq_minus.sum() + 2 * n))
+                            abs(Fsq_plus.sum() - 2 * n),
+                            abs(Fsq_minus.sum() + 2 * n))
     ok2 = _report("2 (unitarity)", worst_uni, 1e-10)
     ok2b = _report("2 (commutator identity)", worst_comm, 1e-10)
     ok3 = _report("3 (sum identities)", worst_sum, 1e-10)
@@ -88,10 +88,10 @@ def test_criterion_4_w_system_and_minors():
         for s in range(50):
             params = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
             lam = sample_lambda(rng, n, params)
-            br = rsvd.F_squared_branches(lam, params)
+            Fsq_plus, Fsq_minus = rsvd.F_squared_branches(lam, params)
             worst_w = max(worst_w,
-                          max(rsvd.w_system_residual(lam, br.Fsq_plus, params)),
-                          max(rsvd.w_system_residual(lam, br.Fsq_minus, params)))
+                          max(rsvd.w_system_residual(lam, Fsq_plus, params)),
+                          max(rsvd.w_system_residual(lam, Fsq_minus, params)))
             theta = rng.uniform(0, 2 * np.pi, n)
             f = rsvd.f_vector(DualPoint(lam=lam, theta=theta), params)
             chain = rsvd.appendix_chain(f, lam, params,
@@ -125,7 +125,7 @@ def test_criterion_5_round_trip():
             params = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
             pt = sample_sutherland(rng, n)
             try:
-                dual, _ = duality.forward_map_full(pt, params, validate=False)
+                dual, _ = duality.forward_map_full(pt, params)
             except BcsuthError:
                 skipped += 1  # non-generic sample on the torus wall
                 continue
@@ -183,15 +183,15 @@ def test_criterion_7_hamiltonian_consistency():
             A = rsvd.A_check(dual, params, validate=False).m
             spectral = float(np.trace(h @ A @ h).real) / 2.0
             worst_trace = max(worst_trace, abs(
-                rsvd.dual_H0(dual, params, validate=False) - spectral))
+                rsvd.dual_H0(dual, params) - spectral))
 
             pt = sample_sutherland(rng, n)
             try:
-                image, _ = duality.forward_map_full(pt, params, validate=False)
+                image, _ = duality.forward_map_full(pt, params)
             except BcsuthError:
                 continue
             worst_pull = max(worst_pull, abs(
-                rsvd.dual_H0(image, params, validate=False)
+                rsvd.dual_H0(image, params)
                 + float(np.sum(np.cos(2.0 * pt.q)))))
             lam = sutherland.action_map(pt, params)
             H = sutherland.hamiltonians(pt, params)
@@ -276,7 +276,7 @@ def test_criterion_8c_dual_flow_position_drift():
     for n in (1, 2, 3):
         params = sample_params(rng, n, FLOW_CFG)
         pt = _gentle_orbit(rng, n, params, 0.2)
-        dual, _ = duality.forward_map_full(pt, params, validate=False)
+        dual, _ = duality.forward_map_full(pt, params)
         flow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
                                  dt=1e-3, T=10.0, gradient="analytic",
                                  monitor_stride=200)

@@ -78,6 +78,19 @@ def test_flow_row_count(tmp_path, capsys):
     assert summary["rows"] == 101
 
 
+def test_flow_stdout_equals_out_file(tmp_path, capsys):
+    argv = ("flow", "--system", "sutherland_H1", "--chart", "qp", "--n", "1",
+            "--mu", "1", "--nu", "2", "--x0", "0.7853981633974483,1.0",
+            "--dt", "1e-2", "--T", "0.1")
+    out_csv = tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "--out", str(out_csv), *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == out_csv.read_text()
+    assert out.splitlines()[1].startswith("t,q1,p1")
+
+
 def test_flow_rejects_a_fractional_step_count(tmp_path, capsys):
     # T / dt = 10/3 would have stopped the trajectory at t = 0.09
     out_csv = tmp_path / "t.csv"

@@ -217,7 +217,7 @@ def test_hamiltonian_pullbacks(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
         pt = sample_sutherland(rng, n)
-        dual, _ = forward_map_full(pt, p, validate=False)
+        dual, _ = forward_map_full(pt, p)
         z = z_from_angles(dual, p).z
         vals = dual_Hk(z, p, kmax=n)
         for k in range(1, n + 1):

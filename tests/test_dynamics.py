@@ -195,8 +195,7 @@ def test_actions_commute_under_pullback(rng):
 
     def make_lam(j):
         def lamj(x):
-            dual, _ = forward_map_full(
-                SutherlandPoint(q=x[:n], p=x[n:]), p, validate=False)
+            dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), p)
             return float(dual.lam[j])
         return lamj
 
@@ -224,7 +223,7 @@ def test_dual_flow_conserves_positions(rng):
     p = sample_params(rng, n, CFG)
     pt = sample_sutherland(rng, n, gap=0.15)
     pt = SutherlandPoint(q=pt.q, p=0.3 * pt.p)
-    dual, _ = forward_map_full(pt, p, validate=False)
+    dual, _ = forward_map_full(pt, p)
     flow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3, T=0.5,
                     gradient="fd", monitor_stride=100)
     traj = integrate(flow, np.r_[dual.lam, dual.theta], p)
@@ -237,7 +236,7 @@ def test_dual_flow_analytic_matches_fd(rng):
     n = 2
     p = sample_params(rng, n, CFG)
     pt = sample_sutherland(rng, n, gap=0.15)
-    dual, _ = forward_map_full(pt, p, validate=False)
+    dual, _ = forward_map_full(pt, p)
     x0 = np.r_[dual.lam, dual.theta]
     ends = [integrate(FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
                                T=0.05, gradient=g, monitors=("H_flow",)),
@@ -250,9 +249,7 @@ def test_trajectory_csv(tmp_path):
     flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-2, T=0.1,
                     monitor_stride=5)
     traj = integrate(flow, np.array([np.pi / 4, 1.0]), P1)
-    out = tmp_path / "traj.csv"
-    traj.write_csv(out)
-    lines = out.read_text().splitlines()
+    lines = traj.to_csv().splitlines()
     assert lines[0].startswith("# {")
     assert lines[1].split(",")[:3] == ["t", "q1", "p1"]
     assert len(lines) == 2 + traj.times.size
@@ -300,7 +297,7 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
             assert traj.monitors[f"H{k+1}"][row] == Hs[k]
             assert traj.monitors[f"lambda{k+1}"][row] == lam[k]
 
-    dual, _ = forward_map_full(pt, p, validate=False)
+    dual, _ = forward_map_full(pt, p)
     dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
                      T=0.005, gradient="fd", monitor_stride=1)
     dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
@@ -321,7 +318,7 @@ def test_monitors_skip_lax_data_for_H_flow_alone(rng, monkeypatch):
     flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=0.02,
                     monitor_stride=5, monitors=("H_flow",))
     traj = integrate(flow, np.r_[pt.q, pt.p], p)
-    dual, _ = forward_map_full(pt, p, validate=False)
+    dual, _ = forward_map_full(pt, p)
     dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
                      T=0.005, monitor_stride=1, monitors=("H_flow",))
     dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)

@@ -58,43 +58,43 @@ def test_f_vector_moduli_equal_plus_branch(rng):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
         f = f_vector(dual, p)
-        br = F_squared_branches(dual.lam, p)
-        assert np.max(np.abs(np.abs(f) ** 2 - br.Fsq_plus)) < 1e-12
+        Fsq_plus, _ = F_squared_branches(dual.lam, p)
+        assert np.max(np.abs(np.abs(f) ** 2 - Fsq_plus)) < 1e-12
 
 
 def test_branch_values_single_particle():
     # w = 1 at n = 1, so the moduli equal the branch values themselves;
     # 2*mu - nu = 0 collapses the minus branch to (-1, -1)
-    br = F_squared_branches([3.0], P1)
-    assert br.Fsq_plus == pytest.approx([1.0 / 3.0, 5.0 / 3.0])
-    assert br.Fsq_minus == pytest.approx([-1.0, -1.0])
-    assert br.Fsq_plus.sum() == pytest.approx(2.0, abs=1e-14)
-    assert br.Fsq_minus.sum() == pytest.approx(-2.0, abs=1e-14)
+    Fsq_plus, Fsq_minus = F_squared_branches([3.0], P1)
+    assert Fsq_plus == pytest.approx([1.0 / 3.0, 5.0 / 3.0])
+    assert Fsq_minus == pytest.approx([-1.0, -1.0])
+    assert Fsq_plus.sum() == pytest.approx(2.0, abs=1e-14)
+    assert Fsq_minus.sum() == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_sum_identities_random(rng):
     for n in (1, 2, 3, 4):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        br = F_squared_branches(dual.lam, p)
-        assert abs(br.Fsq_plus.sum() - 2 * n) < 1e-10
-        assert abs(br.Fsq_minus.sum() + 2 * n) < 1e-10
+        Fsq_plus, Fsq_minus = F_squared_branches(dual.lam, p)
+        assert abs(Fsq_plus.sum() - 2 * n) < 1e-10
+        assert abs(Fsq_minus.sum() + 2 * n) < 1e-10
 
 
 def test_w_system_residuals_both_branches(rng):
     for n in (1, 2, 3, 4):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        br = F_squared_branches(dual.lam, p)
-        assert max(w_system_residual(dual.lam, br.Fsq_plus, p)) < 1e-9
-        assert max(w_system_residual(dual.lam, br.Fsq_minus, p)) < 1e-9
+        Fsq_plus, Fsq_minus = F_squared_branches(dual.lam, p)
+        assert max(w_system_residual(dual.lam, Fsq_plus, p)) < 1e-9
+        assert max(w_system_residual(dual.lam, Fsq_minus, p)) < 1e-9
 
 
 def test_w_system_detects_perturbation(rng):
     p = sample_params(rng, 2, CFG)
     dual = sample_dual(rng, 2, p)
-    br = F_squared_branches(dual.lam, p)
-    bad = br.Fsq_plus.copy()
+    Fsq_plus, _ = F_squared_branches(dual.lam, p)
+    bad = Fsq_plus.copy()
     bad[0] += 1e-3
     assert max(w_system_residual(dual.lam, bad, p)) > 1e-4
 
@@ -103,10 +103,10 @@ def test_minus_branch_sign_obstruction(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        br = F_squared_branches(dual.lam, p)
-        assert np.all(br.Fsq_plus > 0)
+        Fsq_plus, Fsq_minus = F_squared_branches(dual.lam, p)
+        assert np.all(Fsq_plus > 0)
         for c in range(n):
-            assert br.Fsq_minus[c] < 0 or br.Fsq_minus[n + c] < 0
+            assert Fsq_minus[c] < 0 or Fsq_minus[n + c] < 0
 
 
 def test_A_check_unitary_and_commutator(rng):
@@ -148,7 +148,7 @@ def test_dual_H0_closed_form_single_particle():
 
 def test_dual_H0_vanishes_towards_wall():
     # the boundary factor kills the Hamiltonian as lambda -> nu
-    val = dual_H0(DualPoint(lam=[2.0 + 1e-7], theta=[0.3]), P1, validate=False)
+    val = dual_H0(DualPoint(lam=[2.0 + 1e-7], theta=[0.3]), P1)
     assert abs(val) < 1e-3
 
 
@@ -165,7 +165,7 @@ def test_dual_H0_kernel_equals_dual_point_route_bit_for_bit(rng):
         if i < len(edges):
             theta[0] = edges[i]
         assert _dual_H0_kernel(lam, theta, p) \
-            == dual_H0(DualPoint(lam=lam, theta=theta), p, validate=False)
+            == dual_H0(DualPoint(lam=lam, theta=theta), p)
 
 
 def test_dual_H0_matches_trace_random(rng):
@@ -186,8 +186,7 @@ def test_grad_dual_H0_matches_richardson_fd(rng):
             dual = sample_dual(rng, n, p)
             x = np.r_[dual.lam, dual.theta]
             ref = fd_gradient(
-                lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), p,
-                                  validate=False),
+                lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), p),
                 x, 1e-5, richardson=True)
             dlam, dtheta = grad_dual_H0(dual.lam, dual.theta, p)
             err = np.max(np.abs(np.r_[dlam, dtheta] - ref))
@@ -201,7 +200,7 @@ def test_grad_dual_H0_refuses_points_off_the_chamber():
         with pytest.raises(DomainError):
             grad_dual_H0(lam, [0.1, 0.2], p)
         with pytest.raises(DomainError):
-            dual_H0(DualPoint(lam=lam, theta=[0.1, 0.2]), p, validate=False)
+            dual_H0(DualPoint(lam=lam, theta=[0.1, 0.2]), p)
 
 
 def test_g_functions_positive_everywhere(rng):
@@ -314,8 +313,8 @@ def test_appendix_chain_minus_branch_equations(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        br = F_squared_branches(dual.lam, p)
-        assert max(w_system_residual(dual.lam, br.Fsq_minus, p)) < 1e-9
+        _, Fsq_minus = F_squared_branches(dual.lam, p)
+        assert max(w_system_residual(dual.lam, Fsq_minus, p)) < 1e-9
 
 
 def test_f_vector_requires_interior():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bcsuth.verification import (SUITES, SuiteConfig, run_suite,
-                                 sample_lambda, sample_params,
+from bcsuth.verification import (DEFAULT_TOLERANCES, SUITES, SuiteConfig,
+                                 run_suite, sample_lambda, sample_params,
                                  sample_sutherland)
 
 FAST = SuiteConfig(suite="structure", n_values=(1, 2, 3), samples=5, seed=42)
@@ -14,14 +14,24 @@ def _cfg(name, **kw):
     return SuiteConfig(suite=name, **base)
 
 
+def _passing_cfg(suite):
+    if suite == "dynamics":
+        return _cfg(suite, n_values=(1, 2), samples=2)
+    return _cfg(suite)
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_each_suite_passes(suite):
-    kw = {}
-    if suite == "dynamics":
-        kw = dict(n_values=(1, 2), samples=2)
-    report = run_suite(_cfg(suite, **kw))
+    report = run_suite(_passing_cfg(suite))
     failed = [c.name for c in report.checks if not c.passed]
     assert report.passed, f"failed checks: {failed}"
+
+
+def test_suites_emit_a_row_for_every_tolerance():
+    # an identity checked nowhere else cannot silently drop out of verify
+    emitted = {c.name for suite in SUITES
+               for c in run_suite(_passing_cfg(suite)).checks}
+    assert emitted == set(DEFAULT_TOLERANCES)
 
 
 def test_reports_are_deterministic():
@@ -66,9 +76,10 @@ def test_rows_report_headroom():
 
 
 def test_tolerance_override_fails_suite():
-    cfg = _cfg("rsvd", tolerances={"rsvd.unitarity": 1e-18})
-    report = run_suite(cfg)
-    assert not report.passed
+    for name in ("rsvd.unitarity", "rsvd.h_frame_identity"):
+        report = run_suite(_cfg("rsvd", tolerances={name: 1e-18}))
+        assert not report.passed
+        assert [c.name for c in report.checks if not c.passed] == [name]
 
 
 def test_unknown_suite_rejected():
