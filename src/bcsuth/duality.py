@@ -65,24 +65,6 @@ class DualityReport:
             "branch_diagnostics": self.branch_diagnostics,
         }
 
-    CSV_COLUMNS = ("round_trip_error", "canonicity_residual",
-                   "canonicity_residual_calibrated", "constraint_residual_left",
-                   "constraint_residual_right")
-
-    def to_csv_row(self):
-        return [repr(self.round_trip_error), repr(self.canonicity_residual),
-                repr(self.canonicity_residual_calibrated),
-                repr(self.constraint_residuals[0]),
-                repr(self.constraint_residuals[1])]
-
-
-def reports_to_csv(reports) -> str:
-    """Batch serialization: one CSV row per report, residual columns only."""
-    lines = ["sample," + ",".join(DualityReport.CSV_COLUMNS)]
-    for i, rep in enumerate(reports):
-        lines.append(",".join([str(i)] + rep.to_csv_row()))
-    return "\n".join(lines) + "\n"
-
 
 def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     """Map (q, p) to the dual chart, returning the point plus diagnostics.
@@ -93,9 +75,8 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     The residual central freedom multiplies both args by a common phase, so
     theta is well defined.  Raises DegenerateTorusError when lambda lands on
     the chamber wall (the angle chart is undefined there; use the z chart).
-    The diagnostics hold the defects of |F|^2 against the plus branch and of
-    dual_H0 against -sum cos(2q), measured by the verify rows
-    ``duality.moduli_vs_plus_branch`` and ``duality.dual_H0_consistency``.
+    The diagnostics hold the constraint vector F; :func:`forward_residuals`
+    measures it.
     """
     require_inside(point, params)
     n = point.n
@@ -113,17 +94,17 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     h = h_matrix(lam, params).h.m
     F = h.T @ (g.conj().T @ (exp_iQ(point.q).conj() @ real_constraint_vector(n)))
     theta = canonical_angle(np.angle(F[n:]) - np.angle(F[:n]))
-    dual = DualPoint(lam=lam, theta=theta)
+    return DualPoint(lam=lam, theta=theta), {"F": F}
 
-    Fsq_plus, _ = F_squared_branches(lam, params)
-    diag = {
-        "F": F,
-        "frame": g,
-        "moduli_vs_plus_branch": float(np.max(np.abs(np.abs(F) ** 2 - Fsq_plus))),
-        "dual_H0_consistency": abs(dual_H0(dual, params)
-                                   + float(np.sum(np.cos(2.0 * point.q)))),
-    }
-    return dual, diag
+
+def forward_residuals(point: SutherlandPoint, dual: DualPoint, F,
+                      params: CouplingParams) -> tuple[float, float]:
+    """Defects of a forward image: max | |F|^2 - plus branch | and
+    | dual_H0 + sum cos(2q) |, the verify rows ``duality.moduli_vs_plus_branch``
+    and ``duality.dual_H0_consistency``."""
+    Fsq_plus, _ = F_squared_branches(dual.lam, params)
+    return (float(np.max(np.abs(np.abs(F) ** 2 - Fsq_plus))),
+            abs(dual_H0(dual, params) + float(np.sum(np.cos(2.0 * point.q)))))
 
 
 def forward_map(point: SutherlandPoint, params: CouplingParams) -> DualPoint:
@@ -229,35 +210,21 @@ def _fd_pullback(fun, x0, fd_step: float, angle_rows=(),
     return J.T @ Omega @ J, Omega
 
 
-def fd_symplectic_residual(fun, x0, fd_step: float = 1e-5,
-                           angle_rows=(), scale: float = 1.0,
-                           richardson: bool = False) -> float:
-    """|| J^T Omega J - scale * Omega || for the map x -> fun(x) in R^{2m}.
-
-    ``angle_rows`` marks output components living on the circle.
-    ``richardson`` combines the central differences at steps h and h/2, which
-    suppresses the h^2 truncation error near steep chamber walls.
-    """
-    pullback, Omega = _fd_pullback(fun, x0, fd_step, angle_rows, richardson)
-    return float(np.linalg.norm(pullback - scale * Omega))
-
-
 def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
-                      fd_step: float, richardson: bool = False):
-    """:func:`_fd_pullback` of the forward map (q, p) -> (lambda, theta)."""
+                      richardson: bool = False):
+    """:func:`_fd_pullback` of the forward map (q, p) -> (lambda, theta), step 1e-5."""
     n = point.n
 
     def fun(x):
         dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params)
         return np.r_[dual.lam, dual.theta]
 
-    return _fd_pullback(fun, np.r_[point.q, point.p], fd_step,
+    return _fd_pullback(fun, np.r_[point.q, point.p], 1e-5,
                         angle_rows=range(n, 2 * n), richardson=richardson)
 
 
 def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
-                        fd_step: float = 1e-5, scale: float = 1.0,
-                        richardson: bool = False) -> float:
+                        scale: float = 1.0, richardson: bool = False) -> float:
     """Finite-difference symplectic-pullback residual of the forward map.
 
     Builds the Jacobian of (q, p) -> (lambda, theta) by central differences
@@ -265,23 +232,25 @@ def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
     ``scale = 1`` this tests the uncalibrated Darboux convention, which fails
     by the constant ``DUAL_PAIRING``; the calibrated test passes
     ``scale=DUAL_PAIRING`` and is FD-exact (see module docstring).
+    ``richardson`` combines the steps h and h/2, which suppresses the h^2
+    truncation error near steep chamber walls.
     """
-    pullback, Omega = _forward_pullback(point, params, fd_step, richardson)
+    pullback, Omega = _forward_pullback(point, params, richardson)
     return float(np.linalg.norm(pullback - scale * Omega))
 
 
-def round_trip_report(point: SutherlandPoint, params: CouplingParams,
-                      fd_step: float = 1e-5) -> DualityReport:
+def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> DualityReport:
     """Forward-then-backward report with all standing residuals attached.
 
     Both canonicity residuals, uncalibrated and calibrated, are read off one
     finite-difference Jacobian of the forward map.
     """
     dual, fdiag = forward_map_full(point, params)
+    moduli, h0 = forward_residuals(point, dual, fdiag["F"], params)
     back, bdiag = backward_map_full(dual, params)
     err = float(max(np.max(np.abs(back.q - point.q)),
                     np.max(np.abs(back.p - point.p))))
-    pullback, Omega = _forward_pullback(point, params, fd_step)
+    pullback, Omega = _forward_pullback(point, params)
     can, can_cal = (float(np.linalg.norm(pullback - s * Omega))
                     for s in (1.0, DUAL_PAIRING))
     return DualityReport(
@@ -292,8 +261,8 @@ def round_trip_report(point: SutherlandPoint, params: CouplingParams,
         canonicity_residual_calibrated=can_cal,
         constraint_residuals=bdiag["momentum_residuals"],
         branch_diagnostics={
-            "moduli_vs_plus_branch": fdiag["moduli_vs_plus_branch"],
-            "dual_H0_consistency": fdiag["dual_H0_consistency"],
+            "moduli_vs_plus_branch": moduli,
+            "dual_H0_consistency": h0,
             "lax_reconstruction": bdiag["lax_reconstruction"],
         },
     )
@@ -389,13 +358,13 @@ def dual_hamiltonian_restricted(q, k: int) -> float:
     return float((-1) ** k / k * np.sum(np.cos(2 * k * q)))
 
 
-def superintegrability_data(point: SutherlandPoint, params: CouplingParams,
-                            fd_step: float = 1e-4) -> tuple:
+def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> tuple:
     """The commutant generators of the dual Hamiltonians on the (q, p) chart.
 
     X_{i,j} = d h~_i / d q_j = (-1)^(i+1) 2 sin(2 i q_j) (analytic), the
     companion functions f_i = sum_j p_j (X^{-1})_{j,i}, and the
-    finite-difference Poisson bracket table {f_i, h~_k}, which equals
+    finite-difference Poisson bracket table {f_i, h~_k} (Richardson, step
+    1e-4), which equals
     -delta_{ik}.  det X != 0 throughout the open chamber; a singular X is a
     consistency violation.
     """
@@ -431,5 +400,5 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams,
         fi = make_f(i)
         for k in range(1, n + 1):
             table[i, k - 1] = poisson_bracket_fd(fi, make_h(k), x0,
-                                                 step=fd_step, richardson=True)
+                                                 step=1e-4, richardson=True)
     return X, fvals, table

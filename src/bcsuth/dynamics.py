@@ -43,6 +43,11 @@ SYSTEMS = ("sutherland_H1", "sutherland_Hk", "dual_H0", "dual_Hk")
 CHARTS = ("qp", "lambda_theta")
 #: systems with a closed-form gradient (``FlowSpec.gradient == "analytic"``)
 ANALYTIC_SYSTEMS = ("sutherland_H1", "dual_H0")
+#: implicit midpoint: relative residual to stop at, sweep and Newton
+#: iteration caps, and the FD step of the Newton Jacobian
+NEWTON_TOL = 1e-13
+MAX_ITER = 50
+JAC_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,6 @@ class FlowSpec:
     fd_step: float = 1e-6
     monitor_stride: int = 10
     boundary_margin: float = 1e-6
-    monitors: tuple = ()
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
@@ -88,7 +92,6 @@ class FlowSpec:
             "T": self.T, "k": self.k, "gradient": self.gradient,
             "fd_step": self.fd_step, "monitor_stride": self.monitor_stride,
             "boundary_margin": self.boundary_margin,
-            "monitors": list(self.monitors),
         }
 
 
@@ -211,41 +214,40 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     return f
 
 
-def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
-                           max_iter: int = 50, jac_step: float = 1e-7):
+def implicit_midpoint_step(f, x0, dt):
     """One implicit-midpoint step: x1 = x0 + dt f((x0 + x1)/2).
 
     Fixed-point sweeps x_{k+1} = x0 + dt f((x0 + x_k)/2) start from the Euler
     predictor.  The increment |x_{k+1} - x_k| is the residual of x_k, and
     x_{k+1} is returned as soon as that increment is at most
-    ``newton_tol`` * max(1, |x_{k+1}|) (Hairer-Lubich-Wanner, Geometric
+    ``NEWTON_TOL`` * max(1, |x_{k+1}|) (Hairer-Lubich-Wanner, Geometric
     Numerical Integration, VIII.6).  Only when an increment shrinks by less
-    than half, or after ``max_iter`` sweeps, does Newton with an FD Jacobian
+    than half, or after ``MAX_ITER`` sweeps, does Newton with an FD Jacobian
     take over from the last sweep and polish the residual
-    x1 - x0 - dt f((x0 + x1)/2) below ``newton_tol``.  A Newton stall
+    x1 - x0 - dt f((x0 + x1)/2) below ``NEWTON_TOL``.  A Newton stall
     strictly below 1e-10 is accepted (the attainable floor when f is itself
     a finite-difference field); anything worse raises NonConvergenceError.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = x0 + dt * f(x0)
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         x_next = x0 + dt * f(0.5 * (x0 + x1))
         d = x_next - x1
         inc = math.sqrt(d @ d)
         x1 = x_next
-        if inc <= newton_tol * max(1.0, math.sqrt(x1 @ x1)):
+        if inc <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
             return x1
         if not inc <= 0.5 * last:
             break
         last = inc
     Jg = None
     best = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (x0 + x1)
         F = x1 - x0 - dt * f(mid)
         nrm = math.sqrt(F @ F)
-        if nrm <= newton_tol * max(1.0, math.sqrt(x1 @ x1)):
+        if nrm <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
             return x1
         if nrm >= 0.9 * best:
             if nrm <= 1e-10:
@@ -253,7 +255,7 @@ def implicit_midpoint_step(f, x0, dt, newton_tol: float = 1e-13,
             break
         best = nrm
         if Jg is None:
-            Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, jac_step)
+            Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, JAC_STEP)
         x1 = x1 - np.linalg.solve(Jg, F)
     raise NonConvergenceError(
         f"implicit midpoint Newton stalled at residual {nrm:.3e}")
@@ -264,16 +266,11 @@ def default_monitors(flow: FlowSpec, params: CouplingParams):
 
     qp chart: the flow Hamiltonian, every H_k and every action component, from
     one ``hamiltonians`` and one ``action_map`` call; lambda_theta chart: the
-    flow Hamiltonian and the dual actions q_j, from one backward map.  When
-    ``flow.monitors`` selects only "H_flow", the callable returns that column
-    alone and skips the Lax data.
+    flow Hamiltonian and the dual actions q_j, from one backward map.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
-    if flow.monitors and set(flow.monitors) <= {"H_flow"}:
-        def monitor(x):
-            return {"H_flow": float(H(x))}
-    elif flow.chart == "qp":
+    if flow.chart == "qp":
         def monitor(x):
             pt = SutherlandPoint(q=x[:n], p=x[n:])
             Hs, lam = hamiltonians(pt, params), action_map(pt, params)
@@ -305,8 +302,7 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     states[0] = x0
     times = flow.dt * np.arange(nsteps + 1)
     mon_idx = [0]
-    mon_vals = {name: [v] for name, v in monitor(x0).items()
-                if not flow.monitors or name in flow.monitors}
+    mon_vals = {name: [v] for name, v in monitor(x0).items()}
 
     x = x0
     for step in range(1, nsteps + 1):
@@ -349,14 +345,13 @@ def poisson_bracket_fd(fa, fb, x, step: float = 1e-5,
     return float(ga[:m] @ gb[m:] - ga[m:] @ gb[:m])
 
 
-def angle_linearity_check(traj: Trajectory, params: CouplingParams,
-                          fd_step: float = 1e-5) -> dict:
+def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
     """Linearity of the image angles along a Sutherland-chart trajectory.
 
     Maps every sampled state through the forward map, unwraps theta(t), fits a
     line per component, and compares the slopes with the finite-difference
-    energy derivative dH/dlambda at the (constant) action vector, as well as
-    with its duality-calibrated value -DUAL_PAIRING * dH/dlambda.  Also
+    energy derivative dH/dlambda (step 1e-5) at the (constant) action vector,
+    as well as with its duality-calibrated value -DUAL_PAIRING * dH/dlambda.  Also
     reports the action drift and flags too-coarse sampling (unwrap hazard).
     """
     if traj.chart != "qp":
@@ -391,7 +386,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams,
                                   validate=False)
         return flow_H(np.r_[pt.q, pt.p])
 
-    dHdlam = fd_gradient(energy_at, lam0, fd_step)
+    dHdlam = fd_gradient(energy_at, lam0, 1e-5)
 
     sample_dt = float(ts[1] - ts[0]) if ts.size > 1 else float(traj.flow.dt)
     unwrap_hazard = bool(sample_dt * float(np.max(np.abs(slopes))) > np.pi)

@@ -386,15 +386,12 @@ def random_gminus_algebra(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.block([[A, B], [-B.conj().T, -A]])
 
 
-def random_Gminus_group(rng: np.random.Generator, n: int,
-                        q_interior: bool = True):
+def random_Gminus_group(rng: np.random.Generator, n: int):
     """Random decomposable Gminus element eta0 exp(2i Q(q0)) eta0^{-1}.
 
-    Returns (B, eta0, q0) with q0 sorted descending, strictly interior to
-    (0, pi/2) when ``q_interior``.
+    Returns (B, eta0, q0) with q0 sorted descending in (0.05, pi/2 - 0.05).
     """
     eta0 = random_gplus(rng, n)
-    lo, hi = (0.05, math.pi / 2 - 0.05) if q_interior else (0.0, math.pi / 2)
-    q0 = np.sort(rng.uniform(lo, hi, size=n))[::-1]
+    q0 = np.sort(rng.uniform(0.05, math.pi / 2 - 0.05, size=n))[::-1]
     B = eta0 @ exp_iQ(2.0 * q0) @ eta0.conj().T
     return B, eta0, q0

@@ -211,17 +211,6 @@ class OscillatorPoint:
         return cls(z=z)
 
 
-def point_from_dict(d):
-    """Point from its ``to_dict`` form; dispatches on the keys present."""
-    if "q" in d:
-        return SutherlandPoint.from_dict(d)
-    if "lambda" in d:
-        return DualPoint.from_dict(d)
-    if "z" in d:
-        return OscillatorPoint.from_dict(d)
-    raise ValueError(f"unrecognized point dict with keys {sorted(d)}")
-
-
 def chart_membership(pos: list, chart: str, params: CouplingParams,
                      margin: float = DOMAIN_MARGIN) -> str:
     """:func:`domain_membership` on positions given as a list of floats.
@@ -262,28 +251,29 @@ def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARG
     raise TypeError("domain_membership expects a SutherlandPoint or DualPoint")
 
 
-def require_inside(point, params: CouplingParams, margin: float = DOMAIN_MARGIN):
-    """Raise DomainError (with the failing inequality) unless strictly inside."""
+def require_inside(point, params: CouplingParams):
+    """Raise DomainError (with the failing inequality) unless inside with
+    slack > DOMAIN_MARGIN."""
     if isinstance(point, DualPoint):
-        require_chamber(point.lam.tolist(), params, margin)
+        require_chamber(point.lam.tolist(), params)
         return
-    status = domain_membership(point, params, margin)
+    status = domain_membership(point, params)
     if status == "inside":
         return
     raise DomainError(
-        f"q must satisfy pi/2 > q1 > ... > qn > 0 with slack > {margin}; "
+        f"q must satisfy pi/2 > q1 > ... > qn > 0 with slack > {DOMAIN_MARGIN}; "
         f"point is {status} (q = {point.q.tolist()})"
     )
 
 
-def require_chamber(lam: list, params: CouplingParams, margin: float = DOMAIN_MARGIN):
+def require_chamber(lam: list, params: CouplingParams):
     """:func:`require_inside` for a spectrum given as a list of floats."""
-    status = chart_membership(lam, "lambda_theta", params, margin)
+    status = chart_membership(lam, "lambda_theta", params)
     if status == "inside":
         return
     raise DomainError(
         f"lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
-        f"lambda_n > max(|nu|,|kappa|) with slack > {margin}; "
+        f"lambda_n > max(|nu|,|kappa|) with slack > {DOMAIN_MARGIN}; "
         f"point is {status} (lambda = {lam})"
     )
 

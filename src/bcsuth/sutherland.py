@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .matkernel import (StructuredMatrix, conj_by_C, exchange_matrix,
-                        gamma_split, pair_diagonalize_gminus)
+                        gamma_split)
 from .params import CouplingParams, SutherlandPoint, require_inside
 
 
@@ -107,31 +107,27 @@ def hamiltonians(point: SutherlandPoint, params: CouplingParams,
     return np.array([np.sum(eigs ** (2 * k)) / (4.0 * k) for k in range(1, kmax + 1)])
 
 
-def hamiltonians_matrix_route(point: SutherlandPoint, params: CouplingParams,
-                              kmax: int | None = None) -> np.ndarray:
-    """Same invariants through explicit matrix powers (stability cross-check)."""
-    kmax = params.n if kmax is None else int(kmax)
+def hamiltonians_matrix_route(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
+    """H_1..H_n through explicit matrix powers (stability cross-check)."""
     lax = lax_Y(point, params)
     M = -1j * lax.Y.m
     P = np.eye(M.shape[0], dtype=complex)
     out = []
-    for k in range(1, kmax + 1):
+    for k in range(1, params.n + 1):
         P = P @ M @ M
         out.append(float(np.trace(P).real) / (4.0 * k))
     return np.array(out)
 
 
-def odd_trace_residual(point: SutherlandPoint, params: CouplingParams,
-                       kmax: int | None = None) -> float:
-    """Largest normalized odd trace of -iY; zero for the paired spectrum.
+def odd_trace_residual(point: SutherlandPoint, params: CouplingParams) -> float:
+    """Largest normalized odd trace of -iY, k = 0..n-1; zero for the paired spectrum.
 
     Each |tr((-iY)^(2k+1))| is divided by max(1, sum |eig|^(2k+1)) so the
     cancellation is measured relative to the scale of the power sums.
     """
-    kmax = params.n if kmax is None else int(kmax)
     eigs = spectrum(point, params)
     worst = 0.0
-    for k in range(kmax):
+    for k in range(params.n):
         power = eigs ** (2 * k + 1)
         worst = max(worst, abs(np.sum(power)) / max(1.0, np.sum(np.abs(power))))
     return float(worst)
@@ -162,15 +158,17 @@ def grad_H1(q, p, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
-    """Action vector lambda_j = sqrt(d_j^2 + kappa^2), d from the paired spectrum.
+    """Action vector lambda_j = sqrt(d_j^2 + kappa^2), d descending.
 
-    The result must land in the closure of the dual chamber; a violation
-    beyond 1e-8 raises ConsistencyError.
+    d is the top half of the spectrum of -i times the C-odd part of Y, which
+    pairs as (+d, -d); only eigenvalues are needed, no frame.  The result
+    must land in the closure of the dual chamber; a violation beyond 1e-8
+    raises ConsistencyError.
     """
     lax = lax_Y(point, params)
     _, Yminus = gamma_split(lax.Y.m)
-    spec = pair_diagonalize_gminus(Yminus)
-    lam = np.sqrt(spec.values**2 + params.kappa**2)
+    d = np.linalg.eigvalsh(-1j * Yminus)[::-1][:params.n]
+    lam = np.sqrt(d**2 + params.kappa**2)
     slacks = np.concatenate((lam[:-1] - lam[1:] - 2 * params.mu,
                              [lam[-1] - max(abs(params.nu), abs(params.kappa))]))
     if np.any(slacks < -1e-8):

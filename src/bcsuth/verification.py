@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -190,6 +190,14 @@ class _Collector:
         return CheckResult(name, mx, mean, tol, passed, negative_control, example,
                            headroom if math.isfinite(headroom) else None)
 
+    def report(self, control: str, residual: float, note: str) -> list:
+        """Every row, sorted by name, then the negative-control row ``control``
+        of one deliberately corrupted input with the given residual."""
+        neg = _Collector(self.config)
+        neg.add(control, residual, {"note": note})
+        return ([self.result(name) for name in sorted(self.data)]
+                + [neg.result(control, negative_control=True)])
+
 
 # ---------------------------------------------------------------------------
 # samplers (conventions fixed so that reports are reproducible)
@@ -234,9 +242,8 @@ def sample_dual(rng: np.random.Generator, n: int,
     return DualPoint(lam=lam, theta=theta)
 
 
-def sample_oscillator(rng: np.random.Generator, n: int,
-                      scale: float = 1.0) -> OscillatorPoint:
-    z = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+def sample_oscillator(rng: np.random.Generator, n: int) -> OscillatorPoint:
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return OscillatorPoint(z=z)
 
 
@@ -281,19 +288,14 @@ def _suite_structure(config: SuiteConfig) -> list:
                 (zeta @ g) @ (1j * np.diag(np.r_[d, -d])) @ (zeta @ g).conj().T)
             col.add("structure.phase_invariance",
                     float(np.max(np.abs(spec2.values - d))), ctx)
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: a perturbed frame must fail the Gplus residual
     rng2 = np.random.default_rng(config.seed + 1)
     g = matkernel.random_gplus(rng2, 2)
     g_bad = g.copy()
     g_bad[0, 1] += 1e-2
-    colneg = _Collector(config)
-    colneg.add("structure.pair_diag_reconstruction",
-               matkernel.structure_residual(g_bad, "Gplus"),
-               {"note": "deliberately perturbed frame"})
-    checks.append(colneg.result("structure.pair_diag_reconstruction",
-                                negative_control=True))
-    return checks
+    return col.report("structure.pair_diag_reconstruction",
+                      matkernel.structure_residual(g_bad, "Gplus"),
+                      "deliberately perturbed frame")
 
 
 def _random_gplus_algebra(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -344,7 +346,6 @@ def _suite_sutherland(config: SuiteConfig) -> list:
             y, Y, V = sutherland.sutherland_section(pt, params)
             r1, r2 = sutherland.momentum_residual(y, Y, V, params)
             col.add("sutherland.momentum_residual", max(r1, r2), ctx)
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: corrupt one Lax entry, the constraint must be violated
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 2, config)
@@ -354,12 +355,8 @@ def _suite_sutherland(config: SuiteConfig) -> list:
     Y_bad[0, 1] += 1e-2
     Y_bad[1, 0] -= 1e-2
     r1, r2 = sutherland.momentum_residual(y, Y_bad, V, params)
-    colneg = _Collector(config)
-    colneg.add("sutherland.momentum_residual", max(r1, r2),
-               {"note": "deliberately corrupted Lax entry"})
-    checks.append(colneg.result("sutherland.momentum_residual",
-                                negative_control=True))
-    return checks
+    return col.report("sutherland.momentum_residual", max(r1, r2),
+                      "deliberately corrupted Lax entry")
 
 
 def _suite_rsvd(config: SuiteConfig) -> list:
@@ -434,19 +431,15 @@ def _suite_rsvd(config: SuiteConfig) -> list:
                 col.add("rsvd.boundary_exclusion",
                         0.0 if obstructed else 1.0,
                         {"lambda_outside": lam_bad.tolist()})
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: perturbed plus branch must violate the moduli system
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 2, config)
     dual = sample_dual(rngn, 2, params)
     Fsq_bad, _ = rsvd.F_squared_branches(dual.lam, params)
     Fsq_bad[0] += 1e-3
-    colneg = _Collector(config)
-    colneg.add("rsvd.w_system_plus",
-               max(rsvd.w_system_residual(dual.lam, Fsq_bad, params)),
-               {"note": "plus branch perturbed by 1e-3"})
-    checks.append(colneg.result("rsvd.w_system_plus", negative_control=True))
-    return checks
+    return col.report("rsvd.w_system_plus",
+                      max(rsvd.w_system_residual(dual.lam, Fsq_bad, params)),
+                      "plus branch perturbed by 1e-3")
 
 
 def _lambda_just_outside(rng, lam, params, shrink_gap: bool):
@@ -490,13 +483,12 @@ def _suite_duality(config: SuiteConfig) -> list:
             back, bdiag = duality.backward_map_full(dual, params)
             err = max(float(np.max(np.abs(back.q - pt.q))),
                       float(np.max(np.abs(back.p - pt.p))))
+            moduli, h0 = duality.forward_residuals(pt, dual, fdiag["F"], params)
             col.add("duality.round_trip", err, ctx)
-            col.add("duality.moduli_vs_plus_branch",
-                    fdiag["moduli_vs_plus_branch"], ctx)
+            col.add("duality.moduli_vs_plus_branch", moduli, ctx)
             col.add("duality.momentum_residual",
                     max(bdiag["momentum_residuals"]), ctx)
-            col.add("duality.dual_H0_consistency",
-                    fdiag["dual_H0_consistency"], ctx)
+            col.add("duality.dual_H0_consistency", h0, ctx)
             inv = duality.invariant_crosscheck(pt, params, mmax=4, kmax=2)
             col.add("duality.invariant_phi", inv["phi_max_error"], ctx)
             col.add("duality.invariant_chi", inv["chi_max_error"], ctx)
@@ -520,21 +512,14 @@ def _suite_duality(config: SuiteConfig) -> list:
             col.add("duality.rank_dlambda",
                     abs(rank - duality.degeneracy_count(osc)),
                     {"z": osc.to_dict()})
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: an angle offset breaks the dual Hamiltonian consistency
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 2, config)
     pt = sample_sutherland(rngn, 2)
-    dual, _ = duality.forward_map_full(pt, params)
+    dual, fdiag = duality.forward_map_full(pt, params)
     shifted = DualPoint(lam=dual.lam, theta=dual.theta + 0.3)
-    h0 = rsvd.dual_H0(shifted, params)
-    colneg = _Collector(config)
-    colneg.add("duality.dual_H0_consistency",
-               abs(h0 + float(np.sum(np.cos(2 * pt.q)))),
-               {"note": "angles shifted by 0.3"})
-    checks.append(colneg.result("duality.dual_H0_consistency",
-                                negative_control=True))
-    return checks
+    _, h0 = duality.forward_residuals(pt, shifted, fdiag["F"], params)
+    return col.report("duality.dual_H0_consistency", h0, "angles shifted by 0.3")
 
 
 def _suite_dynamics(config: SuiteConfig) -> list:
@@ -615,7 +600,6 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         q_cols = [dtraj.monitors[f"q{j+1}"] for j in range(n)]
         col.add("dynamics.dual_q_drift",
                 max(float(np.max(np.abs(c - c[0]))) for c in q_cols), ctx)
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: explicit Euler at the same step size drifts visibly
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 1, config)
@@ -629,11 +613,7 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         x = x + flow.dt * f(x)
         drift = max(drift, abs(sutherland.closed_form_H1(
             SutherlandPoint(q=x[:1], p=x[1:]), params) - H0))
-    colneg = _Collector(config)
-    colneg.add("dynamics.energy_drift", drift,
-               {"note": "explicit Euler control"})
-    checks.append(colneg.result("dynamics.energy_drift", negative_control=True))
-    return checks
+    return col.report("dynamics.energy_drift", drift, "explicit Euler control")
 
 
 def _suite_appendix(config: SuiteConfig) -> list:
@@ -672,7 +652,6 @@ def _suite_appendix(config: SuiteConfig) -> list:
             for Fsq in branches:
                 col.add("appendix.w_system_from_chain",
                         max(rsvd.w_system_residual(lam, Fsq, params)), ctx)
-    checks = [col.result(name) for name in sorted(col.data)]
     # negative control: det != 1 must be rejected / show a large residual
     rngn = np.random.default_rng(config.seed + 1)
     U = matkernel.random_unitary(rngn, 4)
@@ -683,10 +662,7 @@ def _suite_appendix(config: SuiteConfig) -> list:
                                               2, det_tol=np.inf)
     except BcsuthError:
         res = 1.0
-    colneg = _Collector(config)
-    colneg.add("appendix.jacobi_minors", res, {"note": "det scaled off 1"})
-    checks.append(colneg.result("appendix.jacobi_minors", negative_control=True))
-    return checks
+    return col.report("appendix.jacobi_minors", res, "det scaled off 1")
 
 
 _SUITE_RUNNERS = {
@@ -699,15 +675,8 @@ _SUITE_RUNNERS = {
 }
 
 
-def _run_named(args):
-    name, config_dict = args
-    cfg = SuiteConfig(suite=name, n_values=tuple(config_dict["n_values"]),
-                      samples=config_dict["samples"], seed=config_dict["seed"],
-                      mu_range=tuple(config_dict["mu_range"]),
-                      nu_range=tuple(config_dict["nu_range"]),
-                      kappa_frac_range=tuple(config_dict["kappa_frac_range"]),
-                      tolerances=dict(config_dict["tolerances"]))
-    return _SUITE_RUNNERS[name](cfg)
+def _run_named(config: SuiteConfig) -> list:
+    return _SUITE_RUNNERS[config.suite](config)
 
 
 def run_suite(config: SuiteConfig, jobs: int = 1) -> SuiteReport:
@@ -717,7 +686,7 @@ def run_suite(config: SuiteConfig, jobs: int = 1) -> SuiteReport:
     assembly stays ordered, so the output is byte-identical to a serial run.
     """
     if config.suite == "all":
-        tasks = [(name, config.to_dict()) for name in SUITES]
+        tasks = [replace(config, suite=name) for name in SUITES]
         if jobs > 1:
             import concurrent.futures
 

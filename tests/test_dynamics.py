@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -239,7 +237,7 @@ def test_dual_flow_analytic_matches_fd(rng):
     dual, _ = forward_map_full(pt, p)
     x0 = np.r_[dual.lam, dual.theta]
     ends = [integrate(FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
-                               T=0.05, gradient=g, monitors=("H_flow",)),
+                               T=0.05, gradient=g),
                       x0, p).states[-1]
             for g in ("analytic", "fd")]
     assert np.max(np.abs(ends[0] - ends[1])) <= 1e-8
@@ -256,14 +254,9 @@ def test_trajectory_csv(tmp_path):
 
 
 def test_monitor_selection():
-    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-2, T=0.1,
-                    monitors=("H_flow",))
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-2, T=0.1)
     x0 = np.array([np.pi / 4, 1.0])
-    traj = integrate(flow, x0, P1)
-    assert set(traj.monitors) == {"H_flow"}
-    assert set(default_monitors(flow, P1)(x0)) == {"H_flow"}
-    every = default_monitors(replace(flow, monitors=()), P1)
-    assert {"H_flow", "H1", "lambda1"} <= set(every(x0))
+    assert {"H_flow", "H1", "lambda1"} <= set(default_monitors(flow, P1)(x0))
 
 
 def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
@@ -303,28 +296,6 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
     dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
     assert calls["backward_map_full"] == dtraj.monitor_times.size
     assert {f"q{j+1}" for j in range(n)} <= set(dtraj.monitors)
-
-
-def test_monitors_skip_lax_data_for_H_flow_alone(rng, monkeypatch):
-    import bcsuth.dynamics as dynamics
-
-    n = 2
-    p = sample_params(rng, n, CFG)
-    pt = sample_sutherland(rng, n, gap=0.15)
-    calls = []
-    for name in ("hamiltonians", "action_map", "backward_map_full"):
-        monkeypatch.setattr(dynamics, name,
-                            lambda *a, name=name, **k: calls.append(name))
-    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=0.02,
-                    monitor_stride=5, monitors=("H_flow",))
-    traj = integrate(flow, np.r_[pt.q, pt.p], p)
-    dual, _ = forward_map_full(pt, p)
-    dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
-                     T=0.005, monitor_stride=1, monitors=("H_flow",))
-    dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
-    assert calls == []
-    assert traj.monitors["H_flow"].size == traj.monitor_times.size
-    assert dtraj.monitors["H_flow"].size == dtraj.monitor_times.size
 
 
 def test_fd_gradient_jacobian_of_vector_function():

@@ -8,8 +8,7 @@ from bcsuth.params import (CouplingParams, DualPoint, OscillatorPoint,
                            SutherlandPoint, angles_from_z, canonical_angle,
                            chart_membership, couplings_from_rsvd,
                            couplings_from_sutherland, domain_membership,
-                           lambda_of_z, point_from_dict, strongly_regular,
-                           z_from_angles)
+                           lambda_of_z, strongly_regular, z_from_angles)
 
 
 def test_couplings_forward():
@@ -182,10 +181,10 @@ def test_lambda_image_is_chamber_closure(rng):
 
 def test_point_serialization_round_trip():
     pt = SutherlandPoint(q=[0.5, 0.3], p=[1.0, -2.0])
-    pt2 = point_from_dict(pt.to_dict())
+    pt2 = SutherlandPoint.from_dict(pt.to_dict())
     assert np.allclose(pt2.q, pt.q) and np.allclose(pt2.p, pt.p)
     dp = DualPoint(lam=[4.0, 2.1], theta=[0.1, 6.0])
-    dp2 = point_from_dict(dp.to_dict())
+    dp2 = DualPoint.from_dict(dp.to_dict())
     assert np.allclose(dp2.lam, dp.lam) and np.allclose(dp2.theta, dp.theta)
     op = OscillatorPoint(z=[1 + 2j, -0.5j])
-    assert np.allclose(point_from_dict(op.to_dict()).z, op.z)
+    assert np.allclose(OscillatorPoint.from_dict(op.to_dict()).z, op.z)

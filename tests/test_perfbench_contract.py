@@ -1,10 +1,12 @@
 """The benchmark's calls into bcsuth still work.
 
-``perfbench/micro.py`` calls bcsuth functions by name and signature, and the
-benchmark's own test runs outside this suite.  Calling every micro row once
-at n = 1 catches a change of signature that would break the benchmark.
+``perfbench/micro.py`` calls bcsuth functions by name and signature, and
+``perfbench/tracer.py`` wraps them by name; the benchmark's own test runs
+outside this suite.  Calling every micro row once at n = 1 and resolving
+every traced name catches a change that would break the benchmark.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,18 +16,33 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def micro():
+def perfbench():
+    """Import a module of perfbench by name."""
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import micro
-        yield micro
+        yield importlib.import_module
     finally:
         sys.path.remove(str(PERFBENCH))
 
 
-def test_micro_rows_run_at_n1(micro):
-    rows = micro.rows_for(1)
+def test_micro_rows_run_at_n1(perfbench):
+    rows = perfbench("micro").rows_for(1)
     assert rows
     for name, call, resid in rows:
         r = resid(call())
         assert r == r and r >= 0.0, name  # a number, not NaN
+
+
+def test_traced_layers_exist(perfbench):
+    for modname, funcs in perfbench("tracer").LAYERS.items():
+        module = importlib.import_module("bcsuth." + modname)
+        for func in funcs:
+            assert callable(getattr(module, func, None)), f"{modname}.{func}"
+
+
+def test_dynamics_shares_the_forward_map_object():
+    # the tracer patches every module attribute holding the original
+    # function, and perfbench's own test expects dynamics among them
+    from bcsuth import duality, dynamics
+
+    assert dynamics.forward_map_full is duality.forward_map_full

@@ -142,6 +142,34 @@ def test_action_map_energy_identity(rng):
             assert H[k - 1] == pytest.approx(ref, rel=1e-10)
 
 
+def test_action_map_reads_eigenvalues_only(rng, monkeypatch):
+    # reference: the actions read off the Gplus frame route
+    import bcsuth.matkernel as matkernel
+    import bcsuth.sutherland as sutherland
+
+    def frame_route(pt, params):
+        _, K = matkernel.gamma_split(lax_Y(pt, params).Y.m)
+        d = matkernel.pair_diagonalize_gminus(K).values
+        return np.sqrt(d**2 + params.kappa**2)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("action_map built a frame")
+
+    cfg = SuiteConfig(suite="sutherland")
+    cases = []
+    for n in (1, 2, 3, 4, 8):
+        for s in range(20):
+            params = sample_params(rng, n, cfg, force_kappa_zero=(s % 5 == 0))
+            pt = sample_sutherland(rng, n)
+            cases.append((pt, params, frame_route(pt, params)))
+    # patch the name in both modules, in case sutherland imports it again
+    monkeypatch.setattr(matkernel, "pair_diagonalize_gminus", boom)
+    monkeypatch.setattr(sutherland, "pair_diagonalize_gminus", boom, raising=False)
+    for pt, params, ref in cases:
+        lam = action_map(pt, params)
+        assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_momentum_residual_on_section(rng):
     cfg = SuiteConfig(suite="sutherland")
     for n in (1, 2, 3):

@@ -98,3 +98,15 @@ def test_samplers_respect_domains(rng):
         lam = sample_lambda(rng, n, p)
         assert np.all(lam[:-1] - lam[1:] > 2 * p.mu)
         assert lam[-1] > p.nu
+
+
+def test_dual_H0_control_runs_the_row_code(monkeypatch):
+    # the control measures its corrupted input with the row's own residual
+    # function, so a residual that reads zero cannot pass the row unseen
+    import bcsuth.duality as duality
+
+    monkeypatch.setattr(duality, "forward_residuals", lambda *args: (0.0, 0.0))
+    report = run_suite(_cfg("duality", n_values=(1,), samples=2))
+    [control] = [c for c in report.checks if c.negative_control]
+    assert control.name == "duality.dual_H0_consistency"
+    assert control.max_residual == 0.0 and not control.passed
