@@ -394,11 +394,7 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
             return dual_hamiltonian_restricted(x[:n], k)
         return hk
 
-    x0 = np.r_[q, p]
-    table = np.zeros((n, n))
-    for i in range(n):
-        fi = make_f(i)
-        for k in range(1, n + 1):
-            table[i, k - 1] = poisson_bracket_fd(fi, make_h(k), x0,
-                                                 step=1e-4, richardson=True)
+    table = poisson_bracket_fd([make_f(i) for i in range(n)],
+                               [make_h(k) for k in range(1, n + 1)],
+                               np.r_[q, p], step=1e-4, richardson=True)
     return X, fvals, table

@@ -332,17 +332,18 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
         flow=flow, params=params)
 
 
-def poisson_bracket_fd(fa, fb, x, step: float = 1e-5,
-                       richardson: bool = False) -> float:
-    """{fa, fb} at x by central differences in canonical coordinates.
+def poisson_bracket_fd(fas, fbs, x, step: float = 1e-5,
+                       richardson: bool = False) -> np.ndarray:
+    """Table of brackets {fa, fb} at x (fa in ``fas`` by row, fb in ``fbs`` by
+    column) by central differences in canonical coordinates.
 
-    x is ordered (positions, momenta).  With ``richardson`` the two-step
-    extrapolation (4 D(h/2) - D(h))/3 is applied to each gradient.
+    x is ordered (positions, momenta).  Each distinct function's gradient is
+    computed once by :func:`fd_gradient`, with ``richardson`` as there.
     """
     m = np.size(x) // 2
-    ga = fd_gradient(fa, x, step, richardson)
-    gb = fd_gradient(fb, x, step, richardson)
-    return float(ga[:m] @ gb[m:] - ga[m:] @ gb[:m])
+    grads = {f: fd_gradient(f, x, step, richardson) for f in dict.fromkeys((*fas, *fbs))}
+    return np.array([[float(grads[a][:m] @ grads[b][m:] - grads[a][m:] @ grads[b][:m])
+                      for b in fbs] for a in fas])
 
 
 def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:

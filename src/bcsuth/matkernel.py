@@ -15,7 +15,10 @@ The three workhorse factorizations:
 * :func:`pair_diagonalize_gminus` Y_minus = g * i*diag(d, -d) * g^{-1}, g in Gplus
 * :func:`cartan_decompose_gminus` B = eta * exp(2i*diag(q, -q)) * eta^{-1}, eta in Gplus
 
-plus a numerical oracle for Jacobi's complementary-minor identity.
+The last two are thin callers of one pairing core, :func:`_pair_spectrum`:
+the frame pairs each eigenvector v of +x with Cv, one of -x, and pairs values
+that are their own mirror (0; or 0 and pi/2) inside their eigenspace.
+Plus a numerical oracle for Jacobi's complementary-minor identity.
 """
 
 from __future__ import annotations
@@ -176,22 +179,50 @@ def _pair_zero_modes(basis: np.ndarray, C: np.ndarray, context: str) -> list[np.
     ``basis`` holds orthonormal columns spanning the subspace.  Returns the
     primary vectors v; their partners are C @ v.
     """
-    k = basis.shape[1]
-    if k % 2:
-        raise PairingError(f"{context}: odd-dimensional zero/real cluster cannot be C-paired")
-    M = basis.conj().T @ C @ basis
-    w, u = np.linalg.eigh(M)
+    w, u = np.linalg.eigh(basis.conj().T @ C @ basis)
     if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
         raise PairingError(
             f"{context}: cluster is not C-invariant (restricted C eigenvalues {w})"
         )
-    plus = [basis @ u[:, i] for i in range(k) if w[i] > 0]
-    minus = [basis @ u[:, i] for i in range(k) if w[i] < 0]
-    if len(plus) != len(minus):
-        raise PairingError(
-            f"{context}: unbalanced C signature in cluster ({len(plus)} vs {len(minus)})"
-        )
-    return [(ep + em) / math.sqrt(2.0) for ep, em in zip(plus, minus)]
+    plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
+    if plus.shape != minus.shape:
+        raise PairingError(f"{context}: unbalanced C signature in cluster "
+                           f"({plus.shape[1]} vs {minus.shape[1]})")
+    return list(((plus + minus) / math.sqrt(2.0)).T)
+
+
+def _pair_spectrum(vals, vecs, mirrors, tol: float, scale: float, context: str):
+    """Pair the spectrum of an element that C conjugates to its mirror image.
+
+    ``vals`` (length 2n) belong to the orthonormal columns of ``vecs``; C maps
+    the eigenvector of x to one of -x, so the values off ``mirrors`` (those
+    equal to their own mirror) come in (+x, -x) pairs, matched within
+    10*max(tol, 1e-12*max(1, scale)).  A value within ``tol`` of a mirror m
+    is m; its cluster is paired through the C eigenbasis.  Returns the n
+    primary values, descending, and the Gplus frame [v, Cv].
+    """
+    n = vecs.shape[0] // 2
+    vals = vals.tolist()  # floats: at n <= 8 numpy's per-call cost dominates
+    free = [i for i, x in enumerate(vals) if min(abs(x - m) for m in mirrors) > tol]
+    up = [i for i in free if vals[i] > 0]
+    down = sorted(-vals[i] for i in free if vals[i] < 0)
+    if len(up) != len(down):
+        raise PairingError(f"{context}: spectrum does not pair into +-: "
+                           f"{len(up)} positive vs {len(down)} negative")
+    bound = 10 * max(tol, 1e-12 * max(1.0, scale))
+    if any(abs(a - b) > bound for a, b in zip(sorted(vals[i] for i in up), down)):
+        raise PairingError(f"{context}: positive and negative values do not match in +- pairs")
+    cols, values = [vecs[:, i] for i in up], [vals[i] for i in up]
+    for m in mirrors:
+        cluster = [i for i, x in enumerate(vals) if abs(x - m) <= tol]
+        if cluster:
+            vs = _pair_zero_modes(vecs[:, cluster], exchange_matrix(n), f"{context} ({m:g})")
+            cols.extend(vs)
+            values.extend([m] * len(vs))
+    order = sorted(range(n), key=lambda j: -values[j])
+    P = np.array([cols[j] for j in order]).T
+    g = np.concatenate((P, np.concatenate((P[n:], P[:n]))), axis=1)  # [v, Cv]
+    return np.array([values[j] for j in order]), _fix_frame_phases(g)
 
 
 def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
@@ -199,47 +230,20 @@ def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
 
     The Hermitian matrix -i*Y_minus anticommutes with C, so its spectrum comes
     in (+d, -d) pairs and C maps the +d eigenvector v to a -d eigenvector; the
-    frame takes columns (v_j, C v_j).  (Near-)zero eigenvalues are paired
-    inside the kernel through the C eigenbasis.  Eigenvalues within PAIR_TOL
-    of zero count as zero; the input must be gminus within CHECK_TOL.
+    frame takes columns (v_j, C v_j).  Eigenvalues within PAIR_TOL of zero
+    count as zero and are paired inside the kernel through the C eigenbasis;
+    the +- match scales with ||Y_minus||_F, as eigh's error does.  The input
+    must be gminus within CHECK_TOL.
     """
     Y = np.asarray(Yminus, dtype=complex)
     _require_structure(Y, "gminus")
-    n = Y.shape[0] // 2
-    C = exchange_matrix(n)
-    H = -1j * Y
-    w, v = np.linalg.eigh(H)
-
-    pos = [i for i in range(2 * n) if w[i] > PAIR_TOL]
-    zero = [i for i in range(2 * n) if abs(w[i]) <= PAIR_TOL]
-    neg = [i for i in range(2 * n) if w[i] < -PAIR_TOL]
-    if len(pos) != len(neg):
-        raise PairingError(
-            f"spectrum does not pair into +-d: {len(pos)} positive vs {len(neg)} negative"
-        )
-    d_pos = sorted((w[i] for i in pos), reverse=True)
-    d_neg = sorted((-w[i] for i in neg), reverse=True)
-    if any(abs(a - b) > max(PAIR_TOL, 1e-12 * max(1.0, abs(a))) * 10 for a, b in zip(d_pos, d_neg)):
-        raise PairingError("positive and negative eigenvalues do not match in +- pairs")
-
-    order = sorted(pos, key=lambda i: -w[i])
-    primaries = [v[:, i] for i in order]
-    dvals = [w[i] for i in order]
-    if zero:
-        kern = v[:, zero]
-        primaries.extend(_pair_zero_modes(kern, C, "pair_diagonalize_gminus"))
-        dvals.extend([0.0] * (len(zero) // 2))
-
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j, vec in enumerate(primaries):
-        g[:, j] = vec
-        g[:, n + j] = C @ vec
-    g = _fix_frame_phases(g)
-    d = np.asarray(dvals, dtype=float)
+    scale = float(np.linalg.norm(Y))
+    d, g = _pair_spectrum(*np.linalg.eigh(-1j * Y), (0.0,), PAIR_TOL, scale,
+                          "pair_diagonalize_gminus")
 
     recon = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
     err = float(np.linalg.norm(recon - Y))
-    if err > 1e-8 * max(1.0, float(np.linalg.norm(Y))):
+    if err > 1e-8 * max(1.0, scale):
         raise PairingError(f"pair diagonalization reconstruction residual {err:.3e}")
     return PairedSpectrum(values=d, frame=StructuredMatrix(g, "Gplus"))
 
@@ -249,59 +253,23 @@ def cartan_decompose_gminus(B):
 
     Returns (eta, q) with eta in Gplus and q sorted descending in [0, pi/2].
     Eigenvalues of B pair as exp(+-2i*q_j); the exp(2iq) eigenvector v and
-    C v span each pair.  Eigenvalues at +-1 (q = 0 or pi/2) are paired through
-    the C eigenbasis of the corresponding eigenspace; if that space is not
-    C-balanced the element admits no such factorization and PairingError is
-    raised.  The input must be Gminus within CHECK_TOL.
+    C v span each pair.  Eigenvalues at +-1 (q within PAIR_TOL of 0 or pi/2)
+    are paired through the C eigenbasis of the corresponding eigenspace; if
+    that space is not C-balanced the element admits no such factorization and
+    PairingError is raised.  The input must be Gminus within CHECK_TOL.
     """
     B = np.asarray(B, dtype=complex)
     _require_structure(B, "Gminus")
-    n = B.shape[0] // 2
-    C = exchange_matrix(n)
 
     # B is normal (unitary): complex Schur gives orthonormal eigenvectors.
     T, Zs = scipy.linalg.schur(B, output="complex")
-    offdiag = T - np.diag(np.diag(T))
-    if np.linalg.norm(offdiag) > 1e-6:
+    if np.linalg.norm(T - np.diag(np.diag(T))) > 1e-6:
         raise PairingError("input is too far from normal for spectral pairing")
-    evals = np.diag(T)
-    ang = np.angle(evals)
-
-    # angle tolerance matched to the eigenvalue pairing tolerance
-    ang_tol = max(PAIR_TOL, 1e-12)
-    upper = [i for i in range(2 * n) if ang_tol < ang[i] < math.pi - ang_tol]
-    lower = [i for i in range(2 * n) if -math.pi + ang_tol < ang[i] < -ang_tol]
-    real_plus = [i for i in range(2 * n) if abs(ang[i]) <= ang_tol]
-    real_minus = [i for i in range(2 * n) if abs(ang[i]) >= math.pi - ang_tol]
-    if len(upper) != len(lower):
-        raise PairingError(
-            f"unit-circle spectrum does not pair: {len(upper)} upper vs {len(lower)} lower"
-        )
-
-    order = sorted(upper, key=lambda i: -ang[i])
-    primaries = [Zs[:, i] for i in order]
-    qvals = [ang[i] / 2.0 for i in order]
-    for cluster, qval, label in ((real_minus, math.pi / 2, "eigenvalue -1"),
-                                 (real_plus, 0.0, "eigenvalue +1")):
-        if cluster:
-            basis = Zs[:, cluster]
-            # re-orthonormalize the Schur columns of the cluster (they are
-            # orthonormal already; this guards roundoff)
-            basis, _ = np.linalg.qr(basis)
-            vecs = _pair_zero_modes(basis, C, f"cartan_decompose_gminus ({label})")
-            primaries.extend(vecs)
-            qvals.extend([qval] * len(vecs))
-
-    if len(primaries) != n:
-        raise PairingError("could not assemble n eigenvalue pairs")
-    order2 = np.argsort([-q for q in qvals], kind="stable")
-    eta = np.zeros((2 * n, 2 * n), dtype=complex)
-    q = np.zeros(n)
-    for slot, i in enumerate(order2):
-        eta[:, slot] = primaries[i]
-        eta[:, n + slot] = C @ primaries[i]
-        q[slot] = qvals[i]
-    eta = _fix_frame_phases(eta)
+    q = np.angle(np.diag(T)) / 2.0
+    # eigenvalue -1 has angle +pi or -pi: both are the mirror q = pi/2
+    q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
+    q, eta = _pair_spectrum(q, Zs, (0.0, math.pi / 2), PAIR_TOL, 1.0,
+                            "cartan_decompose_gminus")
 
     recon = eta @ exp_iQ(2.0 * q) @ eta.conj().T
     err = float(np.linalg.norm(recon - B))

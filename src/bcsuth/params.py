@@ -12,7 +12,7 @@ Three charts are used throughout:
 
 * Sutherland chart (q, p):  pi/2 > q_1 > ... > q_n > 0, p in R^n.
 * Dual angle chart (lambda, theta):  lambda in the thick-walled chamber
-  lambda_a - lambda_{a+1} > 2*mu, lambda_n > max(|nu|, |kappa|), theta in T^n.
+  lambda_a - lambda_{a+1} > 2*mu, lambda_n > nu, theta in T^n.
 * Oscillator chart z in C^n, the global chart; the angle chart covers the
   open dense part where every z_k != 0.
 """
@@ -217,16 +217,15 @@ def chart_membership(pos: list, chart: str, params: CouplingParams,
 
     ``pos`` is q for chart "qp" (slacks pi/2 - q_1, q_a - q_(a+1), q_n) and
     lambda for chart "lambda_theta" (slacks lambda_a - lambda_(a+1) - 2*mu,
-    lambda_n - max(|nu|, |kappa|)).  Plain float arithmetic, so hot loops
-    need build no point.
+    lambda_n - nu, the wall since nu > |kappa|).  Plain float arithmetic, so
+    hot loops need build no point.
     """
     if chart == "qp":
         slacks = [math.pi / 2 - pos[0]] + [a - b for a, b in zip(pos, pos[1:])]
         slacks.append(pos[-1])
     else:
-        wall = max(abs(params.nu), abs(params.kappa))
         slacks = [a - b - 2 * params.mu for a, b in zip(pos, pos[1:])]
-        slacks.append(pos[-1] - wall)
+        slacks.append(pos[-1] - params.nu)
     status = "inside"
     for s in slacks:
         if s < -margin:
@@ -273,7 +272,7 @@ def require_chamber(lam: list, params: CouplingParams):
         return
     raise DomainError(
         f"lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
-        f"lambda_n > max(|nu|,|kappa|) with slack > {DOMAIN_MARGIN}; "
+        f"lambda_n > nu with slack > {DOMAIN_MARGIN}; "
         f"point is {status} (lambda = {lam})"
     )
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .matkernel import (StructuredMatrix, conj_by_C, exchange_matrix,
                         gamma_split)
-from .params import CouplingParams, SutherlandPoint, require_inside
+from .params import CouplingParams, SutherlandPoint, chart_membership, require_inside
 
 
 def real_constraint_vector(n: int) -> np.ndarray:
@@ -169,13 +169,9 @@ def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     _, Yminus = gamma_split(lax.Y.m)
     d = np.linalg.eigvalsh(-1j * Yminus)[::-1][:params.n]
     lam = np.sqrt(d**2 + params.kappa**2)
-    slacks = np.concatenate((lam[:-1] - lam[1:] - 2 * params.mu,
-                             [lam[-1] - max(abs(params.nu), abs(params.kappa))]))
-    if np.any(slacks < -1e-8):
+    if chart_membership(lam.tolist(), "lambda_theta", params, 1e-8) == "outside":
         raise ConsistencyError(
-            f"action vector {lam.tolist()} exited the closed chamber "
-            f"(worst slack {float(slacks.min()):.3e})"
-        )
+            f"action vector {lam.tolist()} exited the closed chamber by more than 1e-8")
     return lam
 
 

@@ -11,7 +11,7 @@ from bcsuth.errors import DegenerateTorusError
 from bcsuth.matkernel import exchange_matrix
 from bcsuth.params import (DualPoint, OscillatorPoint, SutherlandPoint,
                            couplings_from_rsvd)
-from bcsuth.sutherland import lax_Y
+from bcsuth.sutherland import closed_form_H1, lax_Y
 from bcsuth.verification import (SuiteConfig, sample_dual, sample_params,
                                  sample_sutherland)
 
@@ -160,6 +160,33 @@ def test_superintegrability_brackets(rng):
         X, f, table = superintegrability_data(pt, p)
         assert abs(np.linalg.det(X)) > 1e-9
         assert np.max(np.abs(table + np.eye(n))) < 1e-6
+
+
+def test_superintegrability_computes_each_gradient_once(monkeypatch):
+    # the bracket table reads each f_i and h~_k gradient once: 2n FD gradients
+    from bcsuth import dynamics
+
+    calls = []
+    fd = dynamics.fd_gradient
+    monkeypatch.setattr(dynamics, "fd_gradient",
+                        lambda *a, **k: calls.append(1) or fd(*a, **k))
+    n = 3
+    _, _, table = superintegrability_data(
+        SutherlandPoint(q=[1.2, 0.7, 0.3], p=[0.4, -0.1, 0.2]),
+        couplings_from_rsvd(1.0, 1.8, 0.6, n))
+    assert len(calls) == 2 * n
+    assert np.max(np.abs(table + np.eye(n))) < 1e-6
+
+
+@pytest.mark.parametrize("qn", [5e-9, 2e-9, 1.2e-9])
+def test_forward_map_next_to_the_q_wall(qn):
+    # ||Y||_F ~ 1/qn is huge here, and eigh's error on the small +-d pair
+    # grows with it: the pairing check must scale with ||Y||, not with |d|
+    p = couplings_from_rsvd(1.0, 1.8, 0.6, 2)
+    pt = SutherlandPoint(q=[1.0, qn], p=[0.3, -0.2])
+    dual = forward_map(pt, p)
+    h1 = closed_form_H1(pt, p)
+    assert abs(0.5 * float(dual.lam @ dual.lam) - h1) <= 1e-13 * abs(h1)
 
 
 def test_dual_energy_minimum_at_origin(rng):

@@ -137,6 +137,36 @@ def test_cartan_boundary_values(rng):
     assert np.linalg.norm(recon - B) < 1e-10
 
 
+_SPREAD = st.floats(min_value=0.05, max_value=np.pi / 2 - 0.05)
+
+
+@given(st.sampled_from(["pair", "cartan"]), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**31), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pairing_core_property(kind, n, seed, data):
+    # both factorizations through the shared core, with values that are their
+    # own mirror (d = 0; q = 0 or pi/2) forming clusters the core must pair
+    g0 = random_gplus(np.random.default_rng(seed), n)
+    if kind == "pair":
+        d0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), _SPREAD),
+                                         min_size=n, max_size=n)
+                                .filter(lambda d: 0.0 in d)))
+        Y = g0 @ (1j * np.diag(np.r_[d0, -d0])) @ g0.conj().T
+        spec = pair_diagonalize_gminus(Y)
+        values, g, target = spec.values, spec.frame.m, d0
+        recon = g @ (1j * np.diag(np.r_[values, -values])) @ g.conj().T - Y
+    else:
+        q0 = np.array(data.draw(st.lists(st.sampled_from([0.0, np.pi / 2]) | _SPREAD,
+                                         min_size=n, max_size=n)))
+        B = g0 @ exp_iQ(2 * q0) @ g0.conj().T
+        eta, values = cartan_decompose_gminus(B)
+        g, target = eta.m, q0
+        recon = g @ exp_iQ(2 * values) @ g.conj().T - B
+    assert np.max(np.abs(values - np.sort(target)[::-1])) < 1e-10
+    assert structure_residual(g, "Gplus") < 1e-12
+    assert np.linalg.norm(recon) < 1e-10
+
+
 def test_cartan_rejects_garbage(rng):
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     with pytest.raises((StructureError, PairingError)):

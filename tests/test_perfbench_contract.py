@@ -2,8 +2,9 @@
 
 ``perfbench/micro.py`` calls bcsuth functions by name and signature, and
 ``perfbench/tracer.py`` wraps them by name; the benchmark's own test runs
-outside this suite.  Calling every micro row once at n = 1 and resolving
-every traced name catches a change that would break the benchmark.
+outside this suite.  Calling every micro row once at n = 1 and 2 and
+resolving every traced name catches a change that would break the benchmark;
+the two factorization rows must also keep their residuals below 1e-12.
 """
 
 import importlib
@@ -25,12 +26,23 @@ def perfbench():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_micro_rows_run_at_n1(perfbench):
-    rows = perfbench("micro").rows_for(1)
+def _run_micro_rows(perfbench, n):
+    rows = perfbench("micro").rows_for(n)
     assert rows
     for name, call, resid in rows:
         r = resid(call())
         assert r == r and r >= 0.0, name  # a number, not NaN
+        if name in ("pair_diagonalize_gminus", "cartan_decompose_gminus"):
+            # reconstruction against perfbench's own inputs, not bcsuth's check
+            assert r < 1e-12, (name, r)
+
+
+def test_micro_rows_run_at_n1(perfbench):
+    _run_micro_rows(perfbench, 1)
+
+
+def test_micro_rows_run_at_n2(perfbench):
+    _run_micro_rows(perfbench, 2)
 
 
 def test_traced_layers_exist(perfbench):
