@@ -14,10 +14,9 @@ from .sutherland import (action_map, closed_form_H1, grad_H1, hamiltonians,
 from .rsvd import (A_check, A_tilde, DualFrame, F_squared_branches, L_tilde,
                    dual_H0, dual_Hk, f_vector, g_functions, grad_dual_H0,
                    h_matrix, m_of_theta, w_system_residual)
-from .duality import (DUAL_PAIRING, DualityReport, backward_map,
-                      canonicity_residual, forward_map, invariant_crosscheck,
-                      rank_of_dlambda, round_trip_report,
-                      superintegrability_data)
+from .duality import (DUAL_PAIRING, backward_map, canonicity_residual,
+                      forward_map, invariant_crosscheck, rank_of_dlambda,
+                      round_trip_report, superintegrability_data)
 from .dynamics import (FlowSpec, Trajectory, angle_linearity_check, integrate,
                        poisson_bracket_fd)
 from .verification import SuiteConfig, SuiteReport, run_suite
@@ -36,7 +35,7 @@ __all__ = [
     "A_check", "A_tilde", "DualFrame", "F_squared_branches", "L_tilde",
     "dual_H0", "dual_Hk", "f_vector", "g_functions", "grad_dual_H0",
     "h_matrix", "m_of_theta", "w_system_residual",
-    "DUAL_PAIRING", "DualityReport", "backward_map", "canonicity_residual",
+    "DUAL_PAIRING", "backward_map", "canonicity_residual",
     "forward_map", "invariant_crosscheck", "rank_of_dlambda",
     "round_trip_report", "superintegrability_data",
     "FlowSpec", "Trajectory", "angle_linearity_check", "integrate",

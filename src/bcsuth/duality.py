@@ -4,7 +4,9 @@
 C-odd part of the Lax matrix and reading the angles off the gauge-fixed
 constraint vector; ``backward_map`` reconstructs (q, p) from a dual point via
 the Cartan factorization of the dual Lax data.  They are mutually inverse on
-interior points.
+interior points.  Each ``*_full`` map also returns the array its residuals
+are read from (F forward, the reconstructed Lax matrix Y backward), which
+:func:`forward_residuals` and :func:`backward_residuals` measure.
 
 Measured symplectic normalization
 ---------------------------------
@@ -24,16 +26,13 @@ factor; pass ``scale=DUAL_PAIRING`` for the calibrated test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateTorusError, DomainError
 from .matkernel import exchange_matrix, exp_iQ, cartan_decompose_gminus, \
-    gamma_split, pair_diagonalize_gminus
+    pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, canonical_angle, chart_membership,
-                     require_inside)
+                     SutherlandPoint, canonical_angle, chart_membership)
 from .rsvd import (A_check, F_squared_branches, dual_H0, f_vector, h_matrix)
 from .sutherland import lax_Y, momentum_residual, \
     real_constraint_vector
@@ -42,32 +41,8 @@ from .sutherland import lax_Y, momentum_residual, \
 DUAL_PAIRING = -2.0
 
 
-@dataclass
-class DualityReport:
-    """Container for a mapped point with its verification residuals."""
-
-    input_point: dict
-    output_point: dict
-    round_trip_error: float
-    canonicity_residual: float
-    canonicity_residual_calibrated: float
-    constraint_residuals: tuple[float, float]
-    branch_diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "input": self.input_point,
-            "output": self.output_point,
-            "round_trip_error": self.round_trip_error,
-            "canonicity_residual": self.canonicity_residual,
-            "canonicity_residual_calibrated": self.canonicity_residual_calibrated,
-            "constraint_residuals": list(self.constraint_residuals),
-            "branch_diagnostics": self.branch_diagnostics,
-        }
-
-
 def forward_map_full(point: SutherlandPoint, params: CouplingParams):
-    """Map (q, p) to the dual chart, returning the point plus diagnostics.
+    """Map (q, p) to the dual chart, returning (dual point, F).
 
     Steps: Lax matrix -> C-odd part -> paired spectrum d with Gplus frame g ->
     lambda_j = sqrt(d_j^2 + kappa^2) -> gauge-fixed constraint vector
@@ -75,14 +50,10 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     The residual central freedom multiplies both args by a common phase, so
     theta is well defined.  Raises DegenerateTorusError when lambda lands on
     the chamber wall (the angle chart is undefined there; use the z chart).
-    The diagnostics hold the constraint vector F; :func:`forward_residuals`
-    measures it.
+    :func:`forward_residuals` measures F.
     """
-    require_inside(point, params)
     n = point.n
-    lax = lax_Y(point, params)
-    _, K = gamma_split(lax.Y.m)
-    spec = pair_diagonalize_gminus(K)
+    spec = pair_diagonalize_gminus(lax_Y(point, params).K.m)
     lam = np.sqrt(spec.values**2 + params.kappa**2)
     probe = chart_membership(lam.tolist(), "lambda_theta", params, 1e-9)
     if probe != "inside":
@@ -94,7 +65,7 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     h = h_matrix(lam, params).h.m
     F = h.T @ (g.conj().T @ (exp_iQ(point.q).conj() @ real_constraint_vector(n)))
     theta = canonical_angle(np.angle(F[n:]) - np.angle(F[:n]))
-    return DualPoint(lam=lam, theta=theta), {"F": F}
+    return DualPoint(lam=lam, theta=theta), F
 
 
 def forward_residuals(point: SutherlandPoint, dual: DualPoint, F,
@@ -115,14 +86,15 @@ def forward_map(point: SutherlandPoint, params: CouplingParams) -> DualPoint:
 
 def backward_map_full(dual: DualPoint, params: CouplingParams,
                       validate: bool = True):
-    """Map (lambda, theta) back to the Sutherland chart, with diagnostics.
+    """Map (lambda, theta) back to the Sutherland chart, returning (point, Y).
 
     Steps: f and the core matrix -> B = -(h A h)^dag -> Cartan factorization
     B = eta e^{2iQ(q)} eta^{-1} -> y = eta e^{iQ(q)} eta^{-1}, V = y h f ->
     gauge to the Sutherland section with (eta^{-1}, eta^{-1}) and a central
-    phase fixing V -> read p off the diagonal of the transformed Lax matrix.
+    phase fixing V -> read p off the diagonal of the transformed Lax matrix Y.
+    Raises ConsistencyError when the gauge-fixed V leaves the section by more
+    than 1e-6 and, with ``validate``, when || Y - Y(q, p) || exceeds 1e-6.
     """
-    require_inside(dual, params)
     n = dual.n
     f = f_vector(dual, params)
     h = h_matrix(dual.lam, params).h.m
@@ -155,20 +127,26 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     Yfinal = (zeta[:, None] * Ypp) * zeta.conj()[None, :]
     p = np.imag(np.diag(Yfinal)[:n])
     point = SutherlandPoint(q=q, p=p)
+    if validate:
+        lax_err = _lax_defect(point, Yfinal, params)
+        if lax_err > 1e-6:
+            raise ConsistencyError(
+                f"reconstructed Lax matrix deviates by {lax_err:.3e} from the "
+                "canonical form at the recovered point")
+    return point, Yfinal
 
-    lax_err = float(np.linalg.norm(Yfinal - lax_Y(point, params).Y.m))
-    mom = momentum_residual(exp_iQ(q), Yfinal, real_constraint_vector(n), params)
-    diag = {
-        "unit_defect": unit_defect,
-        "mirror_defect": mirror_defect,
-        "lax_reconstruction": lax_err,
-        "momentum_residuals": mom,
-    }
-    if validate and lax_err > 1e-6:
-        raise ConsistencyError(
-            f"reconstructed Lax matrix deviates by {lax_err:.3e} from the "
-            "canonical form at the recovered point")
-    return point, diag
+
+def _lax_defect(point: SutherlandPoint, Y, params: CouplingParams) -> float:
+    """|| Y - Y(q, p) ||: distance of Y from the Lax matrix at the point."""
+    return float(np.linalg.norm(Y - lax_Y(point, params).Y.m))
+
+
+def backward_residuals(point: SutherlandPoint, Y, params: CouplingParams):
+    """Defects of a backward image: || Y - Y(q, p) || and the two constraint
+    defects of (e^{iQ(q)}, Y, V_R) (verify row ``duality.momentum_residual``)."""
+    return (_lax_defect(point, Y, params),
+            momentum_residual(exp_iQ(point.q), Y, real_constraint_vector(point.n),
+                              params))
 
 
 def backward_map(dual: DualPoint, params: CouplingParams) -> SutherlandPoint:
@@ -239,33 +217,34 @@ def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
     return float(np.linalg.norm(pullback - scale * Omega))
 
 
-def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> DualityReport:
+def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
     """Forward-then-backward report with all standing residuals attached.
 
     Both canonicity residuals, uncalibrated and calibrated, are read off one
     finite-difference Jacobian of the forward map.
     """
-    dual, fdiag = forward_map_full(point, params)
-    moduli, h0 = forward_residuals(point, dual, fdiag["F"], params)
-    back, bdiag = backward_map_full(dual, params)
+    dual, F = forward_map_full(point, params)
+    moduli, h0 = forward_residuals(point, dual, F, params)
+    back, Y = backward_map_full(dual, params)
+    lax_err, mom = backward_residuals(back, Y, params)
     err = float(max(np.max(np.abs(back.q - point.q)),
                     np.max(np.abs(back.p - point.p))))
     pullback, Omega = _forward_pullback(point, params)
     can, can_cal = (float(np.linalg.norm(pullback - s * Omega))
                     for s in (1.0, DUAL_PAIRING))
-    return DualityReport(
-        input_point=point.to_dict(),
-        output_point=dual.to_dict(),
-        round_trip_error=err,
-        canonicity_residual=can,
-        canonicity_residual_calibrated=can_cal,
-        constraint_residuals=bdiag["momentum_residuals"],
-        branch_diagnostics={
+    return {
+        "input": point.to_dict(),
+        "output": dual.to_dict(),
+        "round_trip_error": err,
+        "canonicity_residual": can,
+        "canonicity_residual_calibrated": can_cal,
+        "constraint_residuals": list(mom),
+        "branch_diagnostics": {
             "moduli_vs_plus_branch": moduli,
             "dual_H0_consistency": h0,
-            "lax_reconstruction": bdiag["lax_reconstruction"],
+            "lax_reconstruction": lax_err,
         },
-    )
+    }
 
 
 def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,

@@ -13,8 +13,10 @@ Gradients are closed-form where a closed form is known,
 differences; it is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.
 
-Chart conventions: in the (q, p) chart the equations are the canonical
-qdot = dH/dp, pdot = -dH/dq.  In the (lambda, theta) chart the equations are
+Chart conventions: the Sutherland systems live on the (q, p) chart and the
+dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
+are the canonical qdot = dH/dp, pdot = -dH/dq.  In the (lambda, theta) chart
+the equations are
 
     lambdadot = DUAL_PAIRING * dH/dtheta,
     thetadot  = -DUAL_PAIRING * dH/dlambda,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,6 +71,10 @@ class FlowSpec:
             raise ValueError(f"unknown system {self.system!r}; expected one of {SYSTEMS}")
         if self.chart not in CHARTS:
             raise ValueError(f"unknown chart {self.chart!r}; expected one of {CHARTS}")
+        chart = "qp" if self.system.startswith("sutherland") else "lambda_theta"
+        if self.chart != chart:
+            raise ValueError(f"system {self.system} is defined in the {chart} chart, "
+                             f"not in {self.chart}")
         if not (self.dt > 0 and self.T > 0 and self.dt < self.T):
             raise ValueError("need 0 < dt < T")
         steps = self.T / self.dt
@@ -85,14 +91,6 @@ class FlowSpec:
                 "use gradient='fd' for the other systems")
         if self.system in ("sutherland_Hk", "dual_Hk") and self.k < 1:
             raise ValueError("k must be >= 1")
-
-    def to_dict(self):
-        return {
-            "system": self.system, "chart": self.chart, "dt": self.dt,
-            "T": self.T, "k": self.k, "gradient": self.gradient,
-            "fd_step": self.fd_step, "monitor_stride": self.monitor_stride,
-            "boundary_margin": self.boundary_margin,
-        }
 
 
 @dataclass
@@ -115,7 +113,7 @@ class Trajectory:
         else:
             cols = [f"lambda{i+1}" for i in range(n)] + [f"theta{i+1}" for i in range(n)]
         mon_names = sorted(self.monitors)
-        header_meta = {"flow": self.flow.to_dict(), "params": self.params.to_dict()}
+        header_meta = {"flow": asdict(self.flow), "params": self.params.to_dict()}
         lines = ["# " + json.dumps(header_meta, sort_keys=True),
                  ",".join(["t"] + cols + mon_names)]
         mon_lookup = {t: i for i, t in enumerate(self.monitor_times)}
@@ -156,61 +154,44 @@ def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarr
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     """Scalar Hamiltonian x -> H(x) in the flow's chart coordinates."""
     n = params.n
-    if flow.chart == "qp":
-        if flow.system == "sutherland_H1":
-            return lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)
-        if flow.system == "sutherland_Hk":
-            k = flow.k
-            return lambda x: float(
-                hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1])
-        raise ValueError(f"system {flow.system} is not defined in the qp chart")
+    k = flow.k
+    if flow.system == "sutherland_H1":
+        return lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)
+    if flow.system == "sutherland_Hk":
+        return lambda x: float(
+            hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1])
     if flow.system == "dual_H0":
         return lambda x: _dual_H0_kernel(x[:n], x[n:], params)
-    if flow.system == "dual_Hk":
-        # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
-        from .params import z_from_angles
-        from .rsvd import dual_Hk
+    # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
+    from .params import z_from_angles
+    from .rsvd import dual_Hk
 
-        k = flow.k
+    def H(x):
+        dp = DualPoint(lam=x[:n], theta=x[n:])
+        z = z_from_angles(dp, params).z
+        return float(dual_Hk(z, params, kmax=k)[k - 1])
 
-        def H(x):
-            dp = DualPoint(lam=x[:n], theta=x[n:])
-            z = z_from_angles(dp, params).z
-            return float(dual_Hk(z, params, kmax=k)[k - 1])
-
-        return H
-    raise ValueError(f"system {flow.system} is not defined in the lambda_theta chart")
+    return H
 
 
 def vector_field(flow: FlowSpec, params: CouplingParams):
-    """Canonical vector field of the flow's Hamiltonian in its chart."""
+    """Vector field f(x) = (s dH/dmomenta, -s dH/dpositions) of the flow's
+    Hamiltonian, with s = 1 in the qp chart and DUAL_PAIRING in lambda_theta."""
     n = params.n
-    H = hamiltonian_function(flow, params)
-
+    s = 1.0 if flow.chart == "qp" else DUAL_PAIRING
+    signs = np.r_[np.full(n, s), np.full(n, -s)]
     if flow.gradient == "analytic":
-        if flow.system == "sutherland_H1":
-            def f(x):
-                dq, dp = grad_H1(x[:n], x[n:], params)
-                return np.concatenate((dp, -dq))
-            return f
+        grad = grad_H1 if flow.system == "sutherland_H1" else grad_dual_H0
 
         def f(x):
-            dlam, dtheta = grad_dual_H0(x[:n], x[n:], params)
-            return np.concatenate((DUAL_PAIRING * dtheta, -DUAL_PAIRING * dlam))
-        return f
+            dx, dy = grad(x[:n], x[n:], params)
+            return np.concatenate((dy, dx)) * signs
+    else:
+        H = hamiltonian_function(flow, params)
 
-    def grad(x):
-        return fd_gradient(H, x, flow.fd_step)
-
-    if flow.chart == "qp":
         def f(x):
-            g = grad(x)
-            return np.concatenate((g[n:], -g[:n]))
-        return f
-
-    def f(x):
-        g = grad(x)
-        return np.concatenate((DUAL_PAIRING * g[n:], -DUAL_PAIRING * g[:n]))
+            g = fd_gradient(H, x, flow.fd_step)
+            return np.concatenate((g[n:], g[:n])) * signs
     return f
 
 

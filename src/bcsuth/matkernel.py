@@ -139,9 +139,9 @@ def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
     """Split an anti-Hermitian Y into its C-even and C-odd parts.
 
     Returns (Y_plus, Y_minus) with Y_plus = (Y + CYC)/2 and Y_minus = Y - Y_plus.
-    The complement construction makes the reconstruction defect of
-    Y_plus + Y_minus at most one rounding of the final addition per entry
-    (exact whenever the two parts are of comparable scale).
+    The reconstruction Y_plus + Y_minus carries two roundings, of Y_minus and
+    of the sum: with M = max(1, max|Y|) each real component of its defect is
+    at most 1.5 eps M, so each entry's modulus at most 1.5 sqrt(2) eps M.
     """
     Y = np.asarray(Y, dtype=complex)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] % 2:

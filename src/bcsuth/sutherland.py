@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import (StructuredMatrix, conj_by_C, exchange_matrix,
-                        gamma_split)
+from .matkernel import StructuredMatrix, conj_by_C, exchange_matrix
 from .params import CouplingParams, SutherlandPoint, chart_membership, require_inside
 
 
@@ -165,9 +164,7 @@ def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     must land in the closure of the dual chamber; a violation beyond 1e-8
     raises ConsistencyError.
     """
-    lax = lax_Y(point, params)
-    _, Yminus = gamma_split(lax.Y.m)
-    d = np.linalg.eigvalsh(-1j * Yminus)[::-1][:params.n]
+    d = np.linalg.eigvalsh(-1j * lax_Y(point, params).K.m)[::-1][:params.n]
     lam = np.sqrt(d**2 + params.kappa**2)
     if chart_membership(lam.tolist(), "lambda_theta", params, 1e-8) == "outside":
         raise ConsistencyError(

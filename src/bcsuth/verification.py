@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -89,15 +89,6 @@ class SuiteConfig:
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
-    def to_dict(self):
-        return {
-            "suite": self.suite, "n_values": list(self.n_values),
-            "samples": self.samples, "seed": self.seed,
-            "mu_range": list(self.mu_range), "nu_range": list(self.nu_range),
-            "kappa_frac_range": list(self.kappa_frac_range),
-            "tolerances": dict(self.tolerances),
-        }
-
 
 @dataclass
 class CheckResult:
@@ -117,14 +108,6 @@ class CheckResult:
     counterexample: dict | None = None
     headroom: float | None = None
 
-    def to_dict(self):
-        return {
-            "name": self.name, "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual, "tol": self.tol,
-            "passed": self.passed, "negative_control": self.negative_control,
-            "counterexample": self.counterexample, "headroom": self.headroom,
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -140,7 +123,7 @@ class SuiteReport:
         return json.dumps({
             "suite": self.suite, "config": self.config,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
@@ -477,17 +460,17 @@ def _suite_duality(config: SuiteConfig) -> list:
             pt = sample_sutherland(rng, n)
             ctx = {"n": n, "params": params.to_dict(), "point": pt.to_dict()}
             try:
-                dual, fdiag = duality.forward_map_full(pt, params)
+                dual, F = duality.forward_map_full(pt, params)
             except BcsuthError:
                 continue
-            back, bdiag = duality.backward_map_full(dual, params)
+            back, Y = duality.backward_map_full(dual, params)
             err = max(float(np.max(np.abs(back.q - pt.q))),
                       float(np.max(np.abs(back.p - pt.p))))
-            moduli, h0 = duality.forward_residuals(pt, dual, fdiag["F"], params)
+            moduli, h0 = duality.forward_residuals(pt, dual, F, params)
+            _, mom = duality.backward_residuals(back, Y, params)
             col.add("duality.round_trip", err, ctx)
             col.add("duality.moduli_vs_plus_branch", moduli, ctx)
-            col.add("duality.momentum_residual",
-                    max(bdiag["momentum_residuals"]), ctx)
+            col.add("duality.momentum_residual", max(mom), ctx)
             col.add("duality.dual_H0_consistency", h0, ctx)
             inv = duality.invariant_crosscheck(pt, params, mmax=4, kmax=2)
             col.add("duality.invariant_phi", inv["phi_max_error"], ctx)
@@ -516,9 +499,9 @@ def _suite_duality(config: SuiteConfig) -> list:
     rngn = np.random.default_rng(config.seed + 1)
     params = sample_params(rngn, 2, config)
     pt = sample_sutherland(rngn, 2)
-    dual, fdiag = duality.forward_map_full(pt, params)
+    dual, F = duality.forward_map_full(pt, params)
     shifted = DualPoint(lam=dual.lam, theta=dual.theta + 0.3)
-    _, h0 = duality.forward_residuals(pt, shifted, fdiag["F"], params)
+    _, h0 = duality.forward_residuals(pt, shifted, F, params)
     return col.report("duality.dual_H0_consistency", h0, "angles shifted by 0.3")
 
 
@@ -694,9 +677,9 @@ def run_suite(config: SuiteConfig, jobs: int = 1) -> SuiteReport:
         else:
             results = [_run_named(t) for t in tasks]
         checks = [c for group in results for c in group]
-        return SuiteReport(suite="all", config=config.to_dict(), checks=checks)
+        return SuiteReport(suite="all", config=asdict(config), checks=checks)
     if config.suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {config.suite!r}; "
                          f"expected one of {SUITES + ('all',)}")
     checks = _SUITE_RUNNERS[config.suite](config)
-    return SuiteReport(suite=config.suite, config=config.to_dict(), checks=checks)
+    return SuiteReport(suite=config.suite, config=asdict(config), checks=checks)

@@ -65,6 +65,21 @@ def test_map_backward(capsys):
     assert payload["round_trip_error"] < 1e-8
 
 
+def test_map_backward_prints_strict_json(capsys):
+    # RFC 8259 has no NaN: the backward map measures no canonicity and says null
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run_cli(
+        capsys, "--deterministic", "map", "--direction", "backward",
+        "--n", "1", "--mu", "1", "--nu", "2",
+        "--lam", "2.5785910319", "--theta", "3.6849307341")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["canonicity_residual"] is None
+    assert payload["canonicity_residual_calibrated"] is None
+
+
 def test_flow_row_count(tmp_path, capsys):
     out_csv = tmp_path / "t.csv"
     code, out, _ = run_cli(

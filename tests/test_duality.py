@@ -3,8 +3,9 @@ import pytest
 
 import bcsuth.duality as duality
 from bcsuth.duality import (DUAL_PAIRING, backward_map, backward_map_full,
-                            canonicity_residual, degeneracy_count, forward_map,
-                            forward_map_full, forward_residuals,
+                            backward_residuals, canonicity_residual,
+                            degeneracy_count, forward_map, forward_map_full,
+                            forward_residuals,
                             invariant_crosscheck, rank_of_dlambda,
                             round_trip_report, superintegrability_data)
 from bcsuth.errors import DegenerateTorusError
@@ -44,23 +45,24 @@ def test_round_trip_random(rng):
         for _ in range(10):
             p = sample_params(rng, n, CFG)
             pt = sample_sutherland(rng, n)
-            dual, fdiag = forward_map_full(pt, p)
-            back, bdiag = backward_map_full(dual, p)
-            moduli, h0 = forward_residuals(pt, dual, fdiag["F"], p)
+            dual, F = forward_map_full(pt, p)
+            back, Y = backward_map_full(dual, p)
+            moduli, h0 = forward_residuals(pt, dual, F, p)
+            lax_err, mom = backward_residuals(back, Y, p)
             assert np.max(np.abs(back.q - pt.q)) < 1e-8
             assert np.max(np.abs(back.p - pt.p)) < 1e-8
             assert moduli < 1e-9
             assert h0 < 1e-9
-            assert max(bdiag["momentum_residuals"]) < 1e-9
-            assert bdiag["lax_reconstruction"] < 1e-8
+            assert max(mom) < 1e-9
+            assert lax_err < 1e-8
 
 
 def test_backward_reconstructs_lax(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        pt, diag = backward_map_full(dual, p)
-        assert diag["lax_reconstruction"] < 1e-8
+        pt, Y = backward_map_full(dual, p)
+        assert backward_residuals(pt, Y, p)[0] < 1e-8
         # spectral duality: the actions of the recovered point are lambda
         from bcsuth.sutherland import action_map
 
@@ -208,8 +210,7 @@ def test_dual_energy_minimum_at_origin(rng):
 def test_report_serialization(rng):
     p = sample_params(rng, 2, CFG)
     pt = sample_sutherland(rng, 2)
-    rep = round_trip_report(pt, p)
-    d = rep.to_dict()
+    d = round_trip_report(pt, p)
     assert d["round_trip_error"] < 1e-8
     assert set(d) >= {"input", "output", "canonicity_residual",
                       "canonicity_residual_calibrated", "constraint_residuals"}
@@ -227,8 +228,8 @@ def test_round_trip_report_reads_one_jacobian(rng, monkeypatch):
     monkeypatch.setattr(duality, "forward_map_full", counted)
     rep = round_trip_report(pt, p)
     assert len(calls) <= 10
-    assert rep.canonicity_residual == canonicity_residual(pt, p, scale=1.0)
-    assert rep.canonicity_residual_calibrated == canonicity_residual(
+    assert rep["canonicity_residual"] == canonicity_residual(pt, p, scale=1.0)
+    assert rep["canonicity_residual_calibrated"] == canonicity_residual(
         pt, p, scale=DUAL_PAIRING)
 
 
@@ -287,4 +288,48 @@ def test_forward_map_computes_no_diagnostics(rng, monkeypatch):
         dual = forward_map(pt, p)
         assert np.array_equal(dual.lam, ref.lam)
         assert np.array_equal(dual.theta, ref.theta)
-        assert set(forward_map_full(pt, p)[1]) == {"F"}
+        _, F = forward_map_full(pt, p)
+        assert F.shape == (2 * pt.n,)
+
+
+def test_backward_map_computes_no_residuals(rng, monkeypatch):
+    # backward_residuals measures the constraint defects; the map needs none,
+    # and without validate it does not evaluate the Lax matrix either
+    def boom(*args, **kwargs):
+        raise AssertionError("backward_map evaluated a residual")
+
+    cases = []
+    for n in (1, 2, 3):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        cases.append((dual, p, backward_map(dual, p)))
+    monkeypatch.setattr(duality, "momentum_residual", boom)
+    for dual, p, ref in cases:
+        pt = backward_map(dual, p)
+        assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+    monkeypatch.setattr(duality, "lax_Y", boom)
+    for dual, p, ref in cases:
+        pt, _ = backward_map_full(dual, p, validate=False)
+        assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+
+
+def test_maps_read_the_C_odd_part_off_lax_Y(rng, monkeypatch):
+    # lax_Y returns K, the C-odd part of Y; neither map splits Y again
+    import bcsuth.matkernel as matkernel
+    import bcsuth.sutherland as sutherland
+
+    def boom(*args, **kwargs):
+        raise AssertionError("gamma_split called")
+
+    cases = []
+    for n in (1, 2, 3, 4):
+        p = sample_params(rng, n, CFG)
+        pt = sample_sutherland(rng, n)
+        cases.append((pt, p, forward_map(pt, p), sutherland.action_map(pt, p)))
+    for module in (matkernel, duality, sutherland):
+        monkeypatch.setattr(module, "gamma_split", boom, raising=False)
+    for pt, p, dual, lam in cases:
+        image = forward_map(pt, p)
+        assert np.array_equal(image.lam, dual.lam)
+        assert np.array_equal(image.theta, dual.theta)
+        assert np.array_equal(sutherland.action_map(pt, p), lam)

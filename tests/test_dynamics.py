@@ -20,11 +20,14 @@ def test_flow_spec_validation():
         FlowSpec(system="bogus", chart="qp", dt=1e-3, T=1.0)
     with pytest.raises(ValueError):
         FlowSpec(system="sutherland_H1", chart="qp", dt=2.0, T=1.0)
-    for system in ("sutherland_Hk", "dual_Hk"):
+    for system, chart in (("sutherland_Hk", "qp"), ("dual_Hk", "lambda_theta")):
         with pytest.raises(ValueError, match="analytic gradients exist only"):
-            FlowSpec(system=system, chart="qp", dt=1e-3, T=1.0, k=2)
-        FlowSpec(system=system, chart="qp", dt=1e-3, T=1.0, k=2, gradient="fd")
+            FlowSpec(system=system, chart=chart, dt=1e-3, T=1.0, k=2)
+        FlowSpec(system=system, chart=chart, dt=1e-3, T=1.0, k=2, gradient="fd")
     FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3, T=1.0)
+    for system, chart in (("dual_H0", "qp"), ("sutherland_H1", "lambda_theta")):
+        with pytest.raises(ValueError, match="is defined in the"):
+            FlowSpec(system=system, chart=chart, dt=1e-3, T=1.0)
 
 
 def test_flow_spec_requires_a_whole_number_of_steps():

@@ -4,7 +4,9 @@
 ``perfbench/tracer.py`` wraps them by name; the benchmark's own test runs
 outside this suite.  Calling every micro row once at n = 1 and 2 and
 resolving every traced name catches a change that would break the benchmark;
-the two factorization rows must also keep their residuals below 1e-12.
+the two factorization rows must also keep their residuals below 1e-12.  One
+small round of the map-roundtrip and flow-exact workloads checks the calls
+and the outcomes those workloads rely on.
 """
 
 import importlib
@@ -43,6 +45,19 @@ def test_micro_rows_run_at_n1(perfbench):
 
 def test_micro_rows_run_at_n2(perfbench):
     _run_micro_rows(perfbench, 2)
+
+
+def test_map_roundtrip_round(perfbench):
+    # the near-wall slice point trips the Lax gate and is mapped again with
+    # validate=False
+    rnd = perfbench("workloads").MapRoundtrip(
+        seed=1, per_n=1, ns=(1, 2), slice_ns=(2,), slice_per_n=1).run_round()
+    assert (rnd.attempted, rnd.failed, rnd.problems) == (3, 1, [])
+
+
+def test_flow_exact_round(perfbench):
+    rnd = perfbench("workloads").FlowExact(seed=1, T=0.01, ns=(1,)).run_round()
+    assert (rnd.failed, rnd.problems) == (0, [])
 
 
 def test_traced_layers_exist(perfbench):

@@ -142,6 +142,24 @@ def test_action_map_energy_identity(rng):
             assert H[k - 1] == pytest.approx(ref, rel=1e-10)
 
 
+def test_lax_K_is_the_C_odd_part_of_Y(rng):
+    # the maps take the C-odd part of Y as lax_Y(...).K: equal in value to
+    # gamma_split's Y_minus, at interior and near-wall points
+    from bcsuth.matkernel import gamma_split
+
+    cfg = SuiteConfig(suite="sutherland")
+    for n in range(1, 9):
+        for s in range(20):
+            params = sample_params(rng, n, cfg, force_kappa_zero=(s % 5 == 0))
+            pt = sample_sutherland(rng, n)
+            if s % 2:
+                q = pt.q.copy()
+                q[-1] = 10.0 ** rng.uniform(np.log10(2e-9), -3.0)
+                pt = SutherlandPoint(q=q, p=pt.p)
+            lax = lax_Y(pt, params)
+            assert np.array_equal(lax.K.m, gamma_split(lax.Y.m)[1])
+
+
 def test_action_map_reads_eigenvalues_only(rng, monkeypatch):
     # reference: the actions read off the Gplus frame route
     import bcsuth.matkernel as matkernel
