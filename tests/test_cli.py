@@ -89,6 +89,8 @@ def test_flow_row_count(tmp_path, capsys):
     assert code == 0
     lines = out_csv.read_text().splitlines()
     assert len(lines) == 2 + 101  # header comment + column row + T/dt + 1 states
+    stats = json.loads(lines[0][2:])["stats"]
+    assert stats["steps"] == 100 and stats["evaluations"] >= 100
     summary = json.loads(out)
     assert summary["rows"] == 101
 

@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 from bcsuth.duality import DUAL_PAIRING, backward_map, forward_map_full
-from bcsuth.dynamics import (FlowSpec, angle_linearity_check, default_monitors,
-                             fd_gradient, implicit_midpoint_step, integrate,
-                             poisson_bracket_fd, vector_field)
+import bcsuth.dynamics as dynamics
+from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
+                             default_monitors, fd_gradient,
+                             hamiltonian_function, implicit_midpoint_step,
+                             integrate, poisson_bracket_fd, vector_field)
 from bcsuth.errors import BoundaryApproachError, NonConvergenceError
-from bcsuth.params import DualPoint, SutherlandPoint, couplings_from_rsvd
+from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
+                           lambda_of_z)
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
-from bcsuth.verification import (SuiteConfig, run_suite, sample_lambda,
-                                 sample_params, sample_sutherland)
+from bcsuth.verification import (SuiteConfig, run_suite, sample_dual,
+                                 sample_lambda, sample_params,
+                                 sample_sutherland)
 
 P1 = couplings_from_rsvd(1.0, 2.0, 0.0, 1)
 CFG = SuiteConfig(suite="dynamics")
@@ -41,8 +47,6 @@ def test_flow_spec_requires_a_whole_number_of_steps():
 
 
 def _counting_fd_gradient(monkeypatch):
-    import bcsuth.dynamics as dynamics
-
     calls = []
 
     def counted(*args, **kwargs):
@@ -54,9 +58,10 @@ def _counting_fd_gradient(monkeypatch):
 
 def test_sweeps_stop_when_converged(rng, monkeypatch):
     # a typical orbit, its start drawn on the dual side: each sweep gains
-    # about two digits, so a step takes the Euler predictor and six or seven
-    # sweeps.  Newton belongs only to the few steps next to a wall, where a
-    # sweep shrinks the increment by less than half.
+    # about two digits, so a step from the Euler predictor takes about five
+    # evaluations of f (5.2 per step measured on such orbits).  Newton
+    # belongs only to the few steps next to a wall, where a sweep shrinks the
+    # increment by less than half.
     n = 2
     p = sample_params(rng, n, CFG)
     dual = DualPoint(lam=sample_lambda(rng, n, p),
@@ -262,8 +267,6 @@ def test_monitor_selection():
 
 
 def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
-    import bcsuth.dynamics as dynamics
-
     n = 2
     p = sample_params(rng, n, CFG)
     pt = sample_sutherland(rng, n, gap=0.15)
@@ -317,3 +320,154 @@ def test_fd_gradient_jacobian_of_vector_function():
     plain = np.max(np.abs(fd_gradient(cubic, x0, 1e-2) - exact))
     rich = np.max(np.abs(fd_gradient(cubic, x0, 1e-2, richardson=True) - exact))
     assert rich < 1e-3 * plain
+
+
+def _flow_start(rng, system, n, gradient="analytic", dt=1e-3, T=0.2):
+    """A flow and a start drawn on the dual side, its actions a controlled
+    distance inside the chamber."""
+    p = sample_params(rng, n, CFG)
+    dual = sample_dual(rng, n, p)
+    if system == "sutherland_H1":
+        pt = backward_map(dual, p)
+        flow = FlowSpec(system=system, chart="qp", dt=dt, T=T)
+        return flow, np.r_[pt.q, pt.p], p
+    flow = FlowSpec(system=system, chart="lambda_theta", dt=dt, T=T,
+                    gradient=gradient)
+    return flow, np.r_[dual.lam, dual.theta], p
+
+
+def _euler_started(flow, x0, p):
+    """The states of a loop of Euler-started implicit_midpoint_step calls."""
+    f = vector_field(flow, p)
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(int(round(flow.T / flow.dt))):
+        xs.append(implicit_midpoint_step(f, xs[-1], flow.dt))
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("system, gradient", [("sutherland_H1", "analytic"),
+                                              ("dual_H0", "analytic"),
+                                              ("dual_H0", "fd")])
+def test_extrapolated_start_reaches_the_same_fixed_point(rng, system, gradient):
+    # the start only moves the accepted state inside the residual bound, so
+    # the trajectory matches the Euler-started steps to roundoff
+    for n in (1, 2, 3):
+        flow, x0, p = _flow_start(rng, system, n, gradient)
+        traj = integrate(flow, x0, p)
+        ref = _euler_started(flow, x0, p)
+        assert (np.linalg.norm(traj.states[-1] - ref[-1])
+                <= 1e-11 * np.linalg.norm(ref[-1]))
+        if gradient == "fd":
+            continue  # the FD field's own noise sits near NEWTON_TOL
+        f = vector_field(flow, p)
+        for x0_, x1 in zip(traj.states[:-1], traj.states[1:]):
+            defect = x1 - x0_ - flow.dt * f(0.5 * (x0_ + x1))
+            assert (np.linalg.norm(defect)
+                    <= NEWTON_TOL * max(1.0, np.linalg.norm(x1)))
+
+
+def test_near_wall_dual_orbit_drift_unchanged(monkeypatch):
+    # seed 9's n = 3 dual orbit passes within 1.9e-6 of a chamber wall; its
+    # q drift (the dual_q_drift row) is the same with the Euler start
+    orbits = []
+
+    def capture(flow, x0, params):
+        traj = integrate(flow, x0, params)
+        if flow.system == "dual_H0":
+            orbits.append((flow, x0, params, traj))
+        return traj
+    monkeypatch.setattr(dynamics, "integrate", capture)
+    report = run_suite(SuiteConfig(suite="dynamics", seed=9))
+    monkeypatch.undo()
+    row, = [c for c in report.checks if c.name == "dynamics.dual_q_drift"]
+
+    def q_drift(traj):
+        n = traj.params.n
+        return max(float(np.max(np.abs(traj.monitors[f"q{j+1}"]
+                                       - traj.monitors[f"q{j+1}"][0])))
+                   for j in range(n))
+    flow, x0, params, traj = max(orbits, key=lambda o: q_drift(o[3]))
+    assert params.n == 3 and q_drift(traj) == row.max_residual
+    monkeypatch.setattr(dynamics, "START_ORDER", 1)
+    assert abs(q_drift(integrate(flow, x0, params)) - row.max_residual) <= 1e-15
+
+
+def test_extrapolated_start_halves_the_evaluations(rng, monkeypatch):
+    def evaluations(flow, x0, p, order):
+        monkeypatch.setattr(dynamics, "START_ORDER", order)
+        stats = integrate(flow, x0, p).stats
+        assert stats["steps"] == int(round(flow.T / flow.dt))
+        return stats["evaluations"]
+
+    order = dynamics.START_ORDER
+    # a 2000-step H_1 orbit near equilibrium, as verify's dynamics suite
+    # runs them (actions of |z| ~ 0.01): about 5.2 evaluations per step
+    # from the Euler predictor
+    n = 2
+    p = sample_params(rng, n, CFG)
+    z = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pt = backward_map(DualPoint(lam=lambda_of_z(z, p),
+                                theta=rng.uniform(0, 2 * np.pi, n)), p)
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=2.0)
+    assert evaluations(flow, np.r_[pt.q, pt.p], p, order) <= 3 * 2000
+    # a fast orbit that bounces off the walls: Newton takes more of its steps
+    flow, x0, p = _flow_start(rng, "sutherland_H1", 2, T=2.0)
+    assert (evaluations(flow, x0, p, order)
+            <= 0.7 * evaluations(flow, x0, p, 1))
+    flow, x0, p = _flow_start(rng, "dual_H0", 2, "fd")
+    assert (evaluations(flow, x0, p, order)
+            <= 0.65 * evaluations(flow, x0, p, 1))
+
+
+def test_trajectory_stats_count_the_integrator_work(rng, monkeypatch):
+    evals = []
+
+    def counting_field(flow, params):
+        f = vector_field(flow, params)
+
+        def counted(x):
+            evals.append(1)
+            return f(x)
+        return counted
+    monkeypatch.setattr(dynamics, "vector_field", counting_field)
+    jacobians = _counting_fd_gradient(monkeypatch)
+    flow, x0, p = _flow_start(rng, "sutherland_H1", 2, T=0.5)
+    traj = integrate(flow, x0, p)
+    assert set(traj.stats) == set(STATS)
+    assert traj.stats["steps"] == 500
+    assert traj.stats["evaluations"] == len(evals)
+    assert traj.stats["jacobians"] == len(jacobians)
+    header = json.loads(traj.to_csv().splitlines()[0][2:])
+    assert header["stats"] == traj.stats
+    # the stiff field of test_stalled_sweeps_fall_back_to_newton
+    A = np.array([[0.0, 1.0], [-225.0, 0.0]])
+    evals.clear()
+
+    def f(x):
+        evals.append(1)
+        return A @ x
+    stats = dict.fromkeys(STATS, 0)
+    implicit_midpoint_step(f, np.array([1.0, 0.5]), 0.1, stats=stats)
+    assert stats == {"steps": 1, "evaluations": len(evals), "jacobians": 1,
+                     "stalls": 0}
+
+
+def test_fd_gradient_matches_per_column_stencils(rng):
+    # the stencil offsets are the rows of h I; each column's values are the
+    # same bits as with one zero vector per column
+    def per_column(fn, x, h):
+        cols = []
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            cols.append(np.subtract(fn(x + e), fn(x - e)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    for n in (1, 2, 3):
+        for system in ("sutherland_H1", "dual_H0"):
+            flow, x0, p = _flow_start(rng, system, n, "fd")
+            H = hamiltonian_function(flow, p)
+            for h in (flow.fd_step, 1e-5):
+                assert np.array_equal(fd_gradient(H, x0, h), per_column(H, x0, h))
+                rich = (4.0 * per_column(H, x0, h / 2) - per_column(H, x0, h)) / 3.0
+                assert np.array_equal(fd_gradient(H, x0, h, richardson=True), rich)
