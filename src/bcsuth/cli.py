@@ -18,7 +18,7 @@ import numpy as np
 from . import verification
 from .duality import (backward_map_full, backward_residuals, forward_map_full,
                       round_trip_report)
-from .dynamics import FlowSpec, integrate
+from .dynamics import SYSTEMS, FlowSpec, integrate
 from .errors import (BcsuthError, BoundaryApproachError, DegenerateChartError,
                      DegenerateTorusError, DomainError, ParameterError)
 from .matkernel import structure_residual
@@ -105,7 +105,8 @@ def cmd_lax(args) -> int:
         lax = lax_Y(point, params)
         payload = _matrix_payload(lax.Y.m, tags=())
         payload["matrix"] = "Y"
-        payload["structure_residuals"] = {"gminus(K)": lax.K.residual()}
+        payload["structure_residuals"] = {
+            "gminus(K)": structure_residual(lax.K.m, "gminus")}
     elif args.side == "rsvd-global":
         z = _parse_complexes(args.z)
         M = L_tilde(z, params).m
@@ -233,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", parents=[common],
                        help="integrate a Hamiltonian flow to CSV")
     _add_param_args(p)
-    p.add_argument("--system", choices=("sutherland_H1", "sutherland_Hk",
-                                        "dual_H0", "dual_Hk"), required=True)
-    p.add_argument("--chart", choices=("qp", "lambda_theta"), required=True)
+    p.add_argument("--system", choices=tuple(SYSTEMS), required=True)
+    p.add_argument("--chart", choices=tuple(dict.fromkeys(SYSTEMS.values())),
+                   required=True)
     p.add_argument("--x0", required=True,
                    help="initial state, chart ordering (positions then momenta)")
     p.add_argument("--dt", type=float, default=1e-3)

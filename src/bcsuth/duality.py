@@ -321,8 +321,6 @@ def rank_of_dlambda(osc: OscillatorPoint, params: CouplingParams) -> int:
     upper = np.triu(np.ones((z.size, z.size)))
     J = 2.0 * np.hstack((upper * z.real, upper * z.imag))
     sv = np.linalg.svd(J, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
     return int(np.sum(sv > 1e-7 * sv[0]))
 
 

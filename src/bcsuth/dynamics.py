@@ -7,8 +7,9 @@ when the iteration stops contracting (an increment shrinks by less than half)
 does Newton with an FD Jacobian take over.  ``march`` starts each step's
 iteration from the polynomial extrapolation of the trajectory's last
 ``START_ORDER`` states, which leaves it fewer sweeps to go than the Euler
-predictor; only the first step starts from Euler.  The steps of the H_1 and
-dual H0 flows work on raw coordinate arrays and build no point value types.
+predictor; only the first step starts from x0, whose first sweep is the Euler
+predictor.  The steps of the H_1 and dual H0 flows work on raw coordinate
+arrays and build no point value types.
 
 Gradients are closed-form where a closed form is known,
 ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
@@ -44,10 +45,12 @@ from .params import (CouplingParams, DualPoint, SutherlandPoint,
 from .rsvd import _dual_H0_kernel, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
-SYSTEMS = ("sutherland_H1", "sutherland_Hk", "dual_H0", "dual_Hk")
-CHARTS = ("qp", "lambda_theta")
-#: systems with a closed-form gradient (``FlowSpec.gradient == "analytic"``)
-ANALYTIC_SYSTEMS = ("sutherland_H1", "dual_H0")
+#: each system and the chart it lives in
+SYSTEMS = {"sutherland_H1": "qp", "sutherland_Hk": "qp",
+           "dual_H0": "lambda_theta", "dual_Hk": "lambda_theta"}
+#: the closed-form gradients (``FlowSpec.gradient == "analytic"``), each a
+#: map (positions, momenta, params) -> (dH/dpositions, dH/dmomenta)
+GRADIENTS = {"sutherland_H1": grad_H1, "dual_H0": grad_dual_H0}
 #: implicit midpoint: relative residual to stop at, sweep and Newton
 #: iteration caps, and the FD step of the Newton Jacobian
 NEWTON_TOL = 1e-13
@@ -79,10 +82,9 @@ class FlowSpec:
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}; expected one of {SYSTEMS}")
-        if self.chart not in CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}; expected one of {CHARTS}")
-        chart = "qp" if self.system.startswith("sutherland") else "lambda_theta"
+            raise ValueError(f"unknown system {self.system!r}; "
+                             f"expected one of {tuple(SYSTEMS)}")
+        chart = SYSTEMS[self.system]
         if self.chart != chart:
             raise ValueError(f"system {self.system} is defined in the {chart} chart, "
                              f"not in {self.chart}")
@@ -96,9 +98,9 @@ class FlowSpec:
             raise ValueError("boundary_margin must be >= 0")
         if self.gradient not in ("analytic", "fd"):
             raise ValueError("gradient mode must be 'analytic' or 'fd'")
-        if self.gradient == "analytic" and self.system not in ANALYTIC_SYSTEMS:
+        if self.gradient == "analytic" and self.system not in GRADIENTS:
             raise ValueError(
-                f"analytic gradients exist only for {' and '.join(ANALYTIC_SYSTEMS)}; "
+                f"analytic gradients exist only for {' and '.join(GRADIENTS)}; "
                 "use gradient='fd' for the other systems")
         if self.system in ("sutherland_Hk", "dual_Hk") and self.k < 1:
             raise ValueError("k must be >= 1")
@@ -106,11 +108,10 @@ class FlowSpec:
 
 @dataclass
 class Trajectory:
-    """Times, chart-tagged states and sampled monitor series."""
+    """Times, states in the chart of ``flow`` and sampled monitor series."""
 
     times: np.ndarray
     states: np.ndarray
-    chart: str
     monitor_times: np.ndarray
     monitors: dict
     flow: FlowSpec
@@ -121,7 +122,7 @@ class Trajectory:
         """CSV rows t, state components, monitors; JSON header line with the
         flow settings and the integrator counters."""
         n = self.states.shape[1] // 2
-        if self.chart == "qp":
+        if self.flow.chart == "qp":
             cols = [f"q{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
         else:
             cols = [f"lambda{i+1}" for i in range(n)] + [f"theta{i+1}" for i in range(n)]
@@ -191,7 +192,7 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     s = 1.0 if flow.chart == "qp" else DUAL_PAIRING
     signs = np.r_[np.full(n, s), np.full(n, -s)]
     if flow.gradient == "analytic":
-        grad = grad_H1 if flow.system == "sutherland_H1" else grad_dual_H0
+        grad = GRADIENTS[flow.system]
 
         def f(x):
             dx, dy = grad(x[:n], x[n:], params)
@@ -208,8 +209,8 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
 def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
     """One implicit-midpoint step: x1 = x0 + dt f((x0 + x1)/2).
 
-    Fixed-point sweeps x_{k+1} = x0 + dt f((x0 + x_k)/2) start from ``start``
-    if given and from the Euler predictor x0 + dt f(x0) otherwise.  The
+    Fixed-point sweeps x_{k+1} = x0 + dt f((x0 + x_k)/2) start from ``start``,
+    by default x0, whose first sweep is the Euler predictor x0 + dt f(x0).  The
     increment |x_{k+1} - x_k| is the residual of x_k, and x_{k+1} is returned
     as soon as that increment is at most ``NEWTON_TOL`` * max(1, |x_{k+1}|)
     (Hairer-Lubich-Wanner, Geometric Numerical Integration, VIII.6).  Only
@@ -221,7 +222,8 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
     NonConvergenceError.  ``stats``, a dict keyed by ``STATS``, gets the
     step's counts added.
     """
-    x1, evals, jacobians, stalls = _solve(f, np.asarray(x0, dtype=float), dt, start)
+    x0 = np.asarray(x0, dtype=float)
+    x1, evals, jacobians, stalls = _solve(f, x0, dt, x0 if start is None else start)
     if stats is not None:
         stats["steps"] += 1
         stats["evaluations"] += evals
@@ -231,12 +233,9 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
 
 
 def _solve(f, x0, dt, x1):
-    """The iteration of ``implicit_midpoint_step`` from x1 (None: the Euler
-    predictor); returns (x1, f evaluations, Jacobians built, stalls accepted)."""
+    """The iteration of ``implicit_midpoint_step`` from x1; returns (x1,
+    f evaluations, Jacobians built, stalls accepted)."""
     evals = 0
-    if x1 is None:
-        x1 = x0 + dt * f(x0)
-        evals = 1
     last = math.inf
     for _ in range(MAX_ITER):
         x_next = x0 + dt * f(0.5 * (x0 + x1))
@@ -280,8 +279,8 @@ def march(f, x0, dt, stats=None):
     off the step's solution by O(dt^m), against O(dt^2) for the Euler
     predictor, so fewer sweeps reach the tolerance; the accepted state meets
     the same residual bound.  While fewer than m states exist the order is
-    lower, and the first step starts from Euler.  ``stats`` is passed to every
-    ``implicit_midpoint_step``.
+    lower; the first step's order-1 start is x0 itself, whose first sweep is
+    the Euler predictor.  ``stats`` is passed to every ``implicit_midpoint_step``.
     """
     x = np.asarray(x0, dtype=float)
     m = START_ORDER
@@ -291,7 +290,7 @@ def march(f, x0, dt, stats=None):
     recent[0] = x
     k = 1
     while True:
-        start = weights[k] @ recent[:k] if k > 1 else None
+        start = weights[k] @ recent[:k]
         x = implicit_midpoint_step(f, x, dt, start, stats)
         recent[1:] = recent[:-1]
         recent[0] = x
@@ -348,28 +347,24 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     for step in range(1, nsteps + 1):
         x = next(steps)
         states[step] = x
-        status = chart_membership(x[:n].tolist(), flow.chart, params,
-                                  flow.boundary_margin)
-        if status != "inside":
-            partial = Trajectory(
-                times=times[: step + 1], states=states[: step + 1],
-                chart=flow.chart,
-                monitor_times=times[np.asarray(mon_idx, dtype=int)],
-                monitors={k: np.asarray(v) for k, v in mon_vals.items()},
-                flow=flow, params=params, stats=stats)
-            raise BoundaryApproachError(
-                f"state approached a domain wall at t = {times[step]!r}",
-                partial=partial)
+        inside = chart_membership(x[:n].tolist(), flow.chart, params,
+                                  flow.boundary_margin) == "inside"
+        if not inside:
+            break
         if step % flow.monitor_stride == 0 or step == nsteps:
             mon_idx.append(step)
             vals = monitor(x)
             for name, series in mon_vals.items():
                 series.append(vals[name])
-    return Trajectory(
-        times=times, states=states, chart=flow.chart,
+    traj = Trajectory(
+        times=times[: step + 1], states=states[: step + 1],
         monitor_times=times[np.asarray(mon_idx, dtype=int)],
         monitors={k: np.asarray(v) for k, v in mon_vals.items()},
         flow=flow, params=params, stats=stats)
+    if not inside:
+        raise BoundaryApproachError(
+            f"state approached a domain wall at t = {times[step]!r}", partial=traj)
+    return traj
 
 
 def poisson_bracket_fd(fas, fbs, x, step: float = 1e-5,
@@ -395,7 +390,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
     as well as with its duality-calibrated value -DUAL_PAIRING * dH/dlambda.  Also
     reports the action drift and flags too-coarse sampling (unwrap hazard).
     """
-    if traj.chart != "qp":
+    if traj.flow.chart != "qp":
         raise ValueError("angle linearity is measured on qp-chart trajectories")
     n = params.n
     stride = max(1, traj.flow.monitor_stride)

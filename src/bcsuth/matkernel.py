@@ -104,21 +104,12 @@ def structure_residual(X, tag: str) -> float:
 
 @dataclass(frozen=True)
 class StructuredMatrix:
-    """An N x N complex matrix with an optional structure tag."""
+    """An N x N complex matrix."""
 
     m: np.ndarray
-    tag: str | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        object.__setattr__(self, "m", m)
-        if self.tag is not None and self.tag not in STRUCTURE_TAGS:
-            raise ValueError(f"unknown structure tag {self.tag!r}")
-
-    def residual(self) -> float:
-        if self.tag is None:
-            return 0.0
-        return structure_residual(self.m, self.tag)
+        object.__setattr__(self, "m", np.asarray(self.m, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -165,11 +156,9 @@ def _fix_frame_phases(g: np.ndarray) -> np.ndarray:
     for j in range(n):
         col = g[:, j]
         k = int(np.argmax(np.abs(col)))
-        a = col[k]
-        if a != 0:
-            phase = a / abs(a)
-            g[:, j] = col / phase
-            g[:, n + j] = g[:, n + j] / phase
+        phase = col[k] / abs(col[k])
+        g[:, j] = col / phase
+        g[:, n + j] = g[:, n + j] / phase
     return g
 
 
@@ -245,7 +234,7 @@ def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     err = float(np.linalg.norm(recon - Y))
     if err > 1e-8 * max(1.0, scale):
         raise PairingError(f"pair diagonalization reconstruction residual {err:.3e}")
-    return PairedSpectrum(values=d, frame=StructuredMatrix(g, "Gplus"))
+    return PairedSpectrum(values=d, frame=StructuredMatrix(g))
 
 
 def cartan_decompose_gminus(B):
@@ -275,7 +264,7 @@ def cartan_decompose_gminus(B):
     err = float(np.linalg.norm(recon - B))
     if err > 1e-7:
         raise PairingError(f"Cartan reconstruction residual {err:.3e}")
-    return StructuredMatrix(eta, "Gplus"), q
+    return StructuredMatrix(eta), q
 
 
 def _perm_parity(perm) -> int:

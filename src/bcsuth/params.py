@@ -250,31 +250,20 @@ def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARG
     raise TypeError("domain_membership expects a SutherlandPoint or DualPoint")
 
 
-def require_inside(point, params: CouplingParams):
-    """Raise DomainError (with the failing inequality) unless inside with
+def require_inside(pos: list, chart: str, params: CouplingParams):
+    """Raise DomainError, naming the failing inequality, unless the positions
+    ``pos`` (as for :func:`chart_membership`) are inside their chart with
     slack > DOMAIN_MARGIN."""
-    if isinstance(point, DualPoint):
-        require_chamber(point.lam.tolist(), params)
-        return
-    status = domain_membership(point, params)
+    status = chart_membership(pos, chart, params)
     if status == "inside":
         return
-    raise DomainError(
-        f"q must satisfy pi/2 > q1 > ... > qn > 0 with slack > {DOMAIN_MARGIN}; "
-        f"point is {status} (q = {point.q.tolist()})"
-    )
-
-
-def require_chamber(lam: list, params: CouplingParams):
-    """:func:`require_inside` for a spectrum given as a list of floats."""
-    status = chart_membership(lam, "lambda_theta", params)
-    if status == "inside":
-        return
-    raise DomainError(
-        f"lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
-        f"lambda_n > nu with slack > {DOMAIN_MARGIN}; "
-        f"point is {status} (lambda = {lam})"
-    )
+    if chart == "qp":
+        rule, name = "q must satisfy pi/2 > q1 > ... > qn > 0", "q"
+    else:
+        rule, name = ("lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
+                      "lambda_n > nu"), "lambda"
+    raise DomainError(f"{rule} with slack > {DOMAIN_MARGIN}; "
+                      f"point is {status} ({name} = {pos})")
 
 
 def strongly_regular(lam, params: CouplingParams, margin: float = REGULARITY_MARGIN) -> bool:
@@ -323,8 +312,8 @@ def z_from_angles(dual: DualPoint, params: CouplingParams) -> OscillatorPoint:
     z_j = sqrt(lambda_j - lambda_{j+1} - 2*mu) * prod_{a<=j} e^{i*theta_a} for
     j < n and z_n = sqrt(lambda_n - nu) * prod_{a<=n} e^{i*theta_a}.
     """
-    require_inside(dual, params)
     lam, theta = dual.lam, dual.theta
+    require_inside(lam.tolist(), "lambda_theta", params)
     gaps = np.concatenate((lam[:-1] - lam[1:] - 2 * params.mu, [lam[-1] - params.nu]))
     phases = np.exp(1j * np.cumsum(theta))
     return OscillatorPoint(z=np.sqrt(gaps) * phases)

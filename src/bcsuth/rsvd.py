@@ -13,10 +13,11 @@ The central objects:
 * ``F_squared_branches`` / ``w_system_residual``  the quadratic system obeyed
                     by the moduli |F_k|^2 and its two closed-form branches.
 
-Every removable singularity of the raw formulas (the lambda_n = mu entry and
-the sub/superdiagonal entries at vanishing z components) is implemented by its
+Every removable singularity of the raw formulas is implemented by its
 explicitly cancelled form, so all functions here are smooth on their stated
-domains.
+domains: the sub/superdiagonal entries at vanishing z components carry the
+|z|^2 factors cancelled, and the (n, 2n) entry at lambda_n = mu has its
+vanishing factor lambda_n - mu divided out algebraically, with no branch.
 """
 
 from __future__ import annotations
@@ -29,16 +30,10 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .matkernel import StructuredMatrix, exchange_matrix
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
-                     require_chamber, require_inside, strongly_regular,
-                     z_from_angles)
+                     require_inside, strongly_regular, z_from_angles)
 
 #: bound of A_check's optional unitarity and commutator checks
 SELFCHECK_TOL = 1e-8
-
-# Gauss-Legendre nodes/weights on [0, 1], used for the cancelled diagonal entry
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,10 @@ def h_matrix(lam, params: CouplingParams) -> DualFrame:
 
     alpha(x) = sqrt(x + sqrt(x^2 - kappa^2)) / sqrt(2x) and
     beta(x) = kappa / (sqrt(2x) * sqrt(x + sqrt(x^2 - kappa^2))); for kappa = 0
-    they reduce to alpha = 1, beta = 0 and h is the identity.  The identities
-    alpha^2 + beta^2 = 1 and h diag(lambda, -lambda) h^T = diag(d, -d) - kappa*C
-    are measured by the verify row ``rsvd.h_frame_identity``.
+    they are exactly alpha = 1, beta = 0 in floating point (sqrt(x^2) = x and
+    x/x = 1), so h is the identity.  The identities alpha^2 + beta^2 = 1 and
+    h diag(lambda, -lambda) h^T = diag(d, -d) - kappa*C are measured by the
+    verify row ``rsvd.h_frame_identity``.
     """
     lam = np.asarray(lam, dtype=float)
     kappa = params.kappa
@@ -65,19 +61,14 @@ def h_matrix(lam, params: CouplingParams) -> DualFrame:
         raise DomainError(
             f"every lambda_j must be >= |kappa| = {abs(kappa)}, got {lam.tolist()}"
         )
-    n = lam.size
-    if kappa == 0.0:
-        alpha = np.ones(n)
-        beta = np.zeros(n)
-    else:
-        root = np.sqrt(lam**2 - kappa**2)
-        alpha = np.sqrt(lam + root) / np.sqrt(2.0 * lam)
-        beta = kappa / (np.sqrt(2.0 * lam) * np.sqrt(lam + root))
+    root = np.sqrt(lam**2 - kappa**2)
+    alpha = np.sqrt(lam + root) / np.sqrt(2.0 * lam)
+    beta = kappa / (np.sqrt(2.0 * lam) * np.sqrt(lam + root))
     h = np.block([
         [np.diag(alpha), np.diag(beta)],
         [np.diag(-beta), np.diag(alpha)],
     ]).astype(complex)
-    return DualFrame(h=StructuredMatrix(h, "Gminus"), alpha=alpha, beta=beta)
+    return DualFrame(h=StructuredMatrix(h), alpha=alpha, beta=beta)
 
 
 def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:
@@ -85,9 +76,10 @@ def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:
 
     f_c carries the factors (1 - nu/lambda_c) and (1 -+ 2mu/(lambda_c -+ lambda_a)),
     f_{n+c} = e^{i theta_c} times the analogous plus-sign factors.  Requires a
-    strictly interior dual point; |f|^2 = N is checked.
+    strictly interior dual point.  The sum rule |f|^2 = N is measured by the
+    verify rows ``rsvd.sum_plus`` and ``rsvd.f_moduli_vs_branch``.
     """
-    require_inside(dual, params)
+    require_inside(dual.lam.tolist(), "lambda_theta", params)
     lam, theta = dual.lam, dual.theta
     n = dual.n
     mu, nu = params.mu, params.nu
@@ -104,9 +96,6 @@ def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:
             raise DomainError("square-root factor went negative; point too close to a wall")
         f[c] = np.sqrt(minus)
         f[n + c] = np.exp(1j * theta[c]) * np.sqrt(plus)
-    norm_defect = abs(float(np.vdot(f, f).real) - 2 * n)
-    if norm_defect > 1e-9 * (2 * n):
-        raise ConsistencyError(f"|f|^2 deviates from N by {norm_defect:.3e}")
     return f
 
 
@@ -238,37 +227,24 @@ def phi_vector(z, params: CouplingParams) -> np.ndarray:
 def _diag_entry_n2n(lam, params: CouplingParams) -> float:
     """The cancelled (n, 2n) entry of A_tilde, smooth through lambda_n = mu.
 
-    Direct form [(mu - nu) - mu(lambda_n - nu) gtil(lambda_n)] / (lambda_n - mu)
-    with gtil(x) = (1/x) prod_a ((x - 2mu)^2 - lambda_a^2)/(x^2 - lambda_a^2);
-    the numerator vanishes at lambda_n = mu, and near that point the ratio is
-    evaluated as the integral of the numerator's derivative (Gauss-Legendre),
-    which is exact to roundoff on the tiny bracketing interval.
+    Direct form [(mu - nu) - mu(x - nu) gtil(x)] / d with x = lambda_n,
+    d = x - mu and
+    gtil(x) = (1/x) prod_{a<n} ((x - 2mu)^2 - lambda_a^2) / (x^2 - lambda_a^2).
+    Each factor of gtil is 1 + d c_a with c_a = -4mu/(x^2 - lambda_a^2), and
+    mu(x - nu)/x = (mu - nu) + d nu/x.  With P the product of the factors and
+    S = sum_a c_a prod_{b<a} (1 + d c_b), so that P - 1 = d S, the numerator
+    is -d [(mu - nu) S + (nu/x) P], and d divides out exactly.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float).tolist()
     mu, nu = params.mu, params.nu
-    x_n = lam[-1]
-    head = lam[:-1]
-
-    def gtil(x):
-        val = 1.0 / x
-        if head.size:
-            val *= np.prod(((x - 2 * mu) ** 2 - head**2) / (x**2 - head**2))
-        return val
-
-    def dnum(x):
-        # derivative of (mu - nu) - mu * (x - nu) * gtil(x)
-        gt = gtil(x)
-        logder = -1.0 / x
-        if head.size:
-            logder += np.sum(2 * (x - 2 * mu) / ((x - 2 * mu) ** 2 - head**2)
-                             - 2 * x / (x**2 - head**2))
-        return -mu * (gt + (x - nu) * gt * logder)
-
-    gap = x_n - mu
-    if abs(gap) >= 1e-3 * max(1.0, mu):
-        return ((mu - nu) - mu * (x_n - nu) * gtil(x_n)) / gap
-    nodes = mu + _GL_X * gap
-    return float(np.sum(_GL_W * np.array([dnum(x) for x in nodes])))
+    x = lam[-1]
+    d = x - mu
+    P, S = 1.0, 0.0
+    for y in lam[:-1]:
+        c = -4 * mu / ((x - y) * (x + y))
+        S += c * P
+        P *= 1 + d * c
+    return -((mu - nu) * S + nu / x * P)
 
 
 def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
@@ -318,7 +294,7 @@ def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
             else:
                 A[n + a, n + b] = (2 * mu * zprev[a].conj() * z[b] * g[n + a] * g[b]
                                   / (lam[a] - lam[b] + 2 * mu))
-    return StructuredMatrix(A, "Gminus")
+    return StructuredMatrix(A)
 
 
 def L_tilde(z, params: CouplingParams) -> StructuredMatrix:
@@ -326,7 +302,7 @@ def L_tilde(z, params: CouplingParams) -> StructuredMatrix:
     z = np.asarray(z, dtype=complex)
     lam = lambda_of_z(z, params)
     h = h_matrix(lam, params).h.m
-    return StructuredMatrix(h @ A_tilde(z, params).m @ h, "Gminus")
+    return StructuredMatrix(h @ A_tilde(z, params).m @ h)
 
 
 def dual_Hk(z, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
@@ -386,7 +362,7 @@ def A_check(dual: DualPoint, params: CouplingParams,
         rcomm = commutator_residual(A, f_vector(dual, params), dual.lam, params)
         if rcomm > SELFCHECK_TOL:
             raise ConsistencyError(f"A_check commutator-identity residual {rcomm:.3e}")
-    return StructuredMatrix(A, "Gminus")
+    return StructuredMatrix(A)
 
 
 def commutator_residual(A, F, lam, params: CouplingParams) -> float:
@@ -465,7 +441,7 @@ def _dual_H0_kernel(lam, theta, params: CouplingParams) -> float:
     it, so the value is the one ``dual_H0`` returns bit for bit.
     """
     lam = np.asarray(lam, dtype=float).tolist()
-    require_chamber(lam, params)
+    require_inside(lam, "lambda_theta", params)
     cos = []
     for t in np.asarray(theta, dtype=float).tolist():
         t %= TWO_PI
@@ -502,7 +478,7 @@ def grad_dual_H0(lam, theta, params: CouplingParams) -> tuple[np.ndarray, np.nda
     """
     lam = np.asarray(lam, dtype=float).tolist()
     theta = np.asarray(theta, dtype=float).tolist()
-    require_chamber(lam, params)
+    require_inside(lam, "lambda_theta", params)
     w, _, G, dP = _h0_weights(lam, [1.0] * len(lam), params, grad=True)
     c = params.nu * params.kappa / (4 * params.mu**2)
     cw = [math.cos(t) * wj for t, wj in zip(theta, w)]

@@ -45,7 +45,7 @@ def lax_K(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     + kappa*cot(2 q_j), B_jk = mu / sin(q_j + q_k).  Built so the structure
     relations hold exactly in floating point.
     """
-    require_inside(point, params)
+    require_inside(point.q.tolist(), "qp", params)
     q, p = point.q, point.p
     n = point.n
     mu, nu, kappa = params.mu, params.nu, params.kappa
@@ -69,7 +69,7 @@ def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:
     """Full Lax matrix Y = K - i*kappa*C at a strictly interior point."""
     K = lax_K(point, params)
     Y = K - 1j * params.kappa * exchange_matrix(point.n)
-    return SutherlandLax(Y=StructuredMatrix(Y), K=StructuredMatrix(K, "gminus"))
+    return SutherlandLax(Y=StructuredMatrix(Y), K=StructuredMatrix(K))
 
 
 def closed_form_H1(point: SutherlandPoint, params: CouplingParams) -> float:

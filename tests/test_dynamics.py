@@ -110,6 +110,21 @@ def test_stalled_sweeps_fall_back_to_newton(monkeypatch):
         implicit_midpoint_step(lambda x: 1.0 + x**2, np.array([0.0]), 2.0)
 
 
+def test_default_start_is_the_euler_predictor(rng):
+    # the first sweep from x0 evaluates f at (x0 + x0)/2 = x0, which is the
+    # Euler predictor bit for bit, so the step is the one started from it
+    for system in ("sutherland_H1", "dual_H0"):
+        for n in (1, 2, 3):
+            flow, x, p = _flow_start(rng, system, n)
+            f = vector_field(flow, p)
+            for _ in range(50):
+                x1 = implicit_midpoint_step(f, x, flow.dt)
+                euler = implicit_midpoint_step(f, x, flow.dt,
+                                               start=x + flow.dt * f(x))
+                assert np.array_equal(x1, euler)
+                x = x1
+
+
 def test_time_reversal_returns_to_start():
     # verify's 2000-step H_1 orbits at n = 1, 2, 3, stepped back with the same
     # rule; steps solved to the tolerance retrace them to roundoff

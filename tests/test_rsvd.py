@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
 from bcsuth.params import DualPoint, couplings_from_rsvd, z_from_angles
 from bcsuth.rsvd import (A_check, A_check_direct, A_tilde, F_squared_branches,
-                         L_tilde, _dual_H0_kernel, appendix_chain,
+                         L_tilde, _diag_entry_n2n, _dual_H0_kernel, appendix_chain,
                          commutator_residual, dual_H0, dual_Hk, f_vector,
                          g_functions, grad_dual_H0, h_matrix, m_of_theta,
                          phi_vector, w_system_residual, w_weights)
@@ -19,9 +20,16 @@ P1 = couplings_from_rsvd(1.0, 2.0, 0.0, 1)
 CFG = SuiteConfig(suite="rsvd")
 
 
-def test_h_matrix_identity_for_kappa_zero():
+def test_h_matrix_identity_for_kappa_zero(rng):
     frame = h_matrix([5.0, 3.0], couplings_from_rsvd(1.0, 2.0, 0.0, 2))
     assert np.array_equal(frame.h.m, np.eye(4))
+    # the general profiles are exactly alpha = 1, beta = 0 at kappa = 0:
+    # sqrt(lambda^2) = lambda and x/x = 1 in floating point
+    for n in range(1, 9):
+        p = couplings_from_rsvd(1.0, 2.0, 0.0, n)
+        for _ in range(50):
+            lam = np.sort(10.0 ** rng.uniform(-4.0, 4.0, n))[::-1]
+            assert np.array_equal(h_matrix(lam, p).h.m, np.eye(2 * n))
 
 
 def test_h_matrix_profile_values():
@@ -36,7 +44,7 @@ def test_h_matrix_is_Gminus(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
         dual = sample_dual(rng, n, p)
-        assert h_matrix(dual.lam, p).h.residual() < 1e-12
+        assert structure_residual(h_matrix(dual.lam, p).h.m, "Gminus") < 1e-12
 
 
 def test_h_matrix_rejects_small_lambda():
@@ -277,6 +285,44 @@ def test_L_tilde_smooth_through_removable_singularity():
                       np.sqrt(p.mu + eps - p.nu) * np.exp(0.3j)])
         L = L_tilde(z, p).m
         assert structure_residual(L, "unitary") < 1e-12
+
+
+def _diag_entry_n2n_mp(lam, params):
+    """The (n, 2n) entry of A_tilde from its direct quotient at 50 digits,
+    and at lambda_n = mu from the derivative of the numerator there."""
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        mu, nu = mp.mpf(params.mu), mp.mpf(params.nu)
+        head = [mp.mpf(y) for y in lam[:-1]]
+
+        def num(x):
+            gtil = 1 / x
+            for y in head:
+                gtil *= ((x - 2 * mu) ** 2 - y**2) / (x**2 - y**2)
+            return (mu - nu) - mu * (x - nu) * gtil
+        x = mp.mpf(lam[-1])
+        return mp.diff(num, mu) if x == mu else num(x) / (x - mu)
+
+
+def test_diag_entry_n2n_matches_mpmath_near_lambda_n_equal_mu(rng):
+    # the removable singularity at lambda_n = mu is divided out exactly, so
+    # the entry keeps full precision at every distance from it
+    worst = 0.0
+    for n in (1, 2, 3, 4):
+        for i in range(400):
+            mu = 10.0 ** rng.uniform(-1.0, 1.0)
+            nu = mu * rng.uniform(0.05, 0.95)
+            p = couplings_from_rsvd(mu, nu, rng.uniform(-0.9, 0.9) * nu, n)
+            gap = 0.0 if i < 20 else 10.0 ** rng.uniform(-12.0, 0.0) * max(1.0, mu)
+            x = mu - gap if mu - gap >= nu and rng.uniform() < 0.5 else mu + gap
+            lam = np.empty(n)
+            lam[-1] = x
+            for k in range(n - 2, -1, -1):
+                lam[k] = lam[k + 1] + 2 * mu + rng.uniform(0.0, 3.0) * max(1.0, mu)
+            exact = _diag_entry_n2n_mp(lam, p)
+            err = abs((_diag_entry_n2n(lam, p) - exact) / exact)
+            worst = max(worst, float(err))
+    assert worst <= 1e-15
 
 
 def test_L_tilde_spectrum_matches_angle_chart(rng):
