@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateTorusError, DomainError
-from .matkernel import exchange_matrix, exp_iQ, cartan_decompose_gminus, \
-    pair_diagonalize_gminus
+from .matkernel import exchange_matrix, exp_iQ, exp_iQ_diagonal, \
+    cartan_decompose_gminus, pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, canonical_angle, chart_membership)
 from .rsvd import (A_check, F_squared_branches, dual_H0, f_vector, h_matrix)
@@ -63,7 +63,7 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
         )
     g = spec.frame.m
     h = h_matrix(lam, params).h.m
-    F = h.T @ (g.conj().T @ (exp_iQ(point.q).conj() @ real_constraint_vector(n)))
+    F = h.T @ (g.conj().T @ (exp_iQ_diagonal(point.q).conj() * real_constraint_vector(n)))
     theta = canonical_angle(np.angle(F[n:]) - np.angle(F[:n]))
     return DualPoint(lam=lam, theta=theta), F
 
@@ -109,7 +109,7 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
             f"recovered q = {q.tolist()} is {qpoint_probe} relative to the "
             "open Sutherland chamber")
 
-    y = eta @ exp_iQ(q) @ eta.conj().T
+    y = (eta * exp_iQ_diagonal(q)) @ eta.conj().T
     V = y @ (h @ f)
     Vpp = eta.conj().T @ V
     u = Vpp[:n]
@@ -120,10 +120,10 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
             f"gauge-fixed constraint vector malformed: |u|-1 defect "
             f"{unit_defect:.3e}, mirror defect {mirror_defect:.3e}")
 
-    Lam = np.diag(np.r_[dual.lam, -dual.lam]).astype(complex)
-    Y = 1j * (h @ Lam @ h.conj().T)
+    Y = 1j * ((h * np.concatenate((dual.lam, -dual.lam))) @ h.conj().T)
     Ypp = eta.conj().T @ Y @ eta
-    zeta = np.r_[u.conj() / np.abs(u), u.conj() / np.abs(u)]
+    zeta = u.conj() / np.abs(u)
+    zeta = np.concatenate((zeta, zeta))
     Yfinal = (zeta[:, None] * Ypp) * zeta.conj()[None, :]
     p = np.imag(np.diag(Yfinal)[:n])
     point = SutherlandPoint(q=q, p=p)

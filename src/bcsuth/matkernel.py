@@ -42,26 +42,26 @@ STRUCTURE_TAGS = ("unitary", "Gplus", "Gminus", "gplus", "gminus")
 def exchange_matrix(n: int) -> np.ndarray:
     """The 2n x 2n Hermitian unitary C with identity off-diagonal blocks."""
     C = np.zeros((2 * n, 2 * n), dtype=complex)
-    C[:n, n:] = np.eye(n)
-    C[n:, :n] = np.eye(n)
+    C[:n, n:] = C[n:, :n] = np.eye(n)
     return C
-
-
-def _swap_index(n: int) -> np.ndarray:
-    return np.r_[n : 2 * n, 0:n]
 
 
 def conj_by_C(X: np.ndarray) -> np.ndarray:
     """C X C computed as an exact index permutation (no float arithmetic)."""
     n = X.shape[0] // 2
-    idx = _swap_index(n)
-    return X[np.ix_(idx, idx)]
+    idx = np.arange(-n, n)  # -n..-1 index the second half: the halves swapped
+    return X[idx[:, None], idx]
 
 
 def exp_iQ(q) -> np.ndarray:
     """Diagonal unitary exp(i*diag(q, -q))."""
+    return np.diag(exp_iQ_diagonal(q))
+
+
+def exp_iQ_diagonal(q) -> np.ndarray:
+    """The diagonal exp(i*(q, -q)) of :func:`exp_iQ`, for broadcasting."""
     q = np.asarray(q, dtype=float)
-    return np.diag(np.exp(1j * np.r_[q, -q]))
+    return np.exp(1j * np.concatenate((q, -q)))
 
 
 def structure_residual(X, tag: str) -> float:
@@ -152,14 +152,9 @@ def _fix_frame_phases(g: np.ndarray) -> np.ndarray:
     inside Gplus (this is exactly the residual Z freedom).
     """
     n = g.shape[0] // 2
-    g = g.copy()
-    for j in range(n):
-        col = g[:, j]
-        k = int(np.argmax(np.abs(col)))
-        phase = col[k] / abs(col[k])
-        g[:, j] = col / phase
-        g[:, n + j] = g[:, n + j] / phase
-    return g
+    peak = g[np.argmax(np.abs(g[:, :n]), axis=0), np.arange(n)]
+    phase = peak / np.abs(peak)
+    return g / np.concatenate((phase, phase))
 
 
 def _pair_zero_modes(basis: np.ndarray, C: np.ndarray, context: str) -> list[np.ndarray]:
@@ -230,7 +225,7 @@ def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     d, g = _pair_spectrum(*np.linalg.eigh(-1j * Y), (0.0,), PAIR_TOL, scale,
                           "pair_diagonalize_gminus")
 
-    recon = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
+    recon = (g * (1j * np.concatenate((d, -d)))) @ g.conj().T
     err = float(np.linalg.norm(recon - Y))
     if err > 1e-8 * max(1.0, scale):
         raise PairingError(f"pair diagonalization reconstruction residual {err:.3e}")
@@ -260,7 +255,7 @@ def cartan_decompose_gminus(B):
     q, eta = _pair_spectrum(q, Zs, (0.0, math.pi / 2), PAIR_TOL, 1.0,
                             "cartan_decompose_gminus")
 
-    recon = eta @ exp_iQ(2.0 * q) @ eta.conj().T
+    recon = (eta * exp_iQ_diagonal(2.0 * q)) @ eta.conj().T
     err = float(np.linalg.norm(recon - B))
     if err > 1e-7:
         raise PairingError(f"Cartan reconstruction residual {err:.3e}")

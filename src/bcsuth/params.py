@@ -298,12 +298,13 @@ def lambda_of_z(z, params: CouplingParams):
 
     Smooth on all of C^n; the image is the closure of the dual chamber.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    zsq = np.abs(z) ** 2
-    tails = np.cumsum(zsq[::-1])[::-1]
-    k = np.arange(1, n + 1)
-    return params.nu + 2.0 * (n - k) * params.mu + tails
+    sq = (np.abs(np.asarray(z, dtype=complex)) ** 2).tolist()
+    n = len(sq)
+    lam, tail = [0.0] * n, 0.0
+    for k in range(n - 1, -1, -1):  # the tail sums, accumulated from the end
+        tail += sq[k]
+        lam[k] = params.nu + 2.0 * (n - 1 - k) * params.mu + tail
+    return np.array(lam)
 
 
 def z_from_angles(dual: DualPoint, params: CouplingParams) -> OscillatorPoint:

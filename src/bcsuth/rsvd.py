@@ -13,11 +13,13 @@ The central objects:
 * ``F_squared_branches`` / ``w_system_residual``  the quadratic system obeyed
                     by the moduli |F_k|^2 and its two closed-form branches.
 
-Every removable singularity of the raw formulas is implemented by its
-explicitly cancelled form, so all functions here are smooth on their stated
-domains: the sub/superdiagonal entries at vanishing z components carry the
-|z|^2 factors cancelled, and the (n, 2n) entry at lambda_n = mu has its
-vanishing factor lambda_n - mu divided out algebraically, with no branch.
+Both core matrices are one Cauchy-like expression, with L = (lambda, -lambda):
+entry (j, k) = [2mu F_j conj((CF)_k) - 2(mu - nu) C_jk] / (2mu + L_k - L_j),
+at F = f (``A_from_F``) or at its gauge transform F = phi(z) (``A_tilde``).
+On C^n exactly 2n - 1 denominators can vanish, each with its numerator, and
+``A_tilde`` writes those entries in cancelled form: the (1,1)-block
+superdiagonal and (2,2)-block subdiagonal, where |z_a|^2 = lambda_a -
+lambda_{a+1} - 2mu cancels, and the (n, 2n) entry, where lambda_n - mu does.
 """
 
 from __future__ import annotations
@@ -55,20 +57,26 @@ def h_matrix(lam, params: CouplingParams) -> DualFrame:
     h diag(lambda, -lambda) h^T = diag(d, -d) - kappa*C are measured by the
     verify row ``rsvd.h_frame_identity``.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float).tolist()
     kappa = params.kappa
-    if np.any(lam < abs(kappa)):
+    if any(x < abs(kappa) for x in lam):
         raise DomainError(
-            f"every lambda_j must be >= |kappa| = {abs(kappa)}, got {lam.tolist()}"
+            f"every lambda_j must be >= |kappa| = {abs(kappa)}, got {lam}"
         )
-    root = np.sqrt(lam**2 - kappa**2)
-    alpha = np.sqrt(lam + root) / np.sqrt(2.0 * lam)
-    beta = kappa / (np.sqrt(2.0 * lam) * np.sqrt(lam + root))
-    h = np.block([
-        [np.diag(alpha), np.diag(beta)],
-        [np.diag(-beta), np.diag(alpha)],
-    ]).astype(complex)
-    return DualFrame(h=StructuredMatrix(h), alpha=alpha, beta=beta)
+    alpha, beta = [], []
+    for x in lam:
+        s = math.sqrt(x + math.sqrt(x * x - kappa * kappa))
+        r = math.sqrt(2.0 * x)
+        alpha.append(s / r)
+        beta.append(kappa / (r * s))
+    n = len(lam)
+    N = 2 * n
+    h = np.zeros((N, N), dtype=complex)
+    flat = h.reshape(-1)  # diagonals of the four n x n blocks, as strided slices
+    flat[::N + 1] = alpha + alpha
+    flat[n:n * N:N + 1] = beta
+    flat[n * N::N + 1] = [-b for b in beta]
+    return DualFrame(h=StructuredMatrix(h), alpha=np.array(alpha), beta=np.array(beta))
 
 
 def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:
@@ -79,23 +87,23 @@ def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:
     strictly interior dual point.  The sum rule |f|^2 = N is measured by the
     verify rows ``rsvd.sum_plus`` and ``rsvd.f_moduli_vs_branch``.
     """
-    require_inside(dual.lam.tolist(), "lambda_theta", params)
-    lam, theta = dual.lam, dual.theta
+    lam = dual.lam.tolist()
+    require_inside(lam, "lambda_theta", params)
     n = dual.n
     mu, nu = params.mu, params.nu
     f = np.zeros(2 * n, dtype=complex)
-    for c in range(n):
-        minus = 1.0 - nu / lam[c]
-        plus = 1.0 + nu / lam[c]
-        for a in range(n):
+    for c, (x, t) in enumerate(zip(lam, dual.theta.tolist())):
+        minus = 1.0 - nu / x
+        plus = 1.0 + nu / x
+        for a, y in enumerate(lam):
             if a == c:
                 continue
-            minus *= (1.0 - 2 * mu / (lam[c] - lam[a])) * (1.0 - 2 * mu / (lam[c] + lam[a]))
-            plus *= (1.0 + 2 * mu / (lam[c] - lam[a])) * (1.0 + 2 * mu / (lam[c] + lam[a]))
+            minus *= (1.0 - 2 * mu / (x - y)) * (1.0 - 2 * mu / (x + y))
+            plus *= (1.0 + 2 * mu / (x - y)) * (1.0 + 2 * mu / (x + y))
         if minus < 0 or plus < 0:
             raise DomainError("square-root factor went negative; point too close to a wall")
-        f[c] = np.sqrt(minus)
-        f[n + c] = np.exp(1j * theta[c]) * np.sqrt(plus)
+        f[c] = math.sqrt(minus)
+        f[n + c] = complex(math.cos(t), math.sin(t)) * math.sqrt(plus)
     return f
 
 
@@ -165,42 +173,37 @@ def g_functions(z, params: CouplingParams) -> np.ndarray:
     Each g depends on z only through lambda(z) and extends smoothly and
     positively to all of C^n.
     """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    lam = lambda_of_z(z, params)
+    return np.array(_g_profiles(lambda_of_z(z, params).tolist(), params))
+
+
+def _g_profiles(lam: list, params: CouplingParams) -> list:
+    """:func:`g_functions` at the positions lambda(z), on plain floats."""
+    n = len(lam)
     mu, nu = params.mu, params.nu
-    g = np.zeros(2 * n)
-    for c in range(n):
+    first, second = [], []
+    for c, x in enumerate(lam):
         # ---- first half: strip (lam_c - lam_{c+1} - 2mu) = |z_c|^2 (c < n-1
         # in 0-based terms), or (lam_n - nu) = |z_n|^2 for the last entry
-        if c < n - 1:
-            val = (lam[c] - nu) / lam[c] / (lam[c] - lam[c + 1])
-            for a in range(n):
-                if a == c:
-                    continue
-                if a != c + 1:
-                    val *= (lam[c] - lam[a] - 2 * mu) / (lam[c] - lam[a])
-                val *= (lam[c] + lam[a] - 2 * mu) / (lam[c] + lam[a])
-        else:
-            val = 1.0 / lam[c]
-            for a in range(n):
-                if a == c:
-                    continue
-                val *= (lam[c] - lam[a] - 2 * mu) / (lam[c] - lam[a])
-                val *= (lam[c] + lam[a] - 2 * mu) / (lam[c] + lam[a])
-        g[c] = np.sqrt(val)
-        # ---- second half: strip (lam_{c-1} - lam_c - 2mu) = |z_{c-1}|^2 for c > 0
-        val = (lam[c] + nu) / lam[c]
-        if c > 0:
-            val /= lam[c - 1] - lam[c]
-        for a in range(n):
+        val = (x - nu) / x / (x - lam[c + 1]) if c < n - 1 else 1.0 / x
+        for a, y in enumerate(lam):
             if a == c:
                 continue
-            if not (c > 0 and a == c - 1):
-                val *= (lam[c] - lam[a] + 2 * mu) / (lam[c] - lam[a])
-            val *= (lam[c] + lam[a] + 2 * mu) / (lam[c] + lam[a])
-        g[n + c] = np.sqrt(val)
-    return g
+            if a != c + 1:
+                val *= (x - y - 2 * mu) / (x - y)
+            val *= (x + y - 2 * mu) / (x + y)
+        first.append(math.sqrt(val))
+        # ---- second half: strip (lam_{c-1} - lam_c - 2mu) = |z_{c-1}|^2 for c > 0
+        val = (x + nu) / x
+        if c > 0:
+            val /= lam[c - 1] - x
+        for a, y in enumerate(lam):
+            if a == c:
+                continue
+            if a != c - 1:
+                val *= (x - y + 2 * mu) / (x - y)
+            val *= (x + y + 2 * mu) / (x + y)
+        second.append(math.sqrt(val))
+    return first + second
 
 
 def m_of_theta(theta) -> np.ndarray:
@@ -209,19 +212,30 @@ def m_of_theta(theta) -> np.ndarray:
     The second half repeats the first (m_{k+n} = m_k), so m commutes with the
     h frame and with every Gplus block structure.
     """
-    theta = np.asarray(theta, dtype=float)
-    m = np.exp(-1j * np.cumsum(theta))
-    return np.diag(np.r_[m, m])
+    return np.diag(_central_phases(theta))
+
+
+def _central_phases(theta) -> np.ndarray:
+    """The diagonal of :func:`m_of_theta`."""
+    m = np.exp(-1j * np.cumsum(np.asarray(theta, dtype=float)))
+    return np.concatenate((m, m))
 
 
 def phi_vector(z, params: CouplingParams) -> np.ndarray:
     """Globally smooth gauge transform of the f-vector: phi_k = conj(z_k) g_k,
     phi_{n+k} = conj(z_{k-1}) g_{n+k} with z_0 := 1."""
     z = np.asarray(z, dtype=complex)
+    return _phi(z, g_functions(z, params))
+
+
+def _phi(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`phi_vector` from z and its profiles g."""
     n = z.size
-    g = g_functions(z, params)
-    zprev = np.r_[1.0 + 0j, z[:-1]]
-    return np.r_[z.conj() * g[:n], zprev.conj() * g[n:]]
+    zc = z.conj()
+    phi = g.astype(complex)
+    phi[:n] *= zc
+    phi[n + 1:] *= zc[:-1]
+    return phi
 
 
 def _diag_entry_n2n(lam, params: CouplingParams) -> float:
@@ -250,50 +264,28 @@ def _diag_entry_n2n(lam, params: CouplingParams) -> float:
 def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
     """The globally smooth dual Lax core on the oscillator chart.
 
-    All four blocks follow the factored forms in terms of z, the g profiles
-    and lambda(z); the sub/superdiagonal entries with cancelling |z|^2 factors
-    and the (n, 2n) entry with the lambda_n = mu cancellation are written in
-    their finite forms, so no 0/0 ever occurs.
+    The Cauchy-like core matrix of :func:`A_from_F` at F = phi(z) (see
+    :func:`phi_vector`).  Its 2n - 1 entries with a vanishing denominator on
+    C^n get the denominator 1 and then their cancelled forms: -2mu g_a
+    g_{n+a+1} at (a, a+1) and (n+a+1, n+a) for a = 1..n-1, and
+    :func:`_diag_entry_n2n` at (n, 2n).  Nothing divides by zero anywhere.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
-    mu, nu = params.mu, params.nu
+    N = 2 * n
     lam = lambda_of_z(z, params)
-    g = g_functions(z, params)
-    zprev = np.r_[1.0 + 0j, z[:-1]]
-
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            # block (1,1): rows a, cols b
-            if b == a + 1:
-                A[a, b] = -2 * mu * g[a] * g[n + b]
-            else:
-                A[a, b] = (-2 * mu * z[a].conj() * zprev[b] * g[a] * g[n + b]
-                           / (lam[a] - lam[b] - 2 * mu))
-            # block (1,2): rows a, cols n+b
-            if a == b:
-                if a == n - 1:
-                    A[a, n + b] = _diag_entry_n2n(lam, params)
-                else:
-                    A[a, n + b] = (-2 * mu * abs(z[a]) ** 2 * g[a] * g[b]
-                                   / (lam[a] + lam[b] - 2 * mu)
-                                   + (mu - nu) / (lam[a] - mu))
-            else:
-                A[a, n + b] = (-2 * mu * z[a].conj() * z[b] * g[a] * g[b]
-                               / (lam[a] + lam[b] - 2 * mu))
-            # block (2,1): rows n+a, cols b
-            term = (2 * mu * zprev[a].conj() * zprev[b] * g[n + a] * g[n + b]
-                    / (lam[a] + lam[b] + 2 * mu))
-            if a == b:
-                term -= (mu - nu) / (lam[a] + mu)
-            A[n + a, b] = term
-            # block (2,2): rows n+a, cols n+b
-            if a == b + 1:
-                A[n + a, n + b] = -2 * mu * g[b] * g[n + a]
-            else:
-                A[n + a, n + b] = (2 * mu * zprev[a].conj() * z[b] * g[n + a] * g[b]
-                                  / (lam[a] - lam[b] + 2 * mu))
+    g = np.array(_g_profiles(lam.tolist(), params))
+    num, den = _cauchy_parts(_phi(z, g), lam, params)
+    # the cancelled entries, as strided slices of the flattened matrix
+    upper = slice(1, (n - 1) * (N + 1), N + 1)  # (a, a+1), a < n-1
+    lower = slice(n * N + n + N, None, N + 1)   # (n+a+1, n+a), a < n-1
+    corner = n * N - 1                          # (n-1, 2n-1)
+    fden = den.reshape(-1)
+    fden[upper] = fden[lower] = fden[corner] = 1.0
+    A = num / den
+    flat = A.reshape(-1)
+    flat[upper] = flat[lower] = -2 * params.mu * g[:n - 1] * g[n + 1:]
+    flat[corner] = _diag_entry_n2n(lam, params)
     return StructuredMatrix(A)
 
 
@@ -317,6 +309,20 @@ def dual_Hk(z, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
     return np.array(out)
 
 
+def _cauchy_parts(F, lam, params: CouplingParams):
+    """Numerator 2mu F (CF)^dag - 2(mu - nu) C and denominator 2mu + L_k - L_j
+    (L = (lambda, -lambda)) of the Cauchy-like core matrix, as fresh arrays."""
+    n = lam.size
+    N = 2 * n
+    L = np.concatenate((lam, -lam))
+    num = np.multiply.outer(F, np.concatenate((F[n:], F[:n])).conj())
+    num *= 2 * params.mu
+    flat = num.reshape(-1)  # C's entries (a, n+a) and (n+a, a), a < n
+    flat[n:n * N:N + 1] -= 2 * (params.mu - params.nu)
+    flat[n * N::N + 1] -= 2 * (params.mu - params.nu)
+    return num, (2 * params.mu + L)[None, :] - L[:, None]
+
+
 def A_from_F(F, lam, params: CouplingParams) -> np.ndarray:
     """Raw Cauchy-like formula for the core matrix from an arbitrary F vector.
 
@@ -324,17 +330,11 @@ def A_from_F(F, lam, params: CouplingParams) -> np.ndarray:
     with L = (lambda, -lambda).  Valid only away from the resonance set where
     a denominator vanishes (the smooth route is :func:`A_tilde`).
     """
-    F = np.asarray(F, dtype=complex)
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    mu, nu = params.mu, params.nu
-    L = np.r_[lam, -lam]
-    C = exchange_matrix(n)
-    CF = C @ F
-    den = 2 * mu + L[None, :] - L[:, None]
+    num, den = _cauchy_parts(np.asarray(F, dtype=complex),
+                             np.asarray(lam, dtype=float), params)
     if np.min(np.abs(den)) < 1e-9:
         raise DomainError("raw formula hit a vanishing denominator; use the smooth route")
-    return (2 * mu * np.outer(F, CF.conj()) - 2 * (mu - nu) * C) / den
+    return num / den
 
 
 def A_check_direct(dual: DualPoint, params: CouplingParams) -> np.ndarray:
@@ -353,8 +353,8 @@ def A_check(dual: DualPoint, params: CouplingParams,
     """
     osc = z_from_angles(dual, params)
     At = A_tilde(osc.z, params).m
-    mdiag = np.diag(m_of_theta(dual.theta))
-    A = (At * mdiag[None, :]) / mdiag[:, None]
+    m = _central_phases(dual.theta)
+    A = (At * m) / m[:, None]
     if validate:
         runi = np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0]))
         if runi > SELFCHECK_TOL:

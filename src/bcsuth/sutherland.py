@@ -27,7 +27,7 @@ from .params import CouplingParams, SutherlandPoint, chart_membership, require_i
 
 def real_constraint_vector(n: int) -> np.ndarray:
     """The distinguished vector (1, ..., 1, -1, ..., -1) with C V = -V, |V|^2 = N."""
-    return np.r_[np.ones(n), -np.ones(n)].astype(complex)
+    return np.repeat(np.array([1.0, -1.0], dtype=complex), n)
 
 
 @dataclass(frozen=True)
@@ -43,26 +43,30 @@ def lax_K(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
 
     A_jj = i p_j, A_jk = -mu / sin(q_j - q_k); B_jj = nu/sin(2 q_j)
     + kappa*cot(2 q_j), B_jk = mu / sin(q_j + q_k).  Built so the structure
-    relations hold exactly in floating point.
+    relations hold exactly in floating point: each entry is computed once
+    and placed, negated where the structure says so, in all its positions.
+    Loops over Python floats (``math.*``) and converts the rows once.
     """
-    require_inside(point.q.tolist(), "qp", params)
-    q, p = point.q, point.p
-    n = point.n
+    q, p = point.q.tolist(), point.p.tolist()
+    require_inside(q, "qp", params)
+    n = len(q)
     mu, nu, kappa = params.mu, params.nu, params.kappa
-
-    A = np.diag(1j * p).astype(complex)
-    B = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        s2 = np.sin(2.0 * q[j])
-        B[j, j] = nu / s2 + kappa * np.cos(2.0 * q[j]) / s2
+    rows = [[0j] * (2 * n) for _ in range(2 * n)]
+    for j, x in enumerate(q):
+        top, bottom = rows[j], rows[n + j]
+        top[j] = 1j * p[j]
+        bottom[n + j] = -top[j]
+        s2 = math.sin(2.0 * x)
+        top[n + j] = nu / s2 + kappa * math.cos(2.0 * x) / s2
+        bottom[j] = -top[n + j]
         for k in range(j + 1, n):
-            a = -mu / np.sin(q[j] - q[k])
-            A[j, k] = a
-            A[k, j] = -a
-            b = mu / np.sin(q[j] + q[k])
-            B[j, k] = b
-            B[k, j] = b
-    return np.block([[A, B], [-B, -A]])
+            a = -mu / math.sin(x - q[k])
+            b = mu / math.sin(x + q[k])
+            top[k] = rows[n + k][n + j] = a
+            rows[k][j] = bottom[n + k] = -a
+            top[n + k] = rows[k][n + j] = b
+            bottom[k] = rows[n + k][j] = -b
+    return np.array(rows)
 
 
 def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:

@@ -7,8 +7,9 @@ from conftest import match_spectra
 from bcsuth.dynamics import fd_gradient
 from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
-from bcsuth.params import DualPoint, couplings_from_rsvd, z_from_angles
-from bcsuth.rsvd import (A_check, A_check_direct, A_tilde, F_squared_branches,
+from bcsuth.params import (DualPoint, couplings_from_rsvd, lambda_of_z,
+                           z_from_angles)
+from bcsuth.rsvd import (A_check, A_check_direct, A_from_F, A_tilde, F_squared_branches,
                          L_tilde, _diag_entry_n2n, _dual_H0_kernel, appendix_chain,
                          commutator_residual, dual_H0, dual_Hk, f_vector,
                          g_functions, grad_dual_H0, h_matrix, m_of_theta,
@@ -323,6 +324,95 @@ def test_diag_entry_n2n_matches_mpmath_near_lambda_n_equal_mu(rng):
             err = abs((_diag_entry_n2n(lam, p) - exact) / exact)
             worst = max(worst, float(err))
     assert worst <= 1e-15
+
+
+def _A_tilde_mp(z, params):
+    """A_tilde from its per-block entry formulas at 50 digits.
+
+    The four n x n blocks in terms of z, the g profiles and lambda(z), with
+    the cancelled forms at the (1,1) superdiagonal, the (2,2) subdiagonal
+    and the (n, 2n) entry (see :func:`_diag_entry_n2n_mp`).
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(50):
+        n = len(z)
+        mu, nu = mp.mpf(params.mu), mp.mpf(params.nu)
+        zs = [mp.mpc(complex(w)) for w in z]
+        zc = [w.conjugate() for w in zs]
+        zprev = [mp.mpc(1)] + zs[:-1]
+        lam = [nu + 2 * (n - 1 - k) * mu + sum(abs(w) ** 2 for w in zs[k:])
+               for k in range(n)]
+        g = [None] * (2 * n)
+        for c, x in enumerate(lam):
+            val = (x - nu) / x / (x - lam[c + 1]) if c < n - 1 else 1 / x
+            for a, y in enumerate(lam):
+                if a != c:
+                    if a != c + 1:
+                        val *= (x - y - 2 * mu) / (x - y)
+                    val *= (x + y - 2 * mu) / (x + y)
+            g[c] = mp.sqrt(val)
+            val = (x + nu) / x / (lam[c - 1] - x) if c > 0 else (x + nu) / x
+            for a, y in enumerate(lam):
+                if a != c:
+                    if a != c - 1:
+                        val *= (x - y + 2 * mu) / (x - y)
+                    val *= (x + y + 2 * mu) / (x + y)
+            g[n + c] = mp.sqrt(val)
+        A = mp.matrix(2 * n, 2 * n)
+        for a in range(n):
+            for b in range(n):
+                A[a, b] = (-2 * mu * g[a] * g[n + b] if b == a + 1 else
+                           -2 * mu * zc[a] * zprev[b] * g[a] * g[n + b]
+                           / (lam[a] - lam[b] - 2 * mu))
+                if a != n - 1 or b != n - 1:
+                    A[a, n + b] = (-2 * mu * zc[a] * zs[b] * g[a] * g[b]
+                                   / (lam[a] + lam[b] - 2 * mu))
+                A[n + a, b] = (2 * mu * zprev[a].conjugate() * zprev[b] * g[n + a]
+                               * g[n + b] / (lam[a] + lam[b] + 2 * mu))
+                A[n + a, n + b] = (-2 * mu * g[b] * g[n + a] if a == b + 1 else
+                                   2 * mu * zprev[a].conjugate() * zs[b] * g[n + a]
+                                   * g[b] / (lam[a] - lam[b] + 2 * mu))
+            A[n + a, a] -= (mu - nu) / (lam[a] + mu)
+            if a < n - 1:
+                A[a, n + a] += (mu - nu) / (lam[a] - mu)
+        A[n - 1, 2 * n - 1] = _diag_entry_n2n_mp(lam, params)
+        return np.array(A.tolist(), dtype=complex)
+
+
+def test_A_tilde_matches_mpmath_block_formulas(rng):
+    # an independent reference for the Cauchy form and its 2n - 1 cancelled
+    # entries: zeroed z components put entries on the resonance set, and
+    # z_n = 1 with mu - nu = 1 puts lambda_n exactly at mu
+    worst = 0.0
+    for n in (1, 2, 3):
+        for i in range(30):
+            p = sample_params(rng, n, CFG)
+            z = sample_oscillator(rng, n).z.copy()
+            if i % 3:
+                z[rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 0.0
+            if i == 0:
+                p = couplings_from_rsvd(1.5, 0.5, 0.2, n)
+                z[-1] = 1.0
+            exact = _A_tilde_mp(z, p)
+            err = np.max(np.abs(A_tilde(z, p).m - exact)) / np.max(np.abs(exact))
+            worst = max(worst, float(err))
+    assert worst <= 1e-14
+
+
+def test_A_tilde_equals_raw_formula_off_resonance(rng):
+    # at n = 4 and 8 the cancelled entries reach a = n - 2; off the resonance
+    # set they agree with the raw quotient.  That quotient loses about
+    # eps * max(lambda) / |d| at a denominator d, so every |z_a| >= 1 keeps
+    # each resonance denominator at least 1 away from zero
+    for n in (4, 8):
+        for _ in range(20):
+            p = sample_params(rng, n, CFG)
+            z = rng.uniform(1.0, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            A = A_tilde(z, p).m
+            raw = A_from_F(phi_vector(z, p), lambda_of_z(z, p), p)
+            assert np.max(np.abs(A - raw)) <= 1e-14 * np.max(np.abs(A))
+            z[rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 0.0
+            assert structure_residual(L_tilde(z, p).m, "Gminus") <= 1e-10
 
 
 def test_L_tilde_spectrum_matches_angle_chart(rng):
