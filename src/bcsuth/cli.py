@@ -20,7 +20,8 @@ from .duality import (backward_map_full, backward_residuals, forward_map_full,
                       round_trip_report)
 from .dynamics import SYSTEMS, FlowSpec, integrate
 from .errors import (BcsuthError, BoundaryApproachError, DegenerateChartError,
-                     DegenerateTorusError, DomainError, ParameterError)
+                     DegenerateTorusError, DomainError, NonConvergenceError,
+                     ParameterError)
 from .matkernel import structure_residual
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
                      couplings_from_rsvd, couplings_from_sutherland)
@@ -153,7 +154,13 @@ def cmd_flow(args) -> int:
                     k=args.k, gradient=args.gradient,
                     monitor_stride=args.monitor_stride)
     x0 = _parse_reals(args.x0)
-    traj = integrate(flow, x0, params)
+    try:
+        traj = integrate(flow, x0, params)
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("integrator counters: "
+              + json.dumps(exc.stats, sort_keys=True), file=sys.stderr)
+        return 1
     text = traj.to_csv()
     if args.out:
         with open(args.out, "w") as fh:

@@ -5,11 +5,14 @@ step iterates the fixed point x_{k+1} = x0 + dt f((x0 + x_k)/2) until the
 increment, which is the residual of x_k, falls to the Newton tolerance; only
 when the iteration stops contracting (an increment shrinks by less than half)
 does Newton with an FD Jacobian take over.  ``march`` starts each step's
-iteration from the polynomial extrapolation of the trajectory's last
-``START_ORDER`` states, which leaves it fewer sweeps to go than the Euler
-predictor; only the first step starts from x0, whose first sweep is the Euler
-predictor.  The steps of the H_1 and dual H0 flows work on raw coordinate
-arrays and build no point value types.
+iteration from the polynomial extrapolation of the trajectory's last states,
+which leaves it fewer sweeps to go than the Euler predictor; only the first
+step starts from x0, whose first sweep is the Euler predictor.  The order of
+the extrapolation, ``START_ORDER``, follows the field's smoothness: 7 past
+states for the closed-form fields, which then take about one evaluation per
+step, and 5 for FD fields, whose noise a higher order would amplify.  The
+steps of the H_1 and dual H0 flows work on raw coordinate arrays and build no
+point value types.
 
 Gradients are closed-form where a closed form is known,
 ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
@@ -57,9 +60,12 @@ NEWTON_TOL = 1e-13
 MAX_ITER = 50
 JAC_STEP = 1e-7
 #: ``march`` starts each step from the extrapolation of this many past
-#: states.  Orders 6 and 7 save more evaluations but no flow-exact wall time,
-#: and the start's roundoff grows like 2^m
-START_ORDER = 5
+#: states, by ``FlowSpec.gradient``.  The weights of an order-m start sum to
+#: 2^m - 1 in absolute value, so the start carries the field's noise times
+#: that: a closed-form field's roundoff stays far below ``NEWTON_TOL`` at
+#: order 7 (about one evaluation per step on smooth orbits), while the ~1e-10
+#: noise of an FD field costs sweeps above order 5
+START_ORDER = {"analytic": 7, "fd": 5}
 #: integrator counters of ``Trajectory.stats``: steps taken, vector-field
 #: evaluations (the Newton Jacobian's included), Newton Jacobians built and
 #: Newton stalls accepted below the 1e-10 floor
@@ -220,31 +226,29 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
     stall strictly below 1e-10 is accepted (the attainable floor when f is
     itself a finite-difference field); anything worse raises
     NonConvergenceError.  ``stats``, a dict keyed by ``STATS``, gets the
-    step's counts added.
+    step's counts added; a step that raises adds its evaluations and
+    Jacobians but no step.
     """
     x0 = np.asarray(x0, dtype=float)
-    x1, evals, jacobians, stalls = _solve(f, x0, dt, x0 if start is None else start)
-    if stats is not None:
-        stats["steps"] += 1
-        stats["evaluations"] += evals
-        stats["jacobians"] += jacobians
-        stats["stalls"] += stalls
+    if stats is None:
+        stats = dict.fromkeys(STATS, 0)
+    x1 = _solve(f, x0, dt, x0 if start is None else start, stats)
+    stats["steps"] += 1
     return x1
 
 
-def _solve(f, x0, dt, x1):
-    """The iteration of ``implicit_midpoint_step`` from x1; returns (x1,
-    f evaluations, Jacobians built, stalls accepted)."""
-    evals = 0
+def _solve(f, x0, dt, x1, stats):
+    """The iteration of ``implicit_midpoint_step`` from x1; adds the f
+    evaluations, Jacobians built and stalls accepted to ``stats`` as it goes."""
     last = math.inf
     for _ in range(MAX_ITER):
         x_next = x0 + dt * f(0.5 * (x0 + x1))
-        evals += 1
+        stats["evaluations"] += 1
         d = x_next - x1
         inc = math.sqrt(d @ d)
         x1 = x_next
         if inc <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
-            return x1, evals, 0, 0
+            return x1
         if not inc <= 0.5 * last:
             break
         last = inc
@@ -253,37 +257,42 @@ def _solve(f, x0, dt, x1):
     for _ in range(MAX_ITER):
         mid = 0.5 * (x0 + x1)
         F = x1 - x0 - dt * f(mid)
-        evals += 1
+        stats["evaluations"] += 1
         nrm = math.sqrt(F @ F)
         if nrm <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
-            return x1, evals, int(Jg is not None), 0
+            return x1
         if nrm >= 0.9 * best:
             if nrm <= 1e-10:
-                return x1, evals, int(Jg is not None), 1
+                stats["stalls"] += 1
+                return x1
             break
         best = nrm
         if Jg is None:
             Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, JAC_STEP)
-            evals += 2 * x0.size
+            stats["evaluations"] += 2 * x0.size
+            stats["jacobians"] += 1
         x1 = x1 - np.linalg.solve(Jg, F)
     raise NonConvergenceError(
         f"implicit midpoint Newton stalled at residual {nrm:.3e}")
 
 
-def march(f, x0, dt, stats=None):
+def march(f, x0, dt, order, stats=None):
     """Yield the implicit-midpoint states x1, x2, ... of the flow of f from x0.
 
     Each step starts its sweeps from the polynomial through the last m =
-    ``START_ORDER`` states, evaluated one step ahead: x_start = sum_j (-1)^j
+    ``order`` states, evaluated one step ahead: x_start = sum_j (-1)^j
     C(m, j+1) x_{k-j}, j = 0 .. m-1 (Hairer-Lubich-Wanner, VIII.6.1).  It is
     off the step's solution by O(dt^m), against O(dt^2) for the Euler
     predictor, so fewer sweeps reach the tolerance; the accepted state meets
-    the same residual bound.  While fewer than m states exist the order is
-    lower; the first step's order-1 start is x0 itself, whose first sweep is
-    the Euler predictor.  ``stats`` is passed to every ``implicit_midpoint_step``.
+    the same residual bound.  The weights sum to 2^m - 1 in absolute value, so
+    the start also carries f's own noise times that; ``START_ORDER`` gives the
+    order for each gradient mode.  While fewer than m states exist the order
+    is lower; the first step's order-1 start is x0 itself, whose first sweep
+    is the Euler predictor.  ``stats`` is passed to every
+    ``implicit_midpoint_step``.
     """
     x = np.asarray(x0, dtype=float)
-    m = START_ORDER
+    m = order
     weights = [np.array([(-1) ** j * math.comb(k, j + 1) for j in range(k)], dtype=float)
                for k in range(m + 1)]
     recent = np.empty((m, x.size))  # newest first
@@ -343,9 +352,13 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     mon_vals = {name: [v] for name, v in monitor(x0).items()}
 
     stats = dict.fromkeys(STATS, 0)
-    steps = march(f, x0, flow.dt, stats)
+    steps = march(f, x0, flow.dt, START_ORDER[flow.gradient], stats)
     for step in range(1, nsteps + 1):
-        x = next(steps)
+        try:
+            x = next(steps)
+        except NonConvergenceError as exc:
+            exc.stats = dict(stats)
+            raise
         states[step] = x
         inside = chart_membership(x[:n].tolist(), flow.chart, params,
                                   flow.boundary_margin) == "inside"

@@ -37,7 +37,14 @@ class ConsistencyError(BcsuthError):
 
 
 class NonConvergenceError(BcsuthError):
-    """Newton iteration of the implicit integrator failed to converge."""
+    """Newton iteration of the implicit integrator failed to converge.
+
+    Raised inside ``dynamics.integrate``, it carries in ``stats`` the
+    integrator counters so far, keyed by ``dynamics.STATS``: the failed step
+    adds its evaluations and Jacobians but is not counted as a step.
+    """
+
+    stats = None
 
 
 class BoundaryApproachError(BcsuthError):

@@ -77,16 +77,18 @@ def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:
 
 
 def closed_form_H1(point: SutherlandPoint, params: CouplingParams) -> float:
-    """The physical Hamiltonian evaluated from its trigonometric closed form."""
-    q, p = point.q, point.p
+    """The physical Hamiltonian evaluated from its trigonometric closed form.
+
+    Loops over Python floats (``math.*``), as :func:`grad_H1` does.
+    """
+    q = point.q.tolist()
     g, g1, g2 = params.gamma, params.gamma1, params.gamma2
-    val = 0.5 * float(p @ p)
-    n = point.n
-    for j in range(n):
-        for k in range(j + 1, n):
-            val += g / np.sin(q[j] - q[k]) ** 2 + g / np.sin(q[j] + q[k]) ** 2
-    val += float(np.sum(g1 / np.sin(q) ** 2))
-    val += float(np.sum(g2 / np.sin(2.0 * q) ** 2))
+    val = 0.5 * sum(x * x for x in point.p.tolist())
+    for j, x in enumerate(q):
+        for y in q[j + 1:]:
+            val += g / math.sin(x - y) ** 2 + g / math.sin(x + y) ** 2
+    val += sum(g1 / math.sin(x) ** 2 for x in q)
+    val += sum(g2 / math.sin(2.0 * x) ** 2 for x in q)
     return val
 
 

@@ -542,7 +542,8 @@ def _suite_dynamics(config: SuiteConfig) -> list:
 
         # time reversal: step the endpoint back with the same rule
         steps = dynamics.march(dynamics.vector_field(flow, params),
-                               traj.states[-1], -flow.dt)
+                               traj.states[-1], -flow.dt,
+                               dynamics.START_ORDER[flow.gradient])
         for _ in range(traj.states.shape[0] - 1):
             back = next(steps)
         col.add("dynamics.time_reversal", float(np.max(np.abs(back - x0))), ctx)

@@ -139,6 +139,22 @@ def test_flow_dual_H0_default_analytic_gradient(tmp_path, capsys):
     assert max(abs(float(q) - np.pi / 4) for q in q1 if q) < 1e-9
 
 
+def test_flow_stall_prints_the_integrator_counters(capsys):
+    # the FD field of H_2 stalls above the 1e-10 Newton floor at this start
+    code, out, err = run_cli(
+        capsys, "flow", "--system", "sutherland_Hk", "--k", "2",
+        "--gradient", "fd", "--chart", "qp", "--n", "2", "--mu", "1",
+        "--nu", "2", "--x0", "1.1,0.4,0.3,-0.7", "--T", "0.05", "--dt", "0.001")
+    assert code == 1 and out == ""
+    message, counters = err.splitlines()
+    assert message.startswith("error: implicit midpoint Newton stalled")
+    label = "integrator counters: "
+    assert counters.startswith(label)
+    stats = json.loads(counters[len(label):])
+    assert set(stats) == {"steps", "evaluations", "jacobians", "stalls"}
+    assert stats["evaluations"] > stats["steps"] >= 0
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "rsvd", "--seed", "42", "--n-max", "2",

@@ -403,35 +403,86 @@ def test_near_wall_dual_orbit_drift_unchanged(monkeypatch):
                    for j in range(n))
     flow, x0, params, traj = max(orbits, key=lambda o: q_drift(o[3]))
     assert params.n == 3 and q_drift(traj) == row.max_residual
-    monkeypatch.setattr(dynamics, "START_ORDER", 1)
+    monkeypatch.setitem(dynamics.START_ORDER, flow.gradient, 1)
     assert abs(q_drift(integrate(flow, x0, params)) - row.max_residual) <= 1e-15
 
 
 def test_extrapolated_start_halves_the_evaluations(rng, monkeypatch):
-    def evaluations(flow, x0, p, order):
-        monkeypatch.setattr(dynamics, "START_ORDER", order)
+    def evaluations(flow, x0, p, order=None):
+        if order is not None:
+            monkeypatch.setitem(dynamics.START_ORDER, flow.gradient, order)
         stats = integrate(flow, x0, p).stats
+        monkeypatch.undo()
         assert stats["steps"] == int(round(flow.T / flow.dt))
         return stats["evaluations"]
 
-    order = dynamics.START_ORDER
     # a 2000-step H_1 orbit near equilibrium, as verify's dynamics suite
     # runs them (actions of |z| ~ 0.01): about 5.2 evaluations per step
-    # from the Euler predictor
+    # from the Euler predictor, 2.0 from an order-5 start and 1.01 from the
+    # order-7 start of the closed-form fields
     n = 2
     p = sample_params(rng, n, CFG)
     z = 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     pt = backward_map(DualPoint(lam=lambda_of_z(z, p),
                                 theta=rng.uniform(0, 2 * np.pi, n)), p)
     flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=2.0)
-    assert evaluations(flow, np.r_[pt.q, pt.p], p, order) <= 3 * 2000
+    assert evaluations(flow, np.r_[pt.q, pt.p], p) <= 1.2 * 2000
     # a fast orbit that bounces off the walls: Newton takes more of its steps
     flow, x0, p = _flow_start(rng, "sutherland_H1", 2, T=2.0)
-    assert (evaluations(flow, x0, p, order)
-            <= 0.7 * evaluations(flow, x0, p, 1))
+    assert evaluations(flow, x0, p) <= 0.7 * evaluations(flow, x0, p, 1)
     flow, x0, p = _flow_start(rng, "dual_H0", 2, "fd")
-    assert (evaluations(flow, x0, p, order)
-            <= 0.65 * evaluations(flow, x0, p, 1))
+    assert evaluations(flow, x0, p) <= 0.65 * evaluations(flow, x0, p, 1)
+
+
+def test_fd_flows_keep_the_order_5_start(rng):
+    # the ~1e-10 noise of an FD field, times the 2^m - 1 weight sum of an
+    # order-m start, costs sweeps above order 5: FD flows step exactly as an
+    # order-5 march does
+    assert dynamics.START_ORDER == {"analytic": 7, "fd": 5}
+    for n in (1, 2, 3):
+        flow, x0, p = _flow_start(rng, "dual_H0", n, "fd")
+        traj = integrate(flow, x0, p)
+        steps = dynamics.march(vector_field(flow, p), x0, flow.dt, 5)
+        ref = [next(steps) for _ in range(traj.states.shape[0] - 1)]
+        assert np.array_equal(traj.states[1:], np.array(ref))
+
+
+def test_verify_reverses_time_with_the_analytic_order(monkeypatch):
+    # the time-reversal row steps the closed-form H_1 field back from the
+    # orbit's endpoint; its march takes the closed-form fields' start order
+    orders = []
+    march = dynamics.march
+
+    def recording(f, x0, dt, order, stats=None):
+        orders.append((dt < 0, order))
+        return march(f, x0, dt, order, stats)
+    monkeypatch.setattr(dynamics, "march", recording)
+    run_suite(SuiteConfig(suite="dynamics", seed=1, n_values=(1,)))
+    reversal = [order for backward, order in orders if backward]
+    assert reversal == [dynamics.START_ORDER["analytic"]]
+
+
+def test_nonconvergence_carries_the_counters(monkeypatch):
+    # a field that vanishes for 30 evaluations, one per step, and then has
+    # no midpoint solution at this step size: x1 = x0 + 10 (1 + m^2) with
+    # m = (x0 + x1)/2 has no real root for x0 > 0
+    evals = []
+
+    def stalling_field(flow, params):
+        def f(x):
+            evals.append(1)
+            return np.zeros_like(x) if len(evals) <= 30 else 100.0 * (1.0 + x**2)
+        return f
+    monkeypatch.setattr(dynamics, "vector_field", stalling_field)
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=0.1, T=10.0)
+    with pytest.raises(NonConvergenceError) as info:
+        integrate(flow, np.array([np.pi / 4, 1.0]), P1)
+    stats = info.value.stats
+    assert set(stats) == set(STATS)
+    # the failed step adds its evaluations and its Newton Jacobian, no step
+    assert stats["steps"] == 30
+    assert stats["evaluations"] == len(evals) > 31
+    assert stats["jacobians"] == 1
 
 
 def test_trajectory_stats_count_the_integrator_work(rng, monkeypatch):

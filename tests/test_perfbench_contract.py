@@ -5,8 +5,8 @@
 outside this suite.  Calling every micro row once at n = 1 and 2 and
 resolving every traced name catches a change that would break the benchmark;
 the two factorization rows must also keep their residuals below 1e-12.  One
-small round of the map-roundtrip and flow-exact workloads checks the calls
-and the outcomes those workloads rely on.
+small round of each workload (map-roundtrip, flow-exact and verify-all)
+checks the calls and the outcomes those workloads rely on.
 """
 
 import importlib
@@ -57,6 +57,12 @@ def test_map_roundtrip_round(perfbench):
 
 def test_flow_exact_round(perfbench):
     rnd = perfbench("workloads").FlowExact(seed=1, T=0.01, ns=(1,)).run_round()
+    assert (rnd.failed, rnd.problems) == (0, [])
+
+
+def test_verify_all_round(perfbench, tmp_path):
+    rnd = perfbench("workloads").VerifyAll(seed=1, n_max=2, samples=3,
+                                           out_dir=str(tmp_path)).run_round()
     assert (rnd.failed, rnd.problems) == (0, [])
 
 

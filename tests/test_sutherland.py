@@ -124,6 +124,31 @@ def test_grad_H1_equals_numpy_reference_bit_for_bit(rng):
         assert dq.tolist() == ref_q.tolist() and dp.tolist() == ref_p.tolist()
 
 
+def _closed_form_H1_numpy(q, p, params):
+    """closed_form_H1 on numpy arrays, and the sum of its terms' magnitudes."""
+    g, g1, g2 = params.gamma, params.gamma1, params.gamma2
+    j, k = np.triu_indices(q.size, 1)
+    terms = np.concatenate((0.5 * p**2, g / np.sin(q[j] - q[k]) ** 2,
+                            g / np.sin(q[j] + q[k]) ** 2, g1 / np.sin(q) ** 2,
+                            g2 / np.sin(2.0 * q) ** 2))
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def test_closed_form_H1_matches_numpy_reference(rng):
+    # the float loop sums in another order than numpy; at most 24 terms at
+    # n <= 4, so 24 eps of the terms' magnitude bounds the difference (worst
+    # 6.6e-16 over these draws)
+    cfg = SuiteConfig(suite="sutherland")
+    for i in range(2000):
+        n = 1 + i % 4
+        params = sample_params(rng, n, cfg)
+        pt = sample_sutherland(rng, n, gap=0.01)
+        ref, scale = _closed_form_H1_numpy(pt.q, 3.0 * pt.p, params)
+        H = closed_form_H1(SutherlandPoint(q=pt.q, p=3.0 * pt.p), params)
+        assert isinstance(H, float)
+        assert abs(H - ref) <= 24 * np.finfo(float).eps * scale
+
+
 def test_action_map_examples():
     assert action_map(SutherlandPoint(q=[np.pi / 4], p=[0.0]), P1) \
         == pytest.approx([2.0], abs=1e-13)
