@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -40,6 +41,32 @@ def _parse_complexes(text):
         if tok:
             vals.append(complex(tok.replace("i", "j")))
     return np.array(vals, dtype=complex)
+
+
+def _vector(args, flag: str, size: int, parse=_parse_reals):
+    """The comma-separated vector given as ``--flag``, which must have ``size``
+    entries."""
+    text = getattr(args, flag)
+    if text is None:
+        raise ParameterError(f"missing --{flag}")
+    vec = parse(text)
+    if vec.size != size:
+        raise ParameterError(f"--{flag} needs {size} entries, got {vec.size}")
+    return vec
+
+
+def _tolerance(override: str) -> tuple[str, float]:
+    """(check name, tolerance) of a ``--tol NAME=VALUE`` override."""
+    name, _, text = override.partition("=")
+    if name not in verification.DEFAULT_TOLERANCES:
+        raise ParameterError(f"--tol names no check: {name!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise ParameterError(f"--tol {name} needs a finite value >= 0, got {text!r}")
+    return name, value
 
 
 def _add_param_args(p):
@@ -101,20 +128,21 @@ def _matrix_payload(M: np.ndarray, tags=("unitary",)):
 
 def cmd_lax(args) -> int:
     params = _params_from_args(args)
+    n = params.n
     if args.side == "sutherland":
-        point = SutherlandPoint(q=_parse_reals(args.q), p=_parse_reals(args.p))
+        point = SutherlandPoint(q=_vector(args, "q", n), p=_vector(args, "p", n))
         lax = lax_Y(point, params)
         payload = _matrix_payload(lax.Y.m, tags=())
         payload["matrix"] = "Y"
         payload["structure_residuals"] = {
             "gminus(K)": structure_residual(lax.K.m, "gminus")}
     elif args.side == "rsvd-global":
-        z = _parse_complexes(args.z)
+        z = _vector(args, "z", n, parse=_parse_complexes)
         M = L_tilde(z, params).m
         payload = _matrix_payload(M, tags=("unitary", "Gminus"))
         payload["matrix"] = "L_tilde"
     else:  # rsvd-angle
-        dual = DualPoint(lam=_parse_reals(args.lam), theta=_parse_reals(args.theta))
+        dual = DualPoint(lam=_vector(args, "lam", n), theta=_vector(args, "theta", n))
         M = A_check(dual, params).m
         payload = _matrix_payload(M, tags=("unitary", "Gminus"))
         payload["matrix"] = "A_check"
@@ -125,11 +153,12 @@ def cmd_lax(args) -> int:
 
 def cmd_map(args) -> int:
     params = _params_from_args(args)
+    n = params.n
     if args.direction == "forward":
-        point = SutherlandPoint(q=_parse_reals(args.q), p=_parse_reals(args.p))
+        point = SutherlandPoint(q=_vector(args, "q", n), p=_vector(args, "p", n))
         payload = round_trip_report(point, params)
     else:
-        dual = DualPoint(lam=_parse_reals(args.lam), theta=_parse_reals(args.theta))
+        dual = DualPoint(lam=_vector(args, "lam", n), theta=_vector(args, "theta", n))
         point, Y = backward_map_full(dual, params)
         image, _ = forward_map_full(point, params)
         err = max(float(np.max(np.abs(image.lam - dual.lam))),
@@ -153,7 +182,7 @@ def cmd_flow(args) -> int:
     flow = FlowSpec(system=args.system, chart=args.chart, dt=args.dt, T=args.T,
                     k=args.k, gradient=args.gradient,
                     monitor_stride=args.monitor_stride)
-    x0 = _parse_reals(args.x0)
+    x0 = _vector(args, "x0", 2 * params.n)
     try:
         traj = integrate(flow, x0, params)
     except NonConvergenceError as exc:
@@ -174,10 +203,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tolerances = {}
-    for override in args.tol or []:
-        name, _, value = override.partition("=")
-        tolerances[name] = float(value)
+    if args.n_max < 1 or args.samples < 1:
+        raise ParameterError(f"--n-max and --samples must be >= 1, got "
+                             f"{args.n_max} and {args.samples}")
+    tolerances = dict(_tolerance(override) for override in args.tol or [])
     config = verification.SuiteConfig(
         suite=args.suite,
         n_values=tuple(range(1, args.n_max + 1)),

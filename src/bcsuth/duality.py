@@ -1,10 +1,12 @@
 """Action-angle duality maps between the Sutherland and dual charts.
 
 ``forward_map`` sends (q, p) to (lambda, theta) by pair-diagonalizing the
-C-odd part of the Lax matrix and reading the angles off the gauge-fixed
-constraint vector; ``backward_map`` reconstructs (q, p) from a dual point via
-the Cartan factorization of the dual Lax data.  They are mutually inverse on
-interior points.  Each ``*_full`` map also returns the array its residuals
+C-odd part K of the Lax matrix and reading the angles off the gauge-fixed
+constraint vector; ``backward_map`` fixes the gauge of the dual point in the
+oscillator chart z(lambda, theta), where the dual Lax matrix is
+h A_tilde(z) h and the constraint vector is phi(z), by one Cartan
+factorization and one central phase.  They are mutually inverse on interior
+points.  Each ``*_full`` map also returns the array its residuals
 are read from (F forward, the reconstructed Lax matrix Y backward), which
 :func:`forward_residuals` and :func:`backward_residuals` measure.
 
@@ -32,9 +34,10 @@ from .errors import ConsistencyError, DegenerateTorusError, DomainError
 from .matkernel import exchange_matrix, exp_iQ, exp_iQ_diagonal, \
     cartan_decompose_gminus, pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, canonical_angle, chart_membership)
-from .rsvd import (A_check, F_squared_branches, dual_H0, f_vector, h_matrix)
-from .sutherland import lax_Y, momentum_residual, \
+                     SutherlandPoint, canonical_angle, chart_membership,
+                     z_from_angles)
+from .rsvd import (A_tilde, F_squared_branches, dual_H0, h_matrix, phi_vector)
+from .sutherland import lax_K, lax_Y, momentum_residual, \
     real_constraint_vector
 
 #: pullback constant: forward_map^* [sum dlambda ^ dtheta] = DUAL_PAIRING * sum dq ^ dp
@@ -53,7 +56,7 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     :func:`forward_residuals` measures F.
     """
     n = point.n
-    spec = pair_diagonalize_gminus(lax_Y(point, params).K.m)
+    spec = pair_diagonalize_gminus(lax_K(point, params))
     lam = np.sqrt(spec.values**2 + params.kappa**2)
     probe = chart_membership(lam.tolist(), "lambda_theta", params, 1e-9)
     if probe != "inside":
@@ -88,52 +91,47 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
                       validate: bool = True):
     """Map (lambda, theta) back to the Sutherland chart, returning (point, Y).
 
-    Steps: f and the core matrix -> B = -(h A h)^dag -> Cartan factorization
-    B = eta e^{2iQ(q)} eta^{-1} -> y = eta e^{iQ(q)} eta^{-1}, V = y h f ->
-    gauge to the Sutherland section with (eta^{-1}, eta^{-1}) and a central
-    phase fixing V -> read p off the diagonal of the transformed Lax matrix Y.
-    Raises ConsistencyError when the gauge-fixed V leaves the section by more
-    than 1e-6 and, with ``validate``, when || Y - Y(q, p) || exceeds 1e-6.
+    One gauge fixing in the oscillator gauge, z = z(lambda, theta): the
+    Cartan factorization B = -(h A_tilde(z) h)^dag = eta e^{2iQ(q)} eta^{-1}
+    gives q, W = eta^dag h carries phi(z) to e^{iQ(q)} W phi(z) = (u, -u), the
+    central phase zeta = conj(u)/|u| makes u positive, and p is read off the
+    diagonal of Y = i (zeta W) diag(lambda, -lambda) (zeta W)^dag.
+    Raises ConsistencyError when the gauge-fixed constraint vector leaves the
+    section by more than 1e-6 and, with ``validate``, when || Y - Y(q, p) ||
+    exceeds 1e-6.
     """
     n = dual.n
-    f = f_vector(dual, params)
+    z = z_from_angles(dual, params).z
     h = h_matrix(dual.lam, params).h.m
-    A = A_check(dual, params, validate=False).m
-    hAh = h @ A @ h
-    B = -hAh.conj().T
-    eta_s, q = cartan_decompose_gminus(B)
-    eta = eta_s.m
+    eta, q = cartan_decompose_gminus(-(h @ A_tilde(z, params).m @ h).conj().T)
     qpoint_probe = chart_membership(q.tolist(), "qp", params, 1e-12)
     if qpoint_probe != "inside":
         raise DomainError(
             f"recovered q = {q.tolist()} is {qpoint_probe} relative to the "
             "open Sutherland chamber")
 
-    y = (eta * exp_iQ_diagonal(q)) @ eta.conj().T
-    V = y @ (h @ f)
-    Vpp = eta.conj().T @ V
-    u = Vpp[:n]
+    W = eta.m.conj().T @ h
+    v = exp_iQ_diagonal(q) * (W @ phi_vector(z, params))
+    u = v[:n]
     unit_defect = float(np.max(np.abs(np.abs(u) - 1.0)))
-    mirror_defect = float(np.linalg.norm(Vpp[n:] + u))
+    mirror_defect = float(np.linalg.norm(v[n:] + u))
     if unit_defect > 1e-6 or mirror_defect > 1e-6:
         raise ConsistencyError(
             f"gauge-fixed constraint vector malformed: |u|-1 defect "
             f"{unit_defect:.3e}, mirror defect {mirror_defect:.3e}")
 
-    Y = 1j * ((h * np.concatenate((dual.lam, -dual.lam))) @ h.conj().T)
-    Ypp = eta.conj().T @ Y @ eta
     zeta = u.conj() / np.abs(u)
-    zeta = np.concatenate((zeta, zeta))
-    Yfinal = (zeta[:, None] * Ypp) * zeta.conj()[None, :]
-    p = np.imag(np.diag(Yfinal)[:n])
+    ZW = np.concatenate((zeta, zeta))[:, None] * W
+    Y = 1j * ((ZW * np.concatenate((dual.lam, -dual.lam))) @ ZW.conj().T)
+    p = np.imag(np.diag(Y)[:n])
     point = SutherlandPoint(q=q, p=p)
     if validate:
-        lax_err = _lax_defect(point, Yfinal, params)
+        lax_err = _lax_defect(point, Y, params)
         if lax_err > 1e-6:
             raise ConsistencyError(
                 f"reconstructed Lax matrix deviates by {lax_err:.3e} from the "
                 "canonical form at the recovered point")
-    return point, Yfinal
+    return point, Y
 
 
 def _lax_defect(point: SutherlandPoint, Y, params: CouplingParams) -> float:

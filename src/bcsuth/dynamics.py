@@ -51,9 +51,11 @@ from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 #: each system and the chart it lives in
 SYSTEMS = {"sutherland_H1": "qp", "sutherland_Hk": "qp",
            "dual_H0": "lambda_theta", "dual_Hk": "lambda_theta"}
-#: the closed-form gradients (``FlowSpec.gradient == "analytic"``), each a
-#: map (positions, momenta, params) -> (dH/dpositions, dH/dmomenta)
-GRADIENTS = {"sutherland_H1": grad_H1, "dual_H0": grad_dual_H0}
+#: the names of the closed-form gradients (``FlowSpec.gradient ==
+#: "analytic"``) in this module, each a map (positions, momenta, params) ->
+#: (dH/dpositions, dH/dmomenta); ``vector_field`` looks the name up when it
+#: builds the field, so a wrapper set on the module attribute sees every call
+GRADIENTS = {"sutherland_H1": "grad_H1", "dual_H0": "grad_dual_H0"}
 #: implicit midpoint: relative residual to stop at, sweep and Newton
 #: iteration caps, and the FD step of the Newton Jacobian
 NEWTON_TOL = 1e-13
@@ -198,7 +200,7 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
     s = 1.0 if flow.chart == "qp" else DUAL_PAIRING
     signs = np.r_[np.full(n, s), np.full(n, -s)]
     if flow.gradient == "analytic":
-        grad = GRADIENTS[flow.system]
+        grad = globals()[GRADIENTS[flow.system]]
 
         def f(x):
             dx, dy = grad(x[:n], x[n:], params)

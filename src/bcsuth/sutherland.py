@@ -170,7 +170,7 @@ def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     must land in the closure of the dual chamber; a violation beyond 1e-8
     raises ConsistencyError.
     """
-    d = np.linalg.eigvalsh(-1j * lax_Y(point, params).K.m)[::-1][:params.n]
+    d = np.linalg.eigvalsh(-1j * lax_K(point, params))[::-1][:params.n]
     lam = np.sqrt(d**2 + params.kappa**2)
     if chart_membership(lam.tolist(), "lambda_theta", params, 1e-8) == "outside":
         raise ConsistencyError(

@@ -233,3 +233,44 @@ def test_verify_all_parallel_matches_serial(tmp_path, capsys):
     code, _, _ = run_cli(capsys, *base, "--jobs", "2", "--out", str(b))
     assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("lax", "--side", "sutherland", "--n", "2", "--q", "0.7", "--p", "1"), "--q"),
+    (("map", "--direction", "forward", "--n", "3", "--q", "0.7", "--p", "1"), "--q"),
+    (("map", "--direction", "backward", "--n", "1", "--lam", "3,5",
+      "--theta", "1"), "--lam"),
+    (("lax", "--side", "rsvd-global", "--n", "2", "--z", "1+1j"), "--z"),
+    (("flow", "--system", "sutherland_H1", "--chart", "qp", "--n", "2",
+      "--x0", "0.7,1"), "--x0"),
+], ids=["lax-q", "map-q", "map-lam", "lax-z", "flow-x0"])
+def test_vector_inputs_must_have_n_entries(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--mu", "1", "--nu", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} needs ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("lax", "--side", "sutherland", "--n", "1", "--p", "1"), "--q"),
+    (("lax", "--side", "rsvd-angle", "--n", "1", "--theta", "0"), "--lam"),
+    (("lax", "--side", "rsvd-global", "--n", "1"), "--z"),
+    (("map", "--direction", "forward", "--n", "1", "--q", "0.7"), "--p"),
+    (("map", "--direction", "backward", "--n", "1", "--lam", "3"), "--theta"),
+], ids=["lax-q", "lax-lam", "lax-z", "map-p", "map-theta"])
+def test_missing_vector_input_is_a_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, "--mu", "1", "--nu", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: missing {flag}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n-max", "0"), "--n-max and --samples must be >= 1"),
+    (("--samples", "0"), "--n-max and --samples must be >= 1"),
+    (("--tol", "duality.round_trp=1e-7"), "--tol names no check"),
+    (("--tol", "duality.round_trip=nan"), "needs a finite value >= 0"),
+    (("--tol", "duality.round_trip=-1e-9"), "needs a finite value >= 0"),
+], ids=["n-max", "samples", "tol-name", "tol-nan", "tol-negative"])
+def test_verify_refuses_a_vacuous_or_unknown_setting(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", "--suite", "rsvd", *argv)
+    assert code == 2 and out == ""
+    assert message in err

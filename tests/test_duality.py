@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 import bcsuth.duality as duality
+import bcsuth.rsvd as rsvd
 from bcsuth.duality import (DUAL_PAIRING, backward_map, backward_map_full,
                             backward_residuals, canonicity_residual,
                             degeneracy_count, forward_map, forward_map_full,
@@ -9,7 +12,8 @@ from bcsuth.duality import (DUAL_PAIRING, backward_map, backward_map_full,
                             invariant_crosscheck, rank_of_dlambda,
                             round_trip_report, superintegrability_data)
 from bcsuth.errors import DegenerateTorusError
-from bcsuth.matkernel import exchange_matrix
+from bcsuth.matkernel import (cartan_decompose_gminus, exchange_matrix,
+                              exp_iQ_diagonal)
 from bcsuth.params import (DualPoint, OscillatorPoint, SutherlandPoint,
                            couplings_from_rsvd)
 from bcsuth.sutherland import closed_form_H1, lax_Y
@@ -313,23 +317,83 @@ def test_backward_map_computes_no_residuals(rng, monkeypatch):
         assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
 
 
-def test_maps_read_the_C_odd_part_off_lax_Y(rng, monkeypatch):
-    # lax_Y returns K, the C-odd part of Y; neither map splits Y again
+def _forbid(monkeypatch, *funcs):
+    """Make every bcsuth module attribute that holds one of ``funcs`` raise."""
+    def make_boom(func):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{func.__name__} called")
+        return boom
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bcsuth":
+            for attr, value in list(vars(module).items()):
+                for func in funcs:
+                    if value is func:
+                        monkeypatch.setattr(module, attr, make_boom(func))
+
+
+def test_maps_read_the_C_odd_part_off_lax_K(rng, monkeypatch):
+    # lax_K is the C-odd part of Y: neither map builds Y or splits it again
     import bcsuth.matkernel as matkernel
     import bcsuth.sutherland as sutherland
-
-    def boom(*args, **kwargs):
-        raise AssertionError("gamma_split called")
 
     cases = []
     for n in (1, 2, 3, 4):
         p = sample_params(rng, n, CFG)
         pt = sample_sutherland(rng, n)
-        cases.append((pt, p, forward_map(pt, p), sutherland.action_map(pt, p)))
-    for module in (matkernel, duality, sutherland):
-        monkeypatch.setattr(module, "gamma_split", boom, raising=False)
-    for pt, p, dual, lam in cases:
-        image = forward_map(pt, p)
+        cases.append((pt, p, forward_map_full(pt, p), sutherland.action_map(pt, p)))
+    _forbid(monkeypatch, matkernel.gamma_split, sutherland.lax_Y)
+    for pt, p, (dual, F), lam in cases:
+        image, F2 = forward_map_full(pt, p)
         assert np.array_equal(image.lam, dual.lam)
         assert np.array_equal(image.theta, dual.theta)
+        assert np.array_equal(F2, F)
         assert np.array_equal(sutherland.action_map(pt, p), lam)
+
+
+def test_backward_map_builds_no_angle_gauge_object(rng, monkeypatch):
+    # the backward map fixes the gauge in the oscillator chart: it builds
+    # neither the angle-gauge core matrix nor the angle-gauge vector f
+    cases = []
+    for n in (1, 2, 3, 4):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        cases.append((dual, p, backward_map_full(dual, p)))
+    _forbid(monkeypatch, rsvd.A_check, rsvd.f_vector)
+    for dual, p, (ref, Y_ref) in cases:
+        pt, Y = backward_map_full(dual, p)
+        assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+        assert np.array_equal(Y, Y_ref)
+
+
+def _angle_gauge_backward(dual, p):
+    """(q, p) through the angle gauge: the Cartan factor of B = -(h A h)^dag
+    with A = A_check, V = y h f, then eta^dag Y eta and the phase zeta."""
+    n = dual.n
+    h = rsvd.h_matrix(dual.lam, p).h.m
+    A = rsvd.A_check(dual, p, validate=False).m
+    eta_s, q = cartan_decompose_gminus(-(h @ A @ h).conj().T)
+    eta = eta_s.m
+    y = (eta * exp_iQ_diagonal(q)) @ eta.conj().T
+    V = y @ (h @ rsvd.f_vector(dual, p))
+    u = (eta.conj().T @ V)[:n]
+    zeta = np.r_[u.conj() / np.abs(u), u.conj() / np.abs(u)]
+    Y = 1j * ((h * np.r_[dual.lam, -dual.lam]) @ h.conj().T)
+    Yfinal = zeta[:, None] * (eta.conj().T @ Y @ eta) * zeta.conj()
+    return q, np.imag(np.diag(Yfinal)[:n])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_backward_map_matches_the_angle_gauge_route(n):
+    # (q, p) are gauge invariants: m(theta) is central and commutes with h
+    rng = np.random.default_rng(7000 + n)
+    worst_q = worst_p = 0.0
+    for _ in range(200):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        q_ref, p_ref = _angle_gauge_backward(dual, p)
+        pt = backward_map(dual, p)
+        worst_q = max(worst_q, float(np.max(np.abs(pt.q - q_ref))))
+        worst_p = max(worst_p, float(np.max(np.abs(pt.p - p_ref)))
+                      / max(1.0, float(np.max(np.abs(p_ref)))))
+    assert worst_q <= 1e-12 and worst_p <= 1e-12, (worst_q, worst_p)

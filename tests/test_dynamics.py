@@ -537,3 +537,18 @@ def test_fd_gradient_matches_per_column_stencils(rng):
                 assert np.array_equal(fd_gradient(H, x0, h), per_column(H, x0, h))
                 rich = (4.0 * per_column(H, x0, h / 2) - per_column(H, x0, h)) / 3.0
                 assert np.array_equal(fd_gradient(H, x0, h, richardson=True), rich)
+
+
+def test_analytic_field_calls_the_module_gradient(rng, monkeypatch):
+    # vector_field looks the gradient up on the module when it builds the
+    # field, so a wrapper set there (as a tracer sets one) sees every call
+    calls = []
+    grad = dynamics.grad_H1
+
+    def counted(q, p, params):
+        calls.append(1)
+        return grad(q, p, params)
+    monkeypatch.setattr(dynamics, "grad_H1", counted)
+    flow, x0, p = _flow_start(rng, "sutherland_H1", 2, T=0.05)
+    traj = integrate(flow, x0, p)
+    assert len(calls) == traj.stats["evaluations"] > 0

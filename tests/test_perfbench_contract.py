@@ -79,3 +79,11 @@ def test_dynamics_shares_the_forward_map_object():
     from bcsuth import duality, dynamics
 
     assert dynamics.forward_map_full is duality.forward_map_full
+
+
+def test_map_roundtrip_full_near_wall_slice(perfbench):
+    # the benchmark's whole near-wall slice (q_n = 1e-7 at n = 2, 3, 4): each
+    # of its six points trips the Lax gate and passes check_slice
+    rnd = perfbench("workloads").MapRoundtrip(
+        seed=1, per_n=1, ns=(1,), slice_ns=(2, 3, 4), slice_per_n=2).run_round()
+    assert (rnd.attempted, rnd.failed, rnd.problems) == (7, 6, [])
