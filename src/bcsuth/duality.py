@@ -36,7 +36,7 @@ from .matkernel import exchange_matrix, exp_iQ, exp_iQ_diagonal, \
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, canonical_angle, chart_membership,
                      z_from_angles)
-from .rsvd import (A_tilde, F_squared_branches, dual_H0, h_matrix, phi_vector)
+from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
 from .sutherland import lax_K, lax_Y, momentum_residual, \
     real_constraint_vector
 
@@ -103,7 +103,8 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     n = dual.n
     z = z_from_angles(dual, params).z
     h = h_matrix(dual.lam, params).h.m
-    eta, q = cartan_decompose_gminus(-(h @ A_tilde(z, params).m @ h).conj().T)
+    A, phi = _A_tilde_phi(z, params)
+    eta, q = cartan_decompose_gminus(-(h @ A @ h).conj().T)
     qpoint_probe = chart_membership(q.tolist(), "qp", params, 1e-12)
     if qpoint_probe != "inside":
         raise DomainError(
@@ -111,7 +112,7 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
             "open Sutherland chamber")
 
     W = eta.m.conj().T @ h
-    v = exp_iQ_diagonal(q) * (W @ phi_vector(z, params))
+    v = exp_iQ_diagonal(q) * (W @ phi)
     u = v[:n]
     unit_defect = float(np.max(np.abs(np.abs(u) - 1.0)))
     mirror_defect = float(np.linalg.norm(v[n:] + u))

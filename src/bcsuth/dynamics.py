@@ -104,6 +104,8 @@ class FlowSpec:
                              f"dt = {self.dt!r} (T / dt = {steps!r})")
         if not self.boundary_margin >= 0:
             raise ValueError("boundary_margin must be >= 0")
+        if self.monitor_stride < 1:
+            raise ValueError(f"monitor_stride must be >= 1, got {self.monitor_stride}")
         if self.gradient not in ("analytic", "fd"):
             raise ValueError("gradient mode must be 'analytic' or 'fd'")
         if self.gradient == "analytic" and self.system not in GRADIENTS:
@@ -408,8 +410,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
     if traj.flow.chart != "qp":
         raise ValueError("angle linearity is measured on qp-chart trajectories")
     n = params.n
-    stride = max(1, traj.flow.monitor_stride)
-    idx = np.arange(0, traj.times.size, stride)
+    idx = np.arange(0, traj.times.size, traj.flow.monitor_stride)
     ts = traj.times[idx]
     lams = np.empty((idx.size, n))
     thetas = np.empty((idx.size, n))

@@ -15,9 +15,9 @@ The three workhorse factorizations:
 * :func:`pair_diagonalize_gminus` Y_minus = g * i*diag(d, -d) * g^{-1}, g in Gplus
 * :func:`cartan_decompose_gminus` B = eta * exp(2i*diag(q, -q)) * eta^{-1}, eta in Gplus
 
-The last two are thin callers of one pairing core, :func:`_pair_spectrum`:
-the frame pairs each eigenvector v of +x with Cv, one of -x, and pairs values
-that are their own mirror (0; or 0 and pi/2) inside their eigenspace.
+The paired spectrum is one n x n SVD: in C's eigenbasis a gminus element is
+the Jordan-Wielandt matrix of one block M.  The Cartan factor pairs the Schur
+vectors of B, and q = 0 or pi/2 (their own mirrors) inside their eigenspace.
 Plus a numerical oracle for Jacobi's complementary-minor identity.
 """
 
@@ -145,89 +145,89 @@ def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
     return Y_plus, Y_minus
 
 
-def _fix_frame_phases(g: np.ndarray) -> np.ndarray:
-    """Make each primary column's largest-magnitude entry real positive.
-
-    The same phase is applied to the paired column n+j, which keeps the frame
-    inside Gplus (this is exactly the residual Z freedom).
-    """
-    n = g.shape[0] // 2
-    peak = g[np.argmax(np.abs(g[:, :n]), axis=0), np.arange(n)]
-    phase = peak / np.abs(peak)
-    return g / np.concatenate((phase, phase))
+def _paired_frame(V: np.ndarray) -> np.ndarray:
+    """The Gplus frame [v, Cv] of the primary columns V (2n x n), each column's
+    largest-magnitude entry made real positive (this fixes the residual Z
+    freedom, one phase per pair of columns)."""
+    n = V.shape[1]
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V = V / (peak / np.abs(peak))
+    return np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
 
 
-def _pair_zero_modes(basis: np.ndarray, C: np.ndarray, context: str) -> list[np.ndarray]:
-    """Pair a C-invariant subspace into (v, Cv) couples via the C eigenbasis.
+def _pair_spectrum(q, vecs):
+    """Pair the Schur half-angles ``q`` (length 2n) of a Gminus element.
 
-    ``basis`` holds orthonormal columns spanning the subspace.  Returns the
-    primary vectors v; their partners are C @ v.
-    """
-    w, u = np.linalg.eigh(basis.conj().T @ C @ basis)
-    if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
-        raise PairingError(
-            f"{context}: cluster is not C-invariant (restricted C eigenvalues {w})"
-        )
-    plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
-    if plus.shape != minus.shape:
-        raise PairingError(f"{context}: unbalanced C signature in cluster "
-                           f"({plus.shape[1]} vs {minus.shape[1]})")
-    return list(((plus + minus) / math.sqrt(2.0)).T)
-
-
-def _pair_spectrum(vals, vecs, mirrors, tol: float, scale: float, context: str):
-    """Pair the spectrum of an element that C conjugates to its mirror image.
-
-    ``vals`` (length 2n) belong to the orthonormal columns of ``vecs``; C maps
-    the eigenvector of x to one of -x, so the values off ``mirrors`` (those
-    equal to their own mirror) come in (+x, -x) pairs, matched within
-    10*max(tol, 1e-12*max(1, scale)).  A value within ``tol`` of a mirror m
-    is m; its cluster is paired through the C eigenbasis.  Returns the n
-    primary values, descending, and the Gplus frame [v, Cv].
+    ``q`` belong to the orthonormal columns of ``vecs``; C maps the eigenvector
+    of x to one of -x, so values off the mirrors 0 and pi/2 pair as (+x, -x)
+    within 10*PAIR_TOL, and a cluster within PAIR_TOL of a mirror is paired in
+    the C eigenbasis.  Returns the n primary values, descending, and the frame.
     """
     n = vecs.shape[0] // 2
-    vals = vals.tolist()  # floats: at n <= 8 numpy's per-call cost dominates
-    free = [i for i, x in enumerate(vals) if min(abs(x - m) for m in mirrors) > tol]
+    vals = q.tolist()  # floats: at n <= 8 numpy's per-call cost dominates
+    mirrors, context = (0.0, math.pi / 2), "cartan_decompose_gminus"
+    free = [i for i, x in enumerate(vals) if min(abs(x - m) for m in mirrors) > PAIR_TOL]
     up = [i for i in free if vals[i] > 0]
     down = sorted(-vals[i] for i in free if vals[i] < 0)
     if len(up) != len(down):
         raise PairingError(f"{context}: spectrum does not pair into +-: "
                            f"{len(up)} positive vs {len(down)} negative")
-    bound = 10 * max(tol, 1e-12 * max(1.0, scale))
-    if any(abs(a - b) > bound for a, b in zip(sorted(vals[i] for i in up), down)):
+    if any(abs(a - b) > 10 * PAIR_TOL for a, b in zip(sorted(vals[i] for i in up), down)):
         raise PairingError(f"{context}: positive and negative values do not match in +- pairs")
     cols, values = [vecs[:, i] for i in up], [vals[i] for i in up]
     for m in mirrors:
-        cluster = [i for i, x in enumerate(vals) if abs(x - m) <= tol]
-        if cluster:
-            vs = _pair_zero_modes(vecs[:, cluster], exchange_matrix(n), f"{context} ({m:g})")
-            cols.extend(vs)
-            values.extend([m] * len(vs))
+        basis = vecs[:, [i for i, x in enumerate(vals) if abs(x - m) <= PAIR_TOL]]
+        if not basis.shape[1]:
+            continue
+        # C restricted to the cluster; C @ basis swaps the halves of each column
+        w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
+        if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
+            raise PairingError(f"{context} ({m:g}): cluster is not C-invariant "
+                               f"(restricted C eigenvalues {w})")
+        plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
+        if plus.shape != minus.shape:
+            raise PairingError(f"{context} ({m:g}): unbalanced C signature in cluster "
+                               f"({plus.shape[1]} vs {minus.shape[1]})")
+        cols.extend(((plus + minus) / math.sqrt(2.0)).T)
+        values.extend([m] * plus.shape[1])
     order = sorted(range(n), key=lambda j: -values[j])
     P = np.array([cols[j] for j in order]).T
-    g = np.concatenate((P, np.concatenate((P[n:], P[:n]))), axis=1)  # [v, Cv]
-    return np.array([values[j] for j in order]), _fix_frame_phases(g)
+    return np.array([values[j] for j in order]), _paired_frame(P)
 
 
 def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     """Write a gminus element as g * i*diag(d, -d) * g^{-1} with g in Gplus.
 
-    The Hermitian matrix -i*Y_minus anticommutes with C, so its spectrum comes
-    in (+d, -d) pairs and C maps the +d eigenvector v to a -d eigenvector; the
-    frame takes columns (v_j, C v_j).  Eigenvalues within PAIR_TOL of zero
-    count as zero and are paired inside the kernel through the C eigenbasis;
-    the +- match scales with ||Y_minus||_F, as eigh's error does.  The input
-    must be gminus within CHECK_TOL.
+    In C's eigenbasis U = [[1, 1], [1, -1]]/sqrt(2), -i*Y_minus is the
+    Jordan-Wielandt matrix [[0, M^dag], [M, 0]] of M = -i(Y_11 + Y_12)
+    (Golub-Van Loan, Matrix Computations, section 8.6).  With the SVD
+    M = X diag(d) W^dag, U carries its +-d_j eigenvectors (w_j, +-x_j)/sqrt(2)
+    to v_j = (w_j + x_j, w_j - x_j)/2 and C v_j: g = [v, Cv] is in Gplus for
+    every d, zero included.  The bidiagonal SVD stops near 90 eps relative,
+    which can leave close columns mixed, so one first-order step against
+    -i*Y_minus follows: with E = g^dag (-i*Y_minus) v and L = (d, -d), d_j
+    becomes E_jj and v_j gains g z_j, z the anti-Hermitian part of
+    E_kj / (d_j - L_k) over the gaps above 1e-6 * max(1, ||Y_minus||_F).
+    The input must be gminus within CHECK_TOL.
     """
     Y = np.asarray(Yminus, dtype=complex)
     _require_structure(Y, "gminus")
-    scale = float(np.linalg.norm(Y))
-    d, g = _pair_spectrum(*np.linalg.eigh(-1j * Y), (0.0,), PAIR_TOL, scale,
-                          "pair_diagonalize_gminus")
+    n = Y.shape[0] // 2
+    scale = max(1.0, float(np.linalg.norm(Y)))
+    X, d, Wh = np.linalg.svd(-1j * (Y[:n, :n] + Y[:n, n:]))
+    W = Wh.conj().T
+    V = np.concatenate((W + X, W - X)) / 2.0
+    g = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)  # [v, Cv]
+    E = g.conj().T @ (Y @ V) * -1j
+    d = np.abs(E.diagonal().real)
+    gap = d - np.concatenate((d, -d))[:, None]
+    Z = E / np.where(np.abs(gap) > 1e-6 * scale, gap, np.inf)
+    Z -= np.concatenate((Z[:n].conj().T, Z[n:].conj().T))  # twice its anti-Hermitian part
+    g = _paired_frame(V + g @ (Z / 2.0))
 
     recon = (g * (1j * np.concatenate((d, -d)))) @ g.conj().T
     err = float(np.linalg.norm(recon - Y))
-    if err > 1e-8 * max(1.0, scale):
+    if err > 1e-8 * scale:
         raise PairingError(f"pair diagonalization reconstruction residual {err:.3e}")
     return PairedSpectrum(values=d, frame=StructuredMatrix(g))
 
@@ -252,8 +252,7 @@ def cartan_decompose_gminus(B):
     q = np.angle(np.diag(T)) / 2.0
     # eigenvalue -1 has angle +pi or -pi: both are the mirror q = pi/2
     q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
-    q, eta = _pair_spectrum(q, Zs, (0.0, math.pi / 2), PAIR_TOL, 1.0,
-                            "cartan_decompose_gminus")
+    q, eta = _pair_spectrum(q, Zs)
 
     recon = (eta * exp_iQ_diagonal(2.0 * q)) @ eta.conj().T
     err = float(np.linalg.norm(recon - B))

@@ -223,19 +223,8 @@ def _central_phases(theta) -> np.ndarray:
 
 def phi_vector(z, params: CouplingParams) -> np.ndarray:
     """Globally smooth gauge transform of the f-vector: phi_k = conj(z_k) g_k,
-    phi_{n+k} = conj(z_{k-1}) g_{n+k} with z_0 := 1."""
-    z = np.asarray(z, dtype=complex)
-    return _phi(z, g_functions(z, params))
-
-
-def _phi(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """:func:`phi_vector` from z and its profiles g."""
-    n = z.size
-    zc = z.conj()
-    phi = g.astype(complex)
-    phi[:n] *= zc
-    phi[n + 1:] *= zc[:-1]
-    return phi
+    phi_{n+k} = conj(z_{k-1}) g_{n+k} with z_0 := 1 (built with A_tilde)."""
+    return _A_tilde_phi(z, params)[1]
 
 
 def _diag_entry_n2n(lam, params: CouplingParams) -> float:
@@ -270,12 +259,21 @@ def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
     g_{n+a+1} at (a, a+1) and (n+a+1, n+a) for a = 1..n-1, and
     :func:`_diag_entry_n2n` at (n, 2n).  Nothing divides by zero anywhere.
     """
+    return StructuredMatrix(_A_tilde_phi(z, params)[0])
+
+
+def _A_tilde_phi(z, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """(:func:`A_tilde`, :func:`phi_vector`) at z from one lambda(z) and g pass."""
     z = np.asarray(z, dtype=complex)
     n = z.size
     N = 2 * n
     lam = lambda_of_z(z, params)
     g = np.array(_g_profiles(lam.tolist(), params))
-    num, den = _cauchy_parts(_phi(z, g), lam, params)
+    zc = z.conj()
+    phi = g.astype(complex)
+    phi[:n] *= zc
+    phi[n + 1:] *= zc[:-1]
+    num, den = _cauchy_parts(phi, lam, params)
     # the cancelled entries, as strided slices of the flattened matrix
     upper = slice(1, (n - 1) * (N + 1), N + 1)  # (a, a+1), a < n-1
     lower = slice(n * N + n + N, None, N + 1)   # (n+a+1, n+a), a < n-1
@@ -286,7 +284,7 @@ def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
     flat = A.reshape(-1)
     flat[upper] = flat[lower] = -2 * params.mu * g[:n - 1] * g[n + 1:]
     flat[corner] = _diag_entry_n2n(lam, params)
-    return StructuredMatrix(A)
+    return A, phi
 
 
 def L_tilde(z, params: CouplingParams) -> StructuredMatrix:

@@ -120,6 +120,18 @@ def test_flow_rejects_a_fractional_step_count(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_flow_rejects_a_monitor_stride_below_one(capsys, stride):
+    # a usage error (exit 2), neither a division by zero nor every-step sampling
+    code, out, err = run_cli(
+        capsys, "flow", "--system", "sutherland_H1", "--chart", "qp", "--n", "1",
+        "--mu", "1", "--nu", "2", "--x0", "0.7,1", "--T", "0.01", "--dt", "0.001",
+        "--monitor-stride", stride)
+    assert code == 2
+    assert "monitor_stride must be >= 1" in err
+    assert out == ""
+
+
 def test_flow_dual_H0_default_analytic_gradient(tmp_path, capsys):
     out_csv = tmp_path / "d.csv"
     code, out, err = run_cli(

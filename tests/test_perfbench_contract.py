@@ -4,7 +4,8 @@
 ``perfbench/tracer.py`` wraps them by name; the benchmark's own test runs
 outside this suite.  Calling every micro row once at n = 1 and 2 and
 resolving every traced name catches a change that would break the benchmark;
-the two factorization rows must also keep their residuals below 1e-12.  One
+the two factorization rows must also keep their residuals below 1e-12, at
+n = 4 and 8 as well.  One
 small round of each workload (map-roundtrip, flow-exact and verify-all)
 checks the calls and the outcomes those workloads rely on.
 """
@@ -45,6 +46,15 @@ def test_micro_rows_run_at_n1(perfbench):
 
 def test_micro_rows_run_at_n2(perfbench):
     _run_micro_rows(perfbench, 2)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_factorization_rows_at_n(perfbench, n):
+    # perfbench also times the two factorizations at n = 4 and 8
+    rows = {name: (call, resid) for name, call, resid in perfbench("micro").rows_for(n)}
+    for name in ("pair_diagonalize_gminus", "cartan_decompose_gminus"):
+        call, resid = rows[name]
+        assert resid(call()) < 1e-12, (name, n)
 
 
 def test_map_roundtrip_round(perfbench):

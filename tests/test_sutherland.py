@@ -3,7 +3,8 @@ import pytest
 
 from bcsuth.dynamics import fd_gradient
 from bcsuth.errors import ConsistencyError, DomainError
-from bcsuth.matkernel import exp_iQ, structure_residual
+from bcsuth.matkernel import (exp_iQ, pair_diagonalize_gminus,
+                              structure_residual)
 from bcsuth.params import SutherlandPoint, couplings_from_rsvd
 from bcsuth.sutherland import (action_map, closed_form_H1, grad_H1,
                                hamiltonians, hamiltonians_matrix_route, lax_K,
@@ -212,6 +213,43 @@ def test_action_map_reads_eigenvalues_only(rng, monkeypatch):
     for pt, params, ref in cases:
         lam = action_map(pt, params)
         assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_paired_frame_near_a_wall(rng):
+    # q_n at 1e-7 and 2e-9 puts ||K|| near 1e9: the SVD frame must still
+    # reconstruct K to roundoff relative to its norm and stay in Gplus
+    cfg = SuiteConfig(suite="sutherland")
+    for n in (2, 3, 4):
+        for q_n in (1e-7, 2e-9):
+            for _ in range(10):
+                params = sample_params(rng, n, cfg)
+                pt = sample_sutherland(rng, n)
+                K = lax_K(SutherlandPoint(q=np.r_[pt.q[:-1], q_n], p=pt.p), params)
+                spec = pair_diagonalize_gminus(K)
+                d, g = spec.values, spec.frame.m
+                recon = (g * (1j * np.r_[d, -d])) @ g.conj().T
+                assert np.linalg.norm(recon - K) <= 1e-14 * np.linalg.norm(K)
+                assert structure_residual(g, "Gplus") <= 1e-14
+
+
+def test_paired_frame_matches_eigh_to_roundoff(rng):
+    # reference: eigh of -iK.  Each frame column's distance from eigh's
+    # eigenvector, times its gap over ||K||, is a multiple of eps for both
+    # routes; the bare bidiagonal SVD reaches 5 eps on these draws
+    cfg = SuiteConfig(suite="sutherland")
+    for n in (4, 8):
+        for _ in range(150):
+            K = lax_K(sample_sutherland(rng, n), sample_params(rng, n, cfg))
+            spec = pair_diagonalize_gminus(K)
+            w, U = np.linalg.eigh(-1j * K)
+            order = np.argsort(-w)[:n]
+            d = w[order]
+            for j in range(n):
+                u, v = U[:, order[j]], spec.frame.m[:, j]
+                gaps = np.abs(np.r_[d, -d] - d[j])
+                gap = np.min(np.delete(gaps, j))
+                dist = np.linalg.norm(v - u * np.vdot(u, v) / abs(np.vdot(u, v)))
+                assert dist * gap <= 8e-16 * np.linalg.norm(K)
 
 
 def test_momentum_residual_on_section(rng):
