@@ -206,16 +206,14 @@ def cmd_verify(args) -> int:
     if args.n_max < 1 or args.samples < 1:
         raise ParameterError(f"--n-max and --samples must be >= 1, got "
                              f"{args.n_max} and {args.samples}")
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     tolerances = dict(_tolerance(override) for override in args.tol or [])
     config = verification.SuiteConfig(
         suite=args.suite,
         n_values=tuple(range(1, args.n_max + 1)),
         samples=args.samples, seed=args.seed, tolerances=tolerances)
-    try:
-        report = verification.run_suite(config, jobs=args.jobs)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = verification.run_suite(config, jobs=args.jobs)
     if args.format == "csv":
         text = report.to_csv()
     else:

@@ -29,7 +29,7 @@ class StructureError(BcsuthError, ValueError):
 
 
 class PairingError(BcsuthError):
-    """Eigenvalues do not pair up as required; input is likely corrupted."""
+    """A factorization finds no valid structured frame or fails to rebuild its input."""
 
 
 class ConsistencyError(BcsuthError):

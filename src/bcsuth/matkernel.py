@@ -16,8 +16,9 @@ The three workhorse factorizations:
 * :func:`cartan_decompose_gminus` B = eta * exp(2i*diag(q, -q)) * eta^{-1}, eta in Gplus
 
 The paired spectrum is one n x n SVD: in C's eigenbasis a gminus element is
-the Jordan-Wielandt matrix of one block M.  The Cartan factor pairs the Schur
-vectors of B, and q = 0 or pi/2 (their own mirrors) inside their eigenspace.
+the Jordan-Wielandt matrix of one block M.  The Cartan factor selects the
+Schur vectors of B with 0 < q < pi/2 as its primary columns and pairs q = 0
+or pi/2 (their own mirrors) inside their eigenspace.
 Plus a numerical oracle for Jacobi's complementary-minor identity.
 """
 
@@ -31,7 +32,7 @@ import scipy.linalg
 
 from .errors import PairingError, StructureError
 
-#: default tolerance for eigenvalue pairing decisions
+#: mirror tolerance of the Cartan factor
 PAIR_TOL = 1e-9
 #: default residual bound accepted for structure membership of inputs
 CHECK_TOL = 1e-8
@@ -83,12 +84,11 @@ def structure_residual(X, tag: str) -> float:
             float(np.linalg.norm(conj_by_C(X) - X)),
         )
     if tag == "Gminus":
-        r_unit = float(np.linalg.norm(X.conj().T @ X - eye))
-        try:
-            Xinv = np.linalg.inv(X)
-        except np.linalg.LinAlgError as exc:
-            raise StructureError("Gminus residual needs an invertible matrix") from exc
-        return max(r_unit, float(np.linalg.norm(conj_by_C(X) - Xinv)))
+        # with X unitary (checked in the same max) X^{-1} is X^dag
+        return max(
+            float(np.linalg.norm(X.conj().T @ X - eye)),
+            float(np.linalg.norm(conj_by_C(X) - X.conj().T)),
+        )
     if tag == "gplus":
         return max(
             float(np.linalg.norm(X.conj().T + X)),
@@ -155,46 +155,6 @@ def _paired_frame(V: np.ndarray) -> np.ndarray:
     return np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
 
 
-def _pair_spectrum(q, vecs):
-    """Pair the Schur half-angles ``q`` (length 2n) of a Gminus element.
-
-    ``q`` belong to the orthonormal columns of ``vecs``; C maps the eigenvector
-    of x to one of -x, so values off the mirrors 0 and pi/2 pair as (+x, -x)
-    within 10*PAIR_TOL, and a cluster within PAIR_TOL of a mirror is paired in
-    the C eigenbasis.  Returns the n primary values, descending, and the frame.
-    """
-    n = vecs.shape[0] // 2
-    vals = q.tolist()  # floats: at n <= 8 numpy's per-call cost dominates
-    mirrors, context = (0.0, math.pi / 2), "cartan_decompose_gminus"
-    free = [i for i, x in enumerate(vals) if min(abs(x - m) for m in mirrors) > PAIR_TOL]
-    up = [i for i in free if vals[i] > 0]
-    down = sorted(-vals[i] for i in free if vals[i] < 0)
-    if len(up) != len(down):
-        raise PairingError(f"{context}: spectrum does not pair into +-: "
-                           f"{len(up)} positive vs {len(down)} negative")
-    if any(abs(a - b) > 10 * PAIR_TOL for a, b in zip(sorted(vals[i] for i in up), down)):
-        raise PairingError(f"{context}: positive and negative values do not match in +- pairs")
-    cols, values = [vecs[:, i] for i in up], [vals[i] for i in up]
-    for m in mirrors:
-        basis = vecs[:, [i for i, x in enumerate(vals) if abs(x - m) <= PAIR_TOL]]
-        if not basis.shape[1]:
-            continue
-        # C restricted to the cluster; C @ basis swaps the halves of each column
-        w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
-        if np.any(np.abs(np.abs(w) - 1.0) > 1e-6):
-            raise PairingError(f"{context} ({m:g}): cluster is not C-invariant "
-                               f"(restricted C eigenvalues {w})")
-        plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
-        if plus.shape != minus.shape:
-            raise PairingError(f"{context} ({m:g}): unbalanced C signature in cluster "
-                               f"({plus.shape[1]} vs {minus.shape[1]})")
-        cols.extend(((plus + minus) / math.sqrt(2.0)).T)
-        values.extend([m] * plus.shape[1])
-    order = sorted(range(n), key=lambda j: -values[j])
-    P = np.array([cols[j] for j in order]).T
-    return np.array([values[j] for j in order]), _paired_frame(P)
-
-
 def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     """Write a gminus element as g * i*diag(d, -d) * g^{-1} with g in Gplus.
 
@@ -236,23 +196,49 @@ def cartan_decompose_gminus(B):
     """Factor a (decomposable) Gminus element as eta * exp(2i*Q(q)) * eta^{-1}.
 
     Returns (eta, q) with eta in Gplus and q sorted descending in [0, pi/2].
-    Eigenvalues of B pair as exp(+-2i*q_j); the exp(2iq) eigenvector v and
-    C v span each pair.  Eigenvalues at +-1 (q within PAIR_TOL of 0 or pi/2)
-    are paired through the C eigenbasis of the corresponding eigenspace; if
-    that space is not C-balanced the element admits no such factorization and
-    PairingError is raised.  The input must be Gminus within CHECK_TOL.
+    B is unitary, so its complex Schur vectors are eigenvectors; C maps the
+    one of exp(2iq) to one of exp(-2iq).  The vectors whose half-angle lies
+    in (PAIR_TOL, pi/2 - PAIR_TOL) are the primary columns v of eta = [v, Cv].
+    Eigenvalues at +-1 (q within PAIR_TOL of 0 or pi/2) are paired through
+    the C eigenbasis of their eigenspace; if that space is not C-balanced the
+    element admits no such factorization and PairingError is raised.  Next to
+    a mirror Schur mixes v with Cv by about eps/q, so one Newton-Schulz step
+    makes the blocks a + b and a - b of eta unitary again.  The input must be
+    Gminus within CHECK_TOL.
     """
     B = np.asarray(B, dtype=complex)
     _require_structure(B, "Gminus")
+    n = B.shape[0] // 2
 
-    # B is normal (unitary): complex Schur gives orthonormal eigenvectors.
     T, Zs = scipy.linalg.schur(B, output="complex")
-    if np.linalg.norm(T - np.diag(np.diag(T))) > 1e-6:
-        raise PairingError("input is too far from normal for spectral pairing")
     q = np.angle(np.diag(T)) / 2.0
     # eigenvalue -1 has angle +pi or -pi: both are the mirror q = pi/2
     q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
-    q, eta = _pair_spectrum(q, Zs)
+    primary = (q > PAIR_TOL) & (q < math.pi / 2 - PAIR_TOL)
+    cols, values = [Zs[:, primary]], [q[primary]]
+    for m in (0.0, math.pi / 2):
+        basis = Zs[:, np.abs(q - m) <= PAIR_TOL]
+        if not basis.shape[1]:
+            continue
+        # C restricted to the cluster; C @ basis swaps the halves of each column
+        w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
+        plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
+        if plus.shape != minus.shape:
+            raise PairingError(f"cartan_decompose_gminus ({m:g}): unbalanced C signature "
+                               f"in cluster ({plus.shape[1]} vs {minus.shape[1]})")
+        cols.append((plus + minus) / math.sqrt(2.0))
+        values.append(np.full(plus.shape[1], m))
+    V, q = np.concatenate(cols, axis=1), np.concatenate(values)
+    if V.shape[1] != n:
+        raise PairingError(f"cartan_decompose_gminus: {V.shape[1]} primary columns, expected {n}")
+    order = np.argsort(-q, kind="stable")
+    V, q = V[:, order], q[order]
+    # one Newton-Schulz step eta <- eta (3 - eta^dag eta) / 2 on eta = [V, CV]
+    # (Higham, Functions of Matrices, section 8.3): in C's eigenbasis eta is
+    # diag(a + b, a - b), a and b the halves of V, so both blocks move toward
+    # unitary and eta stays in Gplus
+    M = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
+    eta = _paired_frame(1.5 * V - 0.5 * (M @ (M.conj().T @ V)))
 
     recon = (eta * exp_iQ_diagonal(2.0 * q)) @ eta.conj().T
     err = float(np.linalg.norm(recon - B))

@@ -664,15 +664,16 @@ def _run_named(config: SuiteConfig) -> list:
 def run_suite(config: SuiteConfig, jobs: int = 1) -> SuiteReport:
     """Run one named suite (or 'all') and return its deterministic report.
 
-    For 'all' with jobs > 1 the member suites run in a process pool; report
-    assembly stays ordered, so the output is byte-identical to a serial run.
+    For 'all' with jobs > 1 the member suites run in a process pool of at most
+    one worker per suite; report assembly stays ordered, so the output is
+    byte-identical to a serial run.
     """
     if config.suite == "all":
         tasks = [replace(config, suite=name) for name in SUITES]
         if jobs > 1:
             import concurrent.futures
 
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(SUITES))) as ex:
                 results = list(ex.map(_run_named, tasks))
         else:
             results = [_run_named(t) for t in tasks]

@@ -281,7 +281,9 @@ def test_missing_vector_input_is_a_usage_error(capsys, argv, flag):
     (("--tol", "duality.round_trp=1e-7"), "--tol names no check"),
     (("--tol", "duality.round_trip=nan"), "needs a finite value >= 0"),
     (("--tol", "duality.round_trip=-1e-9"), "needs a finite value >= 0"),
-], ids=["n-max", "samples", "tol-name", "tol-nan", "tol-negative"])
+    (("--jobs", "0"), "--jobs must be >= 1"),
+    (("--jobs", "-3"), "--jobs must be >= 1"),
+], ids=["n-max", "samples", "tol-name", "tol-nan", "tol-negative", "jobs-0", "jobs-negative"])
 def test_verify_refuses_a_vacuous_or_unknown_setting(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", "--suite", "rsvd", *argv)
     assert code == 2 and out == ""

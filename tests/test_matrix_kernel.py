@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsuth.errors import PairingError, StructureError
-from bcsuth.matkernel import (cartan_decompose_gminus, conj_by_C,
+from bcsuth.matkernel import (PAIR_TOL, cartan_decompose_gminus, conj_by_C,
                               exchange_matrix, exp_iQ, gamma_split,
                               jacobi_minor_residual, pair_diagonalize_gminus,
                               random_Gminus_group, random_gminus_algebra,
@@ -126,17 +126,51 @@ def test_cartan_generate_and_recover(rng):
             assert structure_residual(eta.m, "Gplus") < 1e-12
 
 
-def test_cartan_boundary_values(rng):
+@pytest.mark.parametrize("q0, q_tol, recon_tol", [
     # q components exactly at 0 and pi/2: the eigenspace pairing through the
     # exchange-matrix eigenbasis must still produce a valid frame
+    pytest.param([np.pi / 2, 0.0], 1e-10, 1e-10, id="mirrors"),
+    # the CS angles min(2q, pi - 2q) of this pair coincide
+    pytest.param([np.pi / 4 + 0.3, np.pi / 4 - 0.3], 1e-10, 1e-10, id="folded"),
+    # within PAIR_TOL of the mirror 0, q snaps to it
+    pytest.param([0.7, 5e-10], PAIR_TOL, 1e-8, id="snapped"),
+])
+def test_cartan_boundary_values(rng, q0, q_tol, recon_tol):
     n = 2
     eta0 = random_gplus(rng, n)
-    q0 = np.array([np.pi / 2, 0.0])
+    q0 = np.array(q0)
     B = eta0 @ exp_iQ(2 * q0) @ eta0.conj().T
     eta, q = cartan_decompose_gminus(B)
-    assert q == pytest.approx(q0, abs=1e-10)
+    assert q == pytest.approx(q0, abs=q_tol)
     recon = eta.m @ exp_iQ(2 * q) @ eta.m.conj().T
-    assert np.linalg.norm(recon - B) < 1e-10
+    assert np.linalg.norm(recon - B) < recon_tol
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q_near", [1.5e-9, np.pi / 2 - 1.5e-9], ids=["zero", "half-pi"])
+def test_cartan_next_to_a_mirror(n, q_near):
+    # just outside PAIR_TOL, Schur mixes the eigenvector v of exp(2iq) with
+    # C v by about eps/q; the frame must still be Gplus and rebuild B
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        eta0 = random_gplus(rng, n)
+        q0 = np.sort(np.r_[rng.uniform(0.05, np.pi / 2 - 0.05, n - 1), q_near])[::-1]
+        B = eta0 @ exp_iQ(2 * q0) @ eta0.conj().T
+        eta, q = cartan_decompose_gminus(B)
+        assert np.max(np.abs(q - q0)) < 1e-14
+        recon = eta.m @ exp_iQ(2 * q) @ eta.m.conj().T
+        assert np.linalg.norm(recon - B) < 1e-12
+        assert structure_residual(eta.m, "Gplus") < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cartan_rejects_unbalanced_mirror_cluster(n, sign):
+    # +-C is Gminus, but each of its +-1 eigenspaces carries one C sign only
+    B = sign * exchange_matrix(n)
+    assert structure_residual(B, "Gminus") == 0.0
+    with pytest.raises(PairingError, match="unbalanced"):
+        cartan_decompose_gminus(B)
 
 
 _SPREAD = st.floats(min_value=0.05, max_value=np.pi / 2 - 0.05)

@@ -110,3 +110,30 @@ def test_dual_H0_control_runs_the_row_code(monkeypatch):
     [control] = [c for c in report.checks if c.negative_control]
     assert control.name == "duality.dual_H0_consistency"
     assert control.max_residual == 0.0 and not control.passed
+
+
+@pytest.mark.parametrize("jobs, workers", [(2, 2), (len(SUITES), len(SUITES)),
+                                           (64, len(SUITES))])
+def test_all_pool_has_at_most_one_worker_per_suite(monkeypatch, jobs, workers):
+    # under fork the executor starts all max_workers processes at once; the
+    # fake records the pool size and starts none
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [[] for _ in tasks]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    run_suite(_cfg("all"), jobs=jobs)
+    assert sizes == [workers]
