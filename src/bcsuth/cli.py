@@ -19,7 +19,7 @@ import numpy as np
 from . import verification
 from .duality import (backward_map_full, backward_residuals, forward_map_full,
                       round_trip_report)
-from .dynamics import SYSTEMS, FlowSpec, integrate
+from .dynamics import GRADIENTS, SYSTEMS, FlowSpec, integrate
 from .errors import (BcsuthError, BoundaryApproachError, DegenerateChartError,
                      DegenerateTorusError, DomainError, NonConvergenceError,
                      ParameterError)
@@ -179,8 +179,9 @@ def cmd_map(args) -> int:
 
 def cmd_flow(args) -> int:
     params = _params_from_args(args)
+    gradient = args.gradient or ("analytic" if args.system in GRADIENTS else "fd")
     flow = FlowSpec(system=args.system, chart=args.chart, dt=args.dt, T=args.T,
-                    k=args.k, gradient=args.gradient,
+                    k=args.k, gradient=gradient,
                     monitor_stride=args.monitor_stride)
     x0 = _vector(args, "x0", 2 * params.n)
     try:
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--gradient", choices=("analytic", "fd"), default="analytic")
+    p.add_argument("--gradient", choices=("analytic", "fd"),
+                   help="default: analytic where a closed form exists, else fd")
     p.add_argument("--monitor-stride", type=int, default=10)
     p.set_defaults(func=cmd_flow)
 

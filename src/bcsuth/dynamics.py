@@ -221,16 +221,17 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
 
     Fixed-point sweeps x_{k+1} = x0 + dt f((x0 + x_k)/2) start from ``start``,
     by default x0, whose first sweep is the Euler predictor x0 + dt f(x0).  The
-    increment |x_{k+1} - x_k| is the residual of x_k, and x_{k+1} is returned
-    as soon as that increment is at most ``NEWTON_TOL`` * max(1, |x_{k+1}|)
-    (Hairer-Lubich-Wanner, Geometric Numerical Integration, VIII.6).  Only
-    when an increment shrinks by less than half, or after ``MAX_ITER`` sweeps,
-    does Newton with an FD Jacobian take over from the last sweep and polish
-    the residual x1 - x0 - dt f((x0 + x1)/2) below ``NEWTON_TOL``.  A Newton
-    stall strictly below 1e-10 is accepted (the attainable floor when f is
-    itself a finite-difference field); anything worse raises
-    NonConvergenceError.  ``stats``, a dict keyed by ``STATS``, gets the
-    step's counts added; a step that raises adds its evaluations and
+    increment |x_{k+1} - x_k| is the residual of x_k; once it is at most
+    ``NEWTON_TOL`` * max(1, |x_{k+1}|), x_{k+1} is returned if every earlier
+    increment halved, else x_k (Hairer-Lubich-Wanner, Geometric Numerical
+    Integration, VIII.6).  Only when an increment fails to halve the one two
+    sweeps back (strong and weak sweeps alternate in the (q, p) chart), or
+    after ``MAX_ITER`` sweeps, does Newton with an FD Jacobian take over from
+    the last sweep and polish the residual x1 - x0 - dt f((x0 + x1)/2) below
+    ``NEWTON_TOL``.  A Newton stall strictly below 1e-10 is accepted (the
+    attainable floor when f is itself a finite-difference field); anything
+    worse raises NonConvergenceError.  ``stats``, a dict keyed by ``STATS``,
+    gets the step's counts added; a step that raises adds its evaluations and
     Jacobians but no step.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -242,20 +243,22 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
 
 
 def _solve(f, x0, dt, x1, stats):
-    """The iteration of ``implicit_midpoint_step`` from x1; adds the f
-    evaluations, Jacobians built and stalls accepted to ``stats`` as it goes."""
-    last = math.inf
+    """The sweeps, with the two-back hand-off, and Newton of ``implicit_midpoint_step``
+    from x1; adds evaluations, Jacobians and accepted stalls to ``stats``."""
+    last = prev = math.inf  # the increments one and two sweeps back
+    halving = True
     for _ in range(MAX_ITER):
         x_next = x0 + dt * f(0.5 * (x0 + x1))
         stats["evaluations"] += 1
         d = x_next - x1
         inc = math.sqrt(d @ d)
+        if inc <= NEWTON_TOL * max(1.0, math.sqrt(x_next @ x_next)):
+            return x_next if halving else x1
         x1 = x_next
-        if inc <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
-            return x1
-        if not inc <= 0.5 * last:
+        if not inc <= 0.5 * prev:
             break
-        last = inc
+        halving = halving and inc <= 0.5 * last
+        prev, last = last, inc
     Jg = None
     best = math.inf
     for _ in range(MAX_ITER):

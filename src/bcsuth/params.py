@@ -28,10 +28,9 @@ from .errors import DegenerateChartError, DomainError, ParameterError
 
 TWO_PI = 2.0 * math.pi
 
-#: default tolerance band around the domain-defining inequalities
+#: default tolerance band around the domain-defining inequalities and the
+#: resonance hyperplanes of the strong-regularity gate
 DOMAIN_MARGIN = 1e-9
-#: default slack for the strong-regularity gate (protects Cauchy-like denominators)
-REGULARITY_MARGIN = 1e-6
 
 
 def _as_real_vector(x, name):
@@ -266,7 +265,7 @@ def require_inside(pos: list, chart: str, params: CouplingParams):
                       f"point is {status} ({name} = {pos})")
 
 
-def strongly_regular(lam, params: CouplingParams, margin: float = REGULARITY_MARGIN) -> bool:
+def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> bool:
     """True iff lambda avoids every resonance hyperplane with slack > margin.
 
     Checks lambda_1 > ... > lambda_n > |kappa|, then |lambda_a +- lambda_b| != 2*mu

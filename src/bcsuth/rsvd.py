@@ -16,6 +16,8 @@ The central objects:
 Both core matrices are one Cauchy-like expression, with L = (lambda, -lambda):
 entry (j, k) = [2mu F_j conj((CF)_k) - 2(mu - nu) C_jk] / (2mu + L_k - L_j),
 at F = f (``A_from_F``) or at its gauge transform F = phi(z) (``A_tilde``).
+``_cauchy_parts`` alone writes that numerator and denominator; ``A_from_F``,
+``A_tilde``, ``commutator_residual`` and ``appendix_chain`` all read it.
 On C^n exactly 2n - 1 denominators can vanish, each with its numerator, and
 ``A_tilde`` writes those entries in cancelled form: the (1,1)-block
 superdiagonal and (2,2)-block subdiagonal, where |z_a|^2 = lambda_a -
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import StructuredMatrix, exchange_matrix
+from .matkernel import StructuredMatrix, exchange_matrix, jacobi_minor_residual
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
                      require_inside, strongly_regular, z_from_angles)
 
@@ -325,13 +327,15 @@ def A_from_F(F, lam, params: CouplingParams) -> np.ndarray:
     """Raw Cauchy-like formula for the core matrix from an arbitrary F vector.
 
     Entry (j,k) = (2mu F_j conj((CF)_k) - 2(mu - nu) C_jk) / (2mu + L_k - L_j)
-    with L = (lambda, -lambda).  Valid only away from the resonance set where
-    a denominator vanishes (the smooth route is :func:`A_tilde`).
+    with L = (lambda, -lambda).  It loses about eps max|lambda| / min|den| of
+    max|A| near the resonance set, so it raises DomainError below min|den| =
+    1e-5 max(1, max|lambda|), about ten digits (the smooth route is A_tilde).
     """
-    num, den = _cauchy_parts(np.asarray(F, dtype=complex),
-                             np.asarray(lam, dtype=float), params)
-    if np.min(np.abs(den)) < 1e-9:
-        raise DomainError("raw formula hit a vanishing denominator; use the smooth route")
+    lam = np.asarray(lam, dtype=float)
+    num, den = _cauchy_parts(np.asarray(F, dtype=complex), lam, params)
+    if np.min(np.abs(den)) < 1e-5 * max(1.0, np.max(np.abs(lam))):
+        raise DomainError("raw formula too close to a vanishing denominator; "
+                          "use the smooth route")
     return num / den
 
 
@@ -364,17 +368,14 @@ def A_check(dual: DualPoint, params: CouplingParams,
 
 
 def commutator_residual(A, F, lam, params: CouplingParams) -> float:
-    """|| 2mu A + A Lam - Lam A - 2mu F (CF)^dag + 2(mu - nu) C ||."""
-    A = np.asarray(A, dtype=complex)
-    F = np.asarray(F, dtype=complex)
-    lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    Lam = np.diag(np.r_[lam, -lam]).astype(complex)
-    C = exchange_matrix(n)
-    CF = C @ F
-    R = 2 * params.mu * A + A @ Lam - Lam @ A \
-        - 2 * params.mu * np.outer(F, CF.conj()) + 2 * (params.mu - params.nu) * C
-    return float(np.linalg.norm(R))
+    """|| 2mu A + A Lam - Lam A - 2mu F (CF)^dag + 2(mu - nu) C ||, Lam = diag(L).
+
+    Entry (j, k) of 2mu A + A Lam - Lam A is A_jk (2mu + L_k - L_j), so the
+    residual is || A * den - num || with the Cauchy parts of :func:`A_from_F`.
+    """
+    num, den = _cauchy_parts(np.asarray(F, dtype=complex),
+                             np.asarray(lam, dtype=float), params)
+    return float(np.linalg.norm(np.asarray(A, dtype=complex) * den - num))
 
 
 def _h0_weights(lam: list, coef: list, params: CouplingParams,
@@ -504,6 +505,11 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
     determinant, which holds exactly for the realizable (plus) branch, so
     those entries are emitted only when the unitarity residual is small.
 
+    Psi = conj Q[:n, cols1], Xi = Q[n:, cols2] and the bordered Phi are slices
+    of the C-free quotient Q = (num + 2(mu - nu) C) / den of :func:`_cauchy_parts`
+    (Feher-Gorbe, J. Math. Phys. 55 (2014) 102704), where cols1 and cols2 are
+    0..n-1 and n..2n-1 with the columns a and n + a exchanged.
+
     Normalization of the Cauchy evaluations: det Psi = mu * D_a W_a/(mu - l_a),
     det Xi = mu * D_a W_{n+a}/(mu + l_a), and likewise the off-corner cofactors
     of Phi carry one factor mu; these constants were fixed against the generic
@@ -514,7 +520,7 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
     lam = np.asarray(lam, dtype=float)
     n = lam.size
     mu, nu = params.mu, params.nu
-    if not strongly_regular(lam, params, margin=1e-9):
+    if not strongly_regular(lam, params):
         raise DomainError("appendix chain needs a strongly regular lambda")
     A = A_from_F(F, lam, params)
     out = {}
@@ -522,26 +528,20 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
     W = w_weights(lam, params) * np.abs(F) ** 2
     Wa, Wna = W[a], W[n + a]
 
-    D_a = complex(1.0)
-    for b in range(n):
-        if b != a:
-            D_a *= F[b].conj() * F[n + b]
-    for c in range(n):
-        for d in range(n):
-            if c != d and c != a and d != a:
-                D_a *= (lam[c] - lam[d]) / (2 * mu + lam[c] - lam[d])
+    # D_a: products over b != a and over the pairs c != d with c, d != a
+    keep = np.arange(n) != a
+    gap = np.subtract.outer(lam[keep], lam[keep])[~np.eye(n - 1, dtype=bool)]
+    D_a = np.prod(F[:n][keep].conj() * F[n:][keep]) * np.prod(gap / (2 * mu + gap))
 
-    # Cauchy-like cores (generic in F)
-    Psi = np.zeros((n, n), dtype=complex)
-    Xi = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if k != a:
-                Psi[j, k] = 2 * mu * F[j].conj() * F[n + k] / (2 * mu - lam[j] + lam[k])
-                Xi[j, k] = 2 * mu * F[n + j] * F[k].conj() / (2 * mu + lam[j] - lam[k])
-            else:
-                Psi[j, k] = 2 * mu * F[j].conj() * F[a] / (2 * mu - lam[j] - lam[a])
-                Xi[j, k] = 2 * mu * F[n + j] * F[n + a].conj() / (2 * mu + lam[j] + lam[a])
+    # Cauchy-like cores (generic in F), sliced from the C-free quotient
+    num, den = _cauchy_parts(F, lam, params)
+    Q = (num + 2 * (mu - nu) * exchange_matrix(n)) / den
+    cols1 = list(range(n))
+    cols1[a] = n + a
+    cols2 = list(range(n, 2 * n))
+    cols2[a] = a
+    Psi = Q[:n, cols1].conj()
+    Xi = Q[n:, cols2]
     out["cauchy_det_Psi"] = float(abs(np.linalg.det(Psi)
                                       - mu * D_a * Wa / (mu - lam[a])))
     out["cauchy_det_Xi"] = float(abs(np.linalg.det(Xi)
@@ -550,13 +550,8 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
     out["linear_equation"] = float(
         abs((mu + lam[a]) * Wa + (mu - lam[a]) * Wna - 2 * (mu - nu)))
 
-    Phi = np.zeros((n + 1, n + 1), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            Phi[j, k] = 2 * mu * F[j].conj() * F[n + k] / (2 * mu - lam[j] + lam[k])
-        Phi[j, n] = 2 * mu * F[j].conj() * F[a] / (2 * mu - lam[j] - lam[a])
-        Phi[n, j] = 2 * mu * F[n + a].conj() * F[n + j] / (2 * mu + lam[a] + lam[j])
-    Phi[n, n] = F[n + a].conj() * F[a]
+    Phi = np.block([[Q[:n, :n].conj(), Q[:n, n + a, None].conj()],
+                    [Q[None, n:, a], F[n + a].conj() * F[a]]])
     det_Phi = np.linalg.det(Phi)
     out["cauchy_det_Phi"] = float(abs(
         det_Phi + lam[a] ** 2 / (mu**2 - lam[a] ** 2) * D_a * Wa * Wna))
@@ -577,19 +572,11 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
     B = np.linalg.inv(A).T
     out["det_A_minus_1"] = float(abs(np.linalg.det(A) - 1.0))
 
-    cols1 = list(range(n))
-    cols1[a] = n + a
-    xi = B[np.ix_(range(n), cols1)]
-    cols2 = list(range(n, 2 * n))
-    cols2[a] = a
-    eta = A[np.ix_(range(n, 2 * n), cols2)]
+    xi = B[:n, cols1]
+    eta = A[n:, cols2]
     out["minor_identity_1"] = float(abs(np.linalg.det(xi) + np.linalg.det(eta)))
 
-    from .matkernel import jacobi_minor_residual
-
-    rows_perm = list(range(2 * n))
-    cols_perm = cols1 + [c for c in range(2 * n) if c not in cols1]
-    out["jacobi_oracle_1"] = jacobi_minor_residual(A, rows_perm, cols_perm, p=n)
+    out["jacobi_oracle_1"] = jacobi_minor_residual(A, range(2 * n), cols1 + cols2, p=n)
 
     E = np.zeros((n, n))
     E[a, a] = 1.0

@@ -446,7 +446,7 @@ def _lambda_just_outside(rng, lam, params, shrink_gap: bool):
         lam_bad[-1] = abs(params.kappa) + 0.69 * (params.nu - abs(params.kappa))
         if n > 1 and lam_bad[-2] - lam_bad[-1] <= 2 * params.mu:
             return None
-    if not strongly_regular(lam_bad, params, margin=1e-9):
+    if not strongly_regular(lam_bad, params):
         return None
     return lam_bad
 

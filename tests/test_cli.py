@@ -151,6 +151,22 @@ def test_flow_dual_H0_default_analytic_gradient(tmp_path, capsys):
     assert max(abs(float(q) - np.pi / 4) for q in q1 if q) < 1e-9
 
 
+def test_flow_default_gradient_is_fd_without_a_closed_form(capsys):
+    # --gradient defaults to the closed form only where one exists
+    for argv in (("--system", "sutherland_Hk", "--chart", "qp", "--x0", "0.7,1"),
+                 ("--system", "dual_Hk", "--chart", "lambda_theta",
+                  "--x0", "2.5,0.3")):
+        common = ("flow", *argv, "--k", "1", "--n", "1", "--mu", "1",
+                  "--nu", "2", "--T", "0.01", "--dt", "0.001")
+        code, out, err = run_cli(capsys, *common)
+        assert code == 0, err
+        header = json.loads(out.splitlines()[0].removeprefix("# "))
+        assert header["flow"]["gradient"] == "fd"
+        code, _, err = run_cli(capsys, *common, "--gradient", "analytic")
+        assert code == 2
+        assert "analytic gradients exist only" in err
+
+
 def test_flow_stall_prints_the_integrator_counters(capsys):
     # the FD field of H_2 stalls above the 1e-10 Newton floor at this start
     code, out, err = run_cli(

@@ -110,6 +110,17 @@ def test_stalled_sweeps_fall_back_to_newton(monkeypatch):
         implicit_midpoint_step(lambda x: 1.0 + x**2, np.array([0.0]), 2.0)
 
 
+def test_alternating_sweeps_stay_off_newton(rng):
+    # in the (q, p) chart strong and weak sweeps alternate, so an increment
+    # is compared with the one two sweeps back: this H_1 orbit converges by
+    # sweeps alone at every step, where a one-back comparison builds Newton
+    # Jacobians on hundreds of them
+    flow, x0, p = _flow_start(rng, "sutherland_H1", 3, T=2.0)
+    traj = integrate(flow, x0, p)
+    assert traj.stats["steps"] == 2000
+    assert traj.stats["jacobians"] == 0
+
+
 def test_default_start_is_the_euler_predictor(rng):
     # the first sweep from x0 evaluates f at (x0 + x0)/2 = x0, which is the
     # Euler predictor bit for bit, so the step is the one started from it

@@ -415,6 +415,47 @@ def test_A_tilde_equals_raw_formula_off_resonance(rng):
             assert structure_residual(L_tilde(z, p).m, "Gminus") <= 1e-10
 
 
+def test_A_from_F_refuses_where_it_would_lose_digits(rng):
+    # with |z_a|^2 = lambda_a - lambda_(a+1) - 2mu the denominator of entry
+    # (a, a+1) is -|z_a|^2; the raw quotient loses about eps max(lambda) /
+    # min|den| of max|A|, so it refuses below 1e-5 max(1, max lambda)
+    n = 8
+    for _ in range(10):
+        p = sample_params(rng, n, CFG)
+        z = rng.uniform(1.0, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        a = int(rng.integers(0, n - 1))
+        z[a] = 0.0
+        bound = 1e-5 * lambda_of_z(z, p)[0]
+        z[a] = np.sqrt(0.99 * bound)
+        with pytest.raises(DomainError):
+            A_from_F(phi_vector(z, p), lambda_of_z(z, p), p)
+        z[a] = np.sqrt(1.01 * bound)
+        A = A_tilde(z, p).m
+        raw = A_from_F(phi_vector(z, p), lambda_of_z(z, p), p)
+        assert np.max(np.abs(A - raw)) <= 1e-10 * np.max(np.abs(A))
+
+
+def test_commutator_residual_scales_with_each_entry(rng):
+    # (2mu A + A Lam - Lam A)_jk = A_jk (2mu + L_k - L_j): a defect delta at
+    # one entry of the exact solution shows as |delta| |2mu + L_k - L_j|
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            p = sample_params(rng, n, CFG)
+            lam = sample_dual(rng, n, p).lam
+            F = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+            A = A_from_F(F, lam, p)
+            L = np.r_[lam, -lam]
+            den = 2 * p.mu + L[None, :] - L[:, None]
+            scale = np.max(np.abs(A)) * np.max(np.abs(den))
+            assert commutator_residual(A, F, lam, p) <= 1e-14 * n * scale
+            j, k = rng.integers(0, 2 * n, size=2)
+            delta = 1e-3 * np.exp(2j * np.pi * rng.uniform())
+            A[j, k] += delta
+            expected = abs(delta) * abs(den[j, k])
+            assert (abs(commutator_residual(A, F, lam, p) - expected)
+                    <= 1e-14 * n * scale)
+
+
 def test_L_tilde_spectrum_matches_angle_chart(rng):
     for n in (1, 2, 3):
         p = sample_params(rng, n, CFG)
