@@ -268,12 +268,14 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     C = exchange_matrix(n)
     core = y.conj().T @ np.outer(V, V.conj()) @ y @ C
 
+    powers = [np.eye(2 * n, dtype=complex)]  # Y^0 .. Y^max(mmax, kmax)
+    for _ in range(max(mmax, kmax)):
+        powers.append(powers[-1] @ Y)
+
     phi = {}
     phi_closed = {}
-    P = np.eye(2 * n, dtype=complex)
     for m in range(1, mmax + 1):
-        P = P @ Y
-        phi[m] = float(np.trace(P).real) / m
+        phi[m] = float(np.trace(powers[m]).real) / m
         if m % 2:
             phi_closed[m] = 0.0
         else:
@@ -285,10 +287,9 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     # definition on random samples, n <= 4, both kappa signs)
     chi = {}
     chi_closed = {}
-    Pk = np.eye(2 * n, dtype=complex)
     root = np.sqrt(1.0 - kappa**2 / lam**2)
     for k in range(0, kmax + 1):
-        chi[k] = float(np.trace(Pk @ core).real)
+        chi[k] = float(np.trace(powers[k] @ core).real)
         if k % 2:
             chi_closed[k] = float(2.0 * (-1) ** ((k - 1) // 2)
                                   * np.sum(lam**k * root * X * np.sin(theta)))
@@ -296,7 +297,6 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
             chi_closed[k] = float((-1) ** (k // 2) * (
                 2.0 * np.sum(lam**k * root * X * np.cos(theta))
                 - kappa * np.sum(lam ** (k - 1) * (Fsq[:n] - Fsq[n:]))))
-        Pk = Pk @ Y
     phi_err = max(abs(phi[m] - phi_closed[m]) / max(1.0, abs(phi_closed[m]))
                   for m in phi)
     chi_err = max(abs(chi[k] - chi_closed[k]) / max(1.0, abs(chi_closed[k]))
@@ -348,8 +348,12 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
 
     q, p = point.q, point.p
     n = point.n
-    i_idx = np.arange(1, n + 1)
-    X = ((-1.0) ** (i_idx[:, None] + 1)) * 2.0 * np.sin(2.0 * i_idx[:, None] * q[None, :])
+    rows = np.arange(1, n + 1)[:, None]  # i = 1..n
+
+    def X_of(q):
+        return (-1.0) ** (rows + 1) * 2.0 * np.sin(2.0 * rows * q)
+
+    X = X_of(q)
     det = float(np.linalg.det(X))
     if abs(det) < 1e-12:
         raise ConsistencyError(
@@ -359,10 +363,7 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
 
     def make_f(i):
         def fi(x):
-            qq, pp = x[:n], x[n:]
-            Xq = ((-1.0) ** (i_idx[:, None] + 1)) * 2.0 \
-                * np.sin(2.0 * i_idx[:, None] * qq[None, :])
-            return float(np.linalg.inv(Xq).T[i] @ pp)
+            return float(np.linalg.inv(X_of(x[:n])).T[i] @ x[n:])
         return fi
 
     def make_h(k):

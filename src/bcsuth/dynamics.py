@@ -3,8 +3,9 @@
 The integrator is the implicit midpoint rule (symplectic, second order).  Each
 step iterates the fixed point x_{k+1} = x0 + dt f((x0 + x_k)/2) until the
 increment, which is the residual of x_k, falls to the Newton tolerance; only
-when the iteration stops contracting (an increment shrinks by less than half)
-does Newton with an FD Jacobian take over.  ``march`` starts each step's
+when the iteration stops contracting (an increment fails to halve the one two
+sweeps back, since in the (q, p) chart strong and weak sweeps alternate) does
+Newton with an FD Jacobian take over.  ``march`` starts each step's
 iteration from the polynomial extrapolation of the trajectory's last states,
 which leaves it fewer sweeps to go than the Euler predictor; only the first
 step starts from x0, whose first sweep is the Euler predictor.  The order of
@@ -44,8 +45,8 @@ import numpy as np
 from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
 from .errors import BoundaryApproachError, NonConvergenceError
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
-                     chart_membership)
-from .rsvd import _dual_H0_kernel, grad_dual_H0
+                     chart_membership, z_from_angles)
+from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
 #: each system and the chart it lives in
@@ -184,9 +185,6 @@ def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     if flow.system == "dual_H0":
         return lambda x: _dual_H0_kernel(x[:n], x[n:], params)
     # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
-    from .params import z_from_angles
-    from .rsvd import dual_Hk
-
     def H(x):
         dp = DualPoint(lam=x[:n], theta=x[n:])
         z = z_from_angles(dp, params).z

@@ -65,6 +65,18 @@ def exp_iQ_diagonal(q) -> np.ndarray:
     return np.exp(1j * np.concatenate((q, -q)))
 
 
+#: tag -> (its own relation: X^dag X = 1 if True, else X^dag = -X; the matrix
+#: C X C must equal, None for unitary).  For Gminus that is X^{-1} = X^dag,
+#: since unitarity is checked in the same max.
+_RELATIONS = {
+    "unitary": (True, None),
+    "Gplus": (True, lambda X: X),
+    "Gminus": (True, lambda X: X.conj().T),
+    "gplus": (False, lambda X: X),
+    "gminus": (False, lambda X: -X),
+}
+
+
 def structure_residual(X, tag: str) -> float:
     """Frobenius norm of the violation of the defining relation(s) of ``tag``.
 
@@ -75,31 +87,12 @@ def structure_residual(X, tag: str) -> float:
     N = X.shape[0]
     if X.shape != (N, N) or N % 2:
         raise ValueError("X must be square of even size")
-    eye = np.eye(N)
-    if tag == "unitary":
-        return float(np.linalg.norm(X.conj().T @ X - eye))
-    if tag == "Gplus":
-        return max(
-            float(np.linalg.norm(X.conj().T @ X - eye)),
-            float(np.linalg.norm(conj_by_C(X) - X)),
-        )
-    if tag == "Gminus":
-        # with X unitary (checked in the same max) X^{-1} is X^dag
-        return max(
-            float(np.linalg.norm(X.conj().T @ X - eye)),
-            float(np.linalg.norm(conj_by_C(X) - X.conj().T)),
-        )
-    if tag == "gplus":
-        return max(
-            float(np.linalg.norm(X.conj().T + X)),
-            float(np.linalg.norm(conj_by_C(X) - X)),
-        )
-    if tag == "gminus":
-        return max(
-            float(np.linalg.norm(X.conj().T + X)),
-            float(np.linalg.norm(conj_by_C(X) + X)),
-        )
-    raise ValueError(f"unknown structure tag {tag!r}; expected one of {STRUCTURE_TAGS}")
+    if tag not in _RELATIONS:
+        raise ValueError(f"unknown structure tag {tag!r}; expected one of {STRUCTURE_TAGS}")
+    unitary, image = _RELATIONS[tag]
+    Xh = X.conj().T
+    r = float(np.linalg.norm(Xh @ X - np.eye(N) if unitary else Xh + X))
+    return r if image is None else max(r, float(np.linalg.norm(conj_by_C(X) - image(X))))
 
 
 @dataclass(frozen=True)
@@ -321,6 +314,15 @@ def random_gminus_algebra(rng: np.random.Generator, n: int) -> np.ndarray:
     br = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     B = (br + br.conj().T) / 2.0  # Hermitian = i * anti-Hermitian block
     return np.block([[A, B], [-B.conj().T, -A]])
+
+
+def random_gplus_algebra(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random anti-Hermitian Y with C Y C = Y (block form [[A, B], [B, A]])."""
+    ar = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = (ar - ar.conj().T) / 2.0
+    br = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = (br - br.conj().T) / 2.0
+    return np.block([[A, B], [B, A]])
 
 
 def random_Gminus_group(rng: np.random.Generator, n: int):

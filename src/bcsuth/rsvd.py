@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import StructuredMatrix, exchange_matrix, jacobi_minor_residual
+from .matkernel import (StructuredMatrix, exchange_matrix, jacobi_minor_residual,
+                        structure_residual)
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
                      require_inside, strongly_regular, z_from_angles)
 
@@ -358,7 +359,7 @@ def A_check(dual: DualPoint, params: CouplingParams,
     m = _central_phases(dual.theta)
     A = (At * m) / m[:, None]
     if validate:
-        runi = np.linalg.norm(A.conj().T @ A - np.eye(A.shape[0]))
+        runi = structure_residual(A, "unitary")
         if runi > SELFCHECK_TOL:
             raise ConsistencyError(f"A_check unitarity residual {runi:.3e}")
         rcomm = commutator_residual(A, f_vector(dual, params), dual.lam, params)
@@ -566,8 +567,7 @@ def appendix_chain(F, lam, params: CouplingParams, a: int = 0) -> dict:
         lam[a] ** 2 * (Wa * Wna - 1.0) - mu * (mu - nu) * (Wa + Wna - 2.0) + nu**2))
 
     # complementary-minor route (needs the realizable branch: unitary, det 1)
-    runi = float(np.linalg.norm(A.conj().T @ A - np.eye(2 * n)))
-    if runi > 1e-8:
+    if structure_residual(A, "unitary") > 1e-8:
         return out
     B = np.linalg.inv(A).T
     out["det_A_minus_1"] = float(abs(np.linalg.det(A) - 1.0))

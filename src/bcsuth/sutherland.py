@@ -1,9 +1,10 @@
 """Sutherland side: Lax matrix, commuting Hamiltonians, action map, momentum residuals.
 
 The Lax matrix is Y(q, p) = K(q, p) - i*kappa*C with K in the C-odd part of
-u(N).  The Hermitian matrix -i*Y has spectrum {+-sqrt(lambda_j^2 - kappa^2)}
-shifted by kappa back to the action vector lambda, and its even traces generate
-the commuting family
+u(N).  The Hermitian matrix -i*Y has spectrum {+-lambda_j}, lambda the action
+vector, while -i*K has spectrum {+-sqrt(lambda_j^2 - kappa^2)}, as the row
+``sutherland.spectrum_pairing`` measures.  The even traces of -i*Y
+generate the commuting family
 
     H_k(q, p) = tr((-i Y)^(2k)) / (4k),   k = 1..n,
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import StructuredMatrix, conj_by_C, exchange_matrix
+from .matkernel import StructuredMatrix, conj_by_C, exchange_matrix, exp_iQ
 from .params import CouplingParams, SutherlandPoint, chart_membership, require_inside
 
 
@@ -213,7 +214,5 @@ def momentum_residual(y, Y, V, params: CouplingParams) -> tuple[float, float]:
 
 def sutherland_section(point: SutherlandPoint, params: CouplingParams):
     """The constraint-surface triple (e^{iQ(q)}, Y(q, p), V_R) at a point."""
-    from .matkernel import exp_iQ
-
     lax = lax_Y(point, params)
     return exp_iQ(point.q), lax.Y.m, real_constraint_vector(point.n)

@@ -20,7 +20,8 @@ import numpy as np
 from . import duality, dynamics, matkernel, rsvd, sutherland
 from .errors import BcsuthError
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, lambda_of_z, z_from_angles)
+                     SutherlandPoint, lambda_of_z, strongly_regular,
+                     z_from_angles)
 
 SUITES = ("structure", "sutherland", "rsvd", "duality", "dynamics", "appendix")
 
@@ -240,7 +241,7 @@ def _suite_structure(config: SuiteConfig) -> list:
         for _ in range(config.samples):
             Y = matkernel.random_gminus_algebra(rng, n)
             ctx = {"n": n, "Y_norm": float(np.linalg.norm(Y))}
-            Ytot = Y + _random_gplus_algebra(rng, n)
+            Ytot = Y + matkernel.random_gplus_algebra(rng, n)
             Yp, Ym = matkernel.gamma_split(Ytot)
             scale = max(1.0, float(np.max(np.abs(Ytot))))
             col.add("structure.gamma_split_sum",
@@ -251,12 +252,10 @@ def _suite_structure(config: SuiteConfig) -> list:
             spec = matkernel.pair_diagonalize_gminus(Y)
             g = spec.frame.m
             d = spec.values
-            recon = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
             col.add("structure.pair_diag_reconstruction",
-                    float(np.linalg.norm(recon - Y)), ctx)
-            C = matkernel.exchange_matrix(n)
+                    _pair_diag_residual(Y, g, d), ctx)
             col.add("structure.frame_centrality",
-                    float(np.linalg.norm(g @ C - C @ g)), ctx)
+                    matkernel.structure_residual(g, "Gplus"), ctx)
 
             B, eta0, q0 = matkernel.random_Gminus_group(rng, n)
             eta, q = matkernel.cartan_decompose_gminus(B)
@@ -271,23 +270,22 @@ def _suite_structure(config: SuiteConfig) -> list:
                 (zeta @ g) @ (1j * np.diag(np.r_[d, -d])) @ (zeta @ g).conj().T)
             col.add("structure.phase_invariance",
                     float(np.max(np.abs(spec2.values - d))), ctx)
-    # negative control: a perturbed frame must fail the Gplus residual
+    # negative control: Y rebuilt from its frame with one entry moved must
+    # fail the reconstruction row
     rng2 = np.random.default_rng(config.seed + 1)
-    g = matkernel.random_gplus(rng2, 2)
-    g_bad = g.copy()
-    g_bad[0, 1] += 1e-2
+    Y = matkernel.random_gminus_algebra(rng2, 2)
+    spec = matkernel.pair_diagonalize_gminus(Y)
+    g_bad = spec.frame.m.copy()
+    g_bad[0, 0] += 1e-2
     return col.report("structure.pair_diag_reconstruction",
-                      matkernel.structure_residual(g_bad, "Gplus"),
+                      _pair_diag_residual(Y, g_bad, spec.values),
                       "deliberately perturbed frame")
 
 
-def _random_gplus_algebra(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random anti-Hermitian C-even element (block form [[A, B], [B, A]])."""
-    ar = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = (ar - ar.conj().T) / 2.0
-    br = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    B = (br - br.conj().T) / 2.0
-    return np.block([[A, B], [B, A]])
+def _pair_diag_residual(Y, g, d) -> float:
+    """|| g i*diag(d, -d) g^dag - Y ||, Y rebuilt from its paired spectrum."""
+    recon = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
+    return float(np.linalg.norm(recon - Y))
 
 
 def _suite_sutherland(config: SuiteConfig) -> list:
@@ -431,8 +429,6 @@ def _lambda_just_outside(rng, lam, params, shrink_gap: bool):
     Either one consecutive gap is shrunk below 2*mu (earlier gaps stay wide)
     or the last component is pulled below the wall; ordering is preserved.
     """
-    from .params import strongly_regular
-
     lam_bad = lam.copy()
     n = lam.size
     if shrink_gap:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcsuth.errors import PairingError, StructureError
-from bcsuth.matkernel import (PAIR_TOL, cartan_decompose_gminus, conj_by_C,
-                              exchange_matrix, exp_iQ, gamma_split,
+from bcsuth.matkernel import (PAIR_TOL, STRUCTURE_TAGS, cartan_decompose_gminus,
+                              conj_by_C, exchange_matrix, exp_iQ, gamma_split,
                               jacobi_minor_residual, pair_diagonalize_gminus,
                               random_Gminus_group, random_gminus_algebra,
-                              random_gplus, random_unitary,
+                              random_gplus, random_gplus_algebra, random_unitary,
                               structure_residual)
 from bcsuth.verification import DEFAULT_TOLERANCES
 
@@ -23,8 +23,54 @@ def test_structure_residual_examples():
 
 
 def test_structure_residual_rejects_unknown_tag():
-    with pytest.raises(ValueError, match="unknown structure tag"):
+    with pytest.raises(ValueError, match=r"unknown structure tag 'nonsense'; expected one "
+                       r"of \('unitary', 'Gplus', 'Gminus', 'gplus', 'gminus'\)"):
         structure_residual(np.eye(2), "nonsense")
+
+
+def _reference_residual(X, tag):
+    # each tag's relations written out: the residual is their max
+    N = X.shape[0]
+    C = exchange_matrix(N // 2)
+    Xh = X.conj().T
+    unitarity = float(np.linalg.norm(Xh @ X - np.eye(N)))
+    anti_hermiticity = float(np.linalg.norm(Xh + X))
+    return {
+        "unitary": unitarity,
+        "Gplus": max(unitarity, float(np.linalg.norm(C @ X @ C - X))),
+        "Gminus": max(unitarity, float(np.linalg.norm(C @ X @ C - Xh))),
+        "gplus": max(anti_hermiticity, float(np.linalg.norm(C @ X @ C - X))),
+        "gminus": max(anti_hermiticity, float(np.linalg.norm(C @ X @ C + X))),
+    }[tag]
+
+
+_MEMBERS = {
+    "unitary": lambda rng, n: random_unitary(rng, 2 * n),
+    "Gplus": random_gplus,
+    "Gminus": lambda rng, n: random_Gminus_group(rng, n)[0],
+    "gplus": random_gplus_algebra,
+    "gminus": random_gminus_algebra,
+}
+
+
+@pytest.mark.parametrize("tag", STRUCTURE_TAGS)
+def test_structure_residual_matches_written_out_relations(tag):
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        for _ in range(50):
+            X = _MEMBERS[tag](rng, n)
+            noise = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+            X_bad = X + 1e-3 * noise
+            r, r_bad = structure_residual(X, tag), structure_residual(X_bad, tag)
+            assert r == _reference_residual(X, tag) and r < 1e-13
+            assert r_bad == _reference_residual(X_bad, tag) and r_bad > 1e-4
+
+
+@pytest.mark.parametrize("tag", STRUCTURE_TAGS + ("nonsense",))
+def test_structure_residual_checks_shape_before_tag(tag):
+    for bad in (np.eye(3), np.ones((2, 4))):
+        with pytest.raises(ValueError, match="X must be square of even size"):
+            structure_residual(bad, tag)
 
 
 def test_gamma_split_fixed_points():
@@ -85,8 +131,7 @@ def test_pair_diagonalize_random(rng):
             g = spec.frame.m
             recon = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
             assert np.linalg.norm(recon - Y) < 1e-10
-            C = exchange_matrix(n)
-            assert np.linalg.norm(g @ C - C @ g) < 1e-12
+            assert structure_residual(g, "Gplus") < 1e-12
 
 
 def test_pair_diagonalize_phase_freedom_invariance(rng):

@@ -112,6 +112,25 @@ def test_dual_H0_control_runs_the_row_code(monkeypatch):
     assert control.max_residual == 0.0 and not control.passed
 
 
+def test_structure_control_runs_the_row_code(monkeypatch):
+    import bcsuth.verification as verification
+
+    monkeypatch.setattr(verification, "_pair_diag_residual", lambda *args: 0.0)
+    report = run_suite(_cfg("structure", n_values=(1,), samples=2))
+    [control] = [c for c in report.checks if c.negative_control]
+    assert control.name == "structure.pair_diag_reconstruction"
+    assert control.max_residual == 0.0 and not control.passed
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_no_toleranced_row_reads_exactly_zero(seed):
+    # a residual that is zero by construction can never fail its row; the
+    # 0/1 indicator rows have tolerance 0 and are exempt
+    report = run_suite(SuiteConfig("all", seed=seed))
+    zero = [c.name for c in report.checks if c.tol > 0 and c.max_residual == 0.0]
+    assert zero == []
+
+
 @pytest.mark.parametrize("jobs, workers", [(2, 2), (len(SUITES), len(SUITES)),
                                            (64, len(SUITES))])
 def test_all_pool_has_at_most_one_worker_per_suite(monkeypatch, jobs, workers):
