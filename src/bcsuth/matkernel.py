@@ -17,8 +17,9 @@ The three workhorse factorizations:
 
 The paired spectrum is one n x n SVD: in C's eigenbasis a gminus element is
 the Jordan-Wielandt matrix of one block M.  The Cartan factor selects the
-Schur vectors of B with 0 < q < pi/2 as its primary columns and pairs q = 0
-or pi/2 (their own mirrors) inside their eigenspace.
+eigenvectors of B with 0 < q < pi/2 as its primary columns, orthonormal
+after one Cholesky-QR, and pairs q = 0 or pi/2 (their own mirrors) inside
+their eigenspace.  Everything runs on numpy alone.
 Plus a numerical oracle for Jacobi's complementary-minor identity.
 """
 
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PairingError, StructureError
 
@@ -189,30 +189,39 @@ def cartan_decompose_gminus(B):
     """Factor a (decomposable) Gminus element as eta * exp(2i*Q(q)) * eta^{-1}.
 
     Returns (eta, q) with eta in Gplus and q sorted descending in [0, pi/2].
-    B is unitary, so its complex Schur vectors are eigenvectors; C maps the
-    one of exp(2iq) to one of exp(-2iq).  The vectors whose half-angle lies
-    in (PAIR_TOL, pi/2 - PAIR_TOL) are the primary columns v of eta = [v, Cv].
-    Eigenvalues at +-1 (q within PAIR_TOL of 0 or pi/2) are paired through
-    the C eigenbasis of their eigenspace; if that space is not C-balanced the
-    element admits no such factorization and PairingError is raised.  Next to
-    a mirror Schur mixes v with Cv by about eps/q, so one Newton-Schulz step
-    makes the blocks a + b and a - b of eta unitary again.  The input must be
-    Gminus within CHECK_TOL.
+    q is half the angle of each eigenvalue of B (``np.linalg.eig``); C maps
+    the eigenvector of exp(2iq) to one of exp(-2iq).  The eigenvectors whose
+    half-angle lies in (PAIR_TOL, pi/2 - PAIR_TOL) are the primary columns v
+    of eta = [v, Cv].  B is unitary, so eigenvectors of distinct eigenvalues
+    are orthogonal, but inside an exactly degenerate cluster eig's vectors
+    overlap by O(1): one Cholesky-QR makes the primary columns orthonormal
+    and mixes columns of different clusters only at roundoff.  Eigenvalues at +-1 (q
+    within PAIR_TOL of 0 or pi/2) are paired through the C eigenbasis of
+    their eigenspace, orthonormalized by QR first; if that space is not
+    C-balanced the element admits no such factorization and PairingError is
+    raised.  Next to a mirror eig mixes v with Cv by about eps/q, so one
+    Newton-Schulz step makes the blocks a + b and a - b of eta unitary
+    again.  The input must be Gminus within CHECK_TOL.
     """
     B = np.asarray(B, dtype=complex)
     _require_structure(B, "Gminus")
     n = B.shape[0] // 2
 
-    T, Zs = scipy.linalg.schur(B, output="complex")
-    q = np.angle(np.diag(T)) / 2.0
+    w, Z = np.linalg.eig(B)
+    q = np.angle(w) / 2.0
     # eigenvalue -1 has angle +pi or -pi: both are the mirror q = pi/2
     q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
     primary = (q > PAIR_TOL) & (q < math.pi / 2 - PAIR_TOL)
-    cols, values = [Zs[:, primary]], [q[primary]]
+    V = Z[:, primary]
+    # Cholesky-QR: V^dag V = L L^dag, so V L^{-dag} = (conj(L)^{-1} V^T)^T has
+    # orthonormal columns
+    L = np.linalg.cholesky(V.conj().T @ V)
+    cols, values = [np.linalg.solve(L.conj(), V.T).T], [q[primary]]
     for m in (0.0, math.pi / 2):
-        basis = Zs[:, np.abs(q - m) <= PAIR_TOL]
+        basis = Z[:, np.abs(q - m) <= PAIR_TOL]
         if not basis.shape[1]:
             continue
+        basis = np.linalg.qr(basis)[0]
         # C restricted to the cluster; C @ basis swaps the halves of each column
         w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
         plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcsuth
 from bcsuth.errors import PairingError, StructureError
 from bcsuth.matkernel import (PAIR_TOL, STRUCTURE_TAGS, cartan_decompose_gminus,
                               conj_by_C, exchange_matrix, exp_iQ, gamma_split,
@@ -194,7 +201,7 @@ def test_cartan_boundary_values(rng, q0, q_tol, recon_tol):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("q_near", [1.5e-9, np.pi / 2 - 1.5e-9], ids=["zero", "half-pi"])
 def test_cartan_next_to_a_mirror(n, q_near):
-    # just outside PAIR_TOL, Schur mixes the eigenvector v of exp(2iq) with
+    # just outside PAIR_TOL, eig mixes the eigenvector v of exp(2iq) with
     # C v by about eps/q; the frame must still be Gplus and rebuild B
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -206,6 +213,60 @@ def test_cartan_next_to_a_mirror(n, q_near):
         recon = eta.m @ exp_iQ(2 * q) @ eta.m.conj().T
         assert np.linalg.norm(recon - B) < 1e-12
         assert structure_residual(eta.m, "Gplus") < 1e-12
+
+
+def _clustered_q(case, n, rng):
+    a = rng.uniform(0.05, np.pi / 2 - 0.05)
+    if case == "pair":
+        return np.sort(np.r_[a, a, rng.uniform(0.05, np.pi / 2 - 0.05, n - 2)])[::-1]
+    if case == "all-equal":
+        return np.full(n, a)
+    k = n - 2  # "pair-and-mirrors": the pair between q = pi/2 and q = 0 clusters
+    return np.r_[np.full(k - k // 2, np.pi / 2), a, a, np.zeros(k // 2)]
+
+
+# at n = 2 every case is the one degenerate pair
+@pytest.mark.parametrize("case, n", [("all-equal", 2)] + [
+    (c, n) for c in ("pair", "all-equal", "pair-and-mirrors") for n in (3, 4, 8)])
+def test_cartan_degenerate_clusters(case, n):
+    # inside an exactly degenerate cluster eig's eigenvectors overlap by O(1),
+    # so one Newton-Schulz step alone leaves eta far from unitary
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        eta0 = random_gplus(rng, n)
+        q0 = _clustered_q(case, n, rng)
+        B = eta0 @ exp_iQ(2 * q0) @ eta0.conj().T
+        eta, q = cartan_decompose_gminus(B)
+        assert np.max(np.abs(q - q0)) <= 1e-14
+        recon = eta.m @ exp_iQ(2 * q) @ eta.m.conj().T
+        assert np.linalg.norm(recon - B) < 1e-12
+        assert structure_residual(eta.m, "Gplus") < 1e-12
+
+
+def test_package_runs_without_scipy():
+    # the package's one heavy import is gone: a fresh process that maps a
+    # point both ways and factors an element with a mirror cluster loads no
+    # scipy module
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import bcsuth
+        from bcsuth.matkernel import exp_iQ, random_gplus
+        pr = bcsuth.couplings_from_rsvd(1.0, 1.8, 0.6, 2)
+        pt = bcsuth.SutherlandPoint(q=[1.0, 0.5], p=[0.3, -0.2])
+        back = bcsuth.backward_map(bcsuth.forward_map(pt, pr), pr)
+        assert np.allclose(back.q, pt.q) and np.allclose(back.p, pt.p)
+        eta0 = random_gplus(np.random.default_rng(0), 3)
+        B = eta0 @ exp_iQ(2 * np.array([np.pi / 2, 0.8, 0.0])) @ eta0.conj().T
+        assert np.allclose(bcsuth.cartan_decompose_gminus(B)[1], [np.pi / 2, 0.8, 0.0])
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(bcsuth.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
