@@ -180,8 +180,8 @@ def cmd_map(args) -> int:
 def cmd_flow(args) -> int:
     params = _params_from_args(args)
     gradient = args.gradient or ("analytic" if args.system in GRADIENTS else "fd")
-    flow = FlowSpec(system=args.system, chart=args.chart, dt=args.dt, T=args.T,
-                    k=args.k, gradient=gradient,
+    flow = FlowSpec(system=args.system, chart=args.chart or SYSTEMS[args.system],
+                    dt=args.dt, T=args.T, k=args.k, gradient=gradient,
                     monitor_stride=args.monitor_stride)
     x0 = _vector(args, "x0", 2 * params.n)
     try:
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p)
     p.add_argument("--system", choices=tuple(SYSTEMS), required=True)
     p.add_argument("--chart", choices=tuple(dict.fromkeys(SYSTEMS.values())),
-                   required=True)
+                   help="default: the system's chart, the only one it accepts")
     p.add_argument("--x0", required=True,
                    help="initial state, chart ordering (positions then momenta)")
     p.add_argument("--dt", type=float, default=1e-3)

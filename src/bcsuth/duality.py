@@ -38,7 +38,7 @@ from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      z_from_angles)
 from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
 from .sutherland import lax_K, lax_Y, momentum_residual, \
-    real_constraint_vector
+    real_constraint_vector, sutherland_section
 
 #: pullback constant: forward_map^* [sum dlambda ^ dtheta] = DUAL_PAIRING * sum dq ^ dp
 DUAL_PAIRING = -2.0
@@ -154,50 +154,26 @@ def backward_map(dual: DualPoint, params: CouplingParams) -> SutherlandPoint:
     return point
 
 
-def _wrap_to_reference(delta):
-    """Wrap angle differences into (-pi, pi]."""
-    return (delta + np.pi) % (2.0 * np.pi) - np.pi
+def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
+                      richardson: bool = False):
+    """(J^T Omega J, Omega) for the FD Jacobian J, step 1e-5, of the forward
+    map (q, p) -> (lambda, theta); Omega = [[0, I], [-I, 0]].
 
-
-def _fd_pullback(fun, x0, fd_step: float, angle_rows=(),
-                 richardson: bool = False):
-    """(J^T Omega J, Omega) for the FD Jacobian J of x -> fun(x) in R^{2m}.
-
-    Output components in ``angle_rows`` live on the circle; they are measured
-    from their value at x0 and wrapped to the principal branch, so the central
-    differences need no wrapping.  Omega is the block symplectic matrix
-    [[0, I], [-I, 0]].
+    theta lives on the circle; it is measured from its value at the point and
+    wrapped to (-pi, pi], so the central differences need no wrapping.
     """
     from .dynamics import fd_gradient
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size % 2:
-        raise ValueError("phase-space dimension must be even")
-    m = x0.size // 2
-    rows = list(angle_rows)
-    ref = np.asarray(fun(x0), dtype=float)[rows] if rows else 0.0
+    n = point.n
+    theta0 = forward_map(point, params).theta
 
     def lifted(x):
-        y = np.array(fun(x), dtype=float)
-        y[rows] = _wrap_to_reference(y[rows] - ref)
-        return y
-
-    J = fd_gradient(lifted, x0, fd_step, richardson)
-    Omega = np.block([[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]])
-    return J.T @ Omega @ J, Omega
-
-
-def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
-                      richardson: bool = False):
-    """:func:`_fd_pullback` of the forward map (q, p) -> (lambda, theta), step 1e-5."""
-    n = point.n
-
-    def fun(x):
         dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params)
-        return np.r_[dual.lam, dual.theta]
+        return np.r_[dual.lam, (dual.theta - theta0 + np.pi) % (2.0 * np.pi) - np.pi]
 
-    return _fd_pullback(fun, np.r_[point.q, point.p], 1e-5,
-                        angle_rows=range(n, 2 * n), richardson=richardson)
+    J = fd_gradient(lifted, np.r_[point.q, point.p], 1e-5, richardson)
+    Omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    return J.T @ Omega @ J, Omega
 
 
 def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
@@ -262,9 +238,7 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     X = np.sqrt(Fsq[:n] * Fsq[n:])
     kappa = params.kappa
 
-    y = exp_iQ(point.q)
-    Y = lax_Y(point, params).Y.m
-    V = real_constraint_vector(n)
+    y, Y, V = sutherland_section(point, params)
     C = exchange_matrix(n)
     core = y.conj().T @ np.outer(V, V.conj()) @ y @ C
 
@@ -338,11 +312,11 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
     """The commutant generators of the dual Hamiltonians on the (q, p) chart.
 
     X_{i,j} = d h~_i / d q_j = (-1)^(i+1) 2 sin(2 i q_j) (analytic), the
-    companion functions f_i = sum_j p_j (X^{-1})_{j,i}, and the
-    finite-difference Poisson bracket table {f_i, h~_k} (Richardson, step
-    1e-4), which equals
-    -delta_{ik}.  det X != 0 throughout the open chamber; a singular X is a
-    consistency violation.
+    companion functions f = X(q)^{-T} p, i.e. f_i = sum_j p_j (X^{-1})_{j,i},
+    at the point, and the finite-difference Poisson bracket table
+    {f_i, h~_k} of the maps f and h~ = (h~_1, ..., h~_n) (Richardson, step
+    1e-4), which equals -delta_{ik}.  det X != 0 throughout the open chamber;
+    a singular X is a consistency violation.
     """
     from .dynamics import poisson_bracket_fd
 
@@ -358,20 +332,13 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
     if abs(det) < 1e-12:
         raise ConsistencyError(
             f"dual-action Jacobian X(q) is singular (det = {det!r}) inside the chamber")
-    Xinv = np.linalg.inv(X)
-    fvals = Xinv.T @ p
 
-    def make_f(i):
-        def fi(x):
-            return float(np.linalg.inv(X_of(x[:n])).T[i] @ x[n:])
-        return fi
+    def f(x):
+        return np.linalg.inv(X_of(x[:n])).T @ x[n:]
 
-    def make_h(k):
-        def hk(x):
-            return dual_hamiltonian_restricted(x[:n], k)
-        return hk
+    def h(x):
+        return np.array([dual_hamiltonian_restricted(x[:n], k) for k in range(1, n + 1)])
 
-    table = poisson_bracket_fd([make_f(i) for i in range(n)],
-                               [make_h(k) for k in range(1, n + 1)],
-                               np.r_[q, p], step=1e-4, richardson=True)
-    return X, fvals, table
+    x0 = np.r_[q, p]
+    table = poisson_bracket_fd(f, h, x0, step=1e-4, richardson=True)
+    return X, f(x0), table

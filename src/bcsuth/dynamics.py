@@ -385,18 +385,23 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     return traj
 
 
-def poisson_bracket_fd(fas, fbs, x, step: float = 1e-5,
+def poisson_bracket_fd(fa, fb, x, step: float = 1e-5,
                        richardson: bool = False) -> np.ndarray:
-    """Table of brackets {fa, fb} at x (fa in ``fas`` by row, fb in ``fbs`` by
-    column) by central differences in canonical coordinates.
+    """Table of brackets {fa_i, fb_j} at x of two maps fa: R^{2m} -> R^p and
+    fb: R^{2m} -> R^q (a scalar map is a family of one), by central
+    differences in canonical coordinates.
 
-    x is ordered (positions, momenta).  Each distinct function's gradient is
-    computed once by :func:`fd_gradient`, with ``richardson`` as there.
+    x is ordered (positions, momenta).  The p x q table is J_a Omega J_b^T,
+    Omega = [[0, I], [-I, 0]], from one :func:`fd_gradient` Jacobian per map
+    (one in all when ``fb is fa``), with ``richardson`` as there.
     """
-    m = np.size(x) // 2
-    grads = {f: fd_gradient(f, x, step, richardson) for f in dict.fromkeys((*fas, *fbs))}
-    return np.array([[float(grads[a][:m] @ grads[b][m:] - grads[a][m:] @ grads[b][:m])
-                      for b in fbs] for a in fas])
+    x = np.asarray(x, dtype=float)
+    if x.size % 2:
+        raise ValueError("phase-space dimension must be even")
+    m = x.size // 2
+    Ja = np.atleast_2d(fd_gradient(fa, x, step, richardson))
+    Jb = Ja if fb is fa else np.atleast_2d(fd_gradient(fb, x, step, richardson))
+    return Ja[:, :m] @ Jb[:, m:].T - Ja[:, m:] @ Jb[:, :m].T
 
 
 def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:

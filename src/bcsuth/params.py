@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChartError, DomainError, ParameterError
+from .errors import (DegenerateChartError, DegenerateTorusError, DomainError,
+                     ParameterError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -252,17 +253,21 @@ def domain_membership(point, params: CouplingParams, margin: float = DOMAIN_MARG
 def require_inside(pos: list, chart: str, params: CouplingParams):
     """Raise DomainError, naming the failing inequality, unless the positions
     ``pos`` (as for :func:`chart_membership`) are inside their chart with
-    slack > DOMAIN_MARGIN."""
+    slack > DOMAIN_MARGIN.  An action vector on the chamber wall raises the
+    subclass DegenerateTorusError: the angle chart is undefined there."""
     status = chart_membership(pos, chart, params)
     if status == "inside":
         return
+    error = DomainError
     if chart == "qp":
         rule, name = "q must satisfy pi/2 > q1 > ... > qn > 0", "q"
     else:
         rule, name = ("lambda must satisfy lambda_a - lambda_(a+1) > 2*mu and "
                       "lambda_n > nu"), "lambda"
-    raise DomainError(f"{rule} with slack > {DOMAIN_MARGIN}; "
-                      f"point is {status} ({name} = {pos})")
+        if status == "boundary":
+            error = DegenerateTorusError
+    raise error(f"{rule} with slack > {DOMAIN_MARGIN}; "
+                f"point is {status} ({name} = {pos})")
 
 
 def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> bool:

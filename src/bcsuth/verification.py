@@ -139,8 +139,14 @@ class SuiteReport:
         return buf.getvalue()
 
 
+def _severity(residual: float):
+    """Sort key of residuals, worst last: a NaN ranks above every number."""
+    return (math.isnan(residual), residual)
+
+
 class _Collector:
-    """Accumulates residuals per check and freezes the worst counterexample."""
+    """Accumulates residuals per check and freezes the worst counterexample;
+    a NaN residual is the worst and fails its row."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
@@ -150,7 +156,8 @@ class _Collector:
     def add(self, name: str, residual: float, context: dict | None = None):
         vals = self.data.setdefault(name, [])
         residual = float(residual)
-        if (not vals or residual > max(vals)) and context is not None:
+        if context is not None and (
+                not vals or _severity(residual) > _severity(max(vals, key=_severity))):
             self.examples[name] = context
         vals.append(residual)
 
@@ -160,7 +167,7 @@ class _Collector:
             return CheckResult(name, math.nan, math.nan, self.config.tol(name),
                                False, negative_control,
                                {"error": "no samples evaluated"})
-        mx = max(vals)
+        mx = max(vals, key=_severity)
         mean = sum(vals) / len(vals)
         tol = self.config.tol(name)
         if negative_control:
@@ -547,18 +554,13 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         # involutivity of the unit-normalized spectral invariants (the raw
         # H_k scale like lambda^(2k); only the scale-free bracket is
         # FD-meaningful)
-        H_at_x0 = sutherland.hamiltonians(pt, params)
+        scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(pt, params)))
 
-        def make_H(k):
-            scale = max(1.0, abs(float(H_at_x0[k - 1])))
+        def H(x):
+            return sutherland.hamiltonians(
+                SutherlandPoint(q=x[:n], p=x[n:]), params) / scale
 
-            def H(x):
-                return float(sutherland.hamiltonians(
-                    SutherlandPoint(q=x[:n], p=x[n:]), params)[k - 1]) / scale
-            return H
-
-        Hs = [make_H(k) for k in range(1, n + 1)]
-        table = dynamics.poisson_bracket_fd(Hs, Hs, x0, step=1e-5, richardson=True)
+        table = dynamics.poisson_bracket_fd(H, H, x0, step=1e-5, richardson=True)
         for i, j in zip(*np.triu_indices(n, 1)):
             col.add("dynamics.involutivity", abs(float(table[i, j])), ctx)
         if n == 1:

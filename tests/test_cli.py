@@ -53,6 +53,31 @@ def test_map_boundary_is_degenerate(capsys):
     assert "degenerate" in err
 
 
+def test_map_backward_boundary_is_degenerate(capsys):
+    # lambda_n = nu: the dual point sits on the chamber wall
+    code, out, err = run_cli(
+        capsys, "map", "--direction", "backward", "--n", "1",
+        "--mu", "1", "--nu", "2", "--lam", "2.0", "--theta", "0")
+    assert code == 3 and out == ""
+    assert "degenerate" in err
+
+
+def test_lax_rsvd_angle_boundary_is_degenerate(capsys):
+    code, out, err = run_cli(
+        capsys, "lax", "--side", "rsvd-angle", "--n", "2", "--mu", "1",
+        "--nu", "2", "--lam", "4.5,2.5", "--theta", "0,0")
+    assert code == 3 and out == ""
+    assert "degenerate" in err
+
+
+def test_map_backward_outside_the_chamber_is_a_domain_error(capsys):
+    code, _, err = run_cli(
+        capsys, "map", "--direction", "backward", "--n", "1",
+        "--mu", "1", "--nu", "2", "--lam", "1.5", "--theta", "0")
+    assert code == 2
+    assert "point is outside" in err
+
+
 def test_map_backward(capsys):
     code, out, _ = run_cli(
         capsys, "--deterministic", "map", "--direction", "backward",
@@ -93,6 +118,22 @@ def test_flow_row_count(tmp_path, capsys):
     assert stats["steps"] == 100 and stats["evaluations"] >= 100
     summary = json.loads(out)
     assert summary["rows"] == 101
+
+
+@pytest.mark.parametrize("system, x0, columns", [
+    ("sutherland_H1", "0.7853981633974483,1.0", "t,q1,p1"),
+    ("dual_H0", "2.23606797749979,4.71238898038469", "t,lambda1,theta1"),
+])
+def test_flow_chart_defaults_to_the_systems_chart(capsys, system, x0, columns):
+    common = ("flow", "--system", system, "--n", "1", "--mu", "1", "--nu", "2",
+              "--x0", x0, "--dt", "1e-2", "--T", "0.1")
+    code, out, err = run_cli(capsys, *common)
+    assert code == 0, err
+    assert out.splitlines()[1].startswith(columns + ",")
+    other = "lambda_theta" if system == "sutherland_H1" else "qp"
+    code, _, err = run_cli(capsys, *common, "--chart", other)
+    assert code == 2
+    assert "is defined in the" in err
 
 
 def test_flow_stdout_equals_out_file(tmp_path, capsys):

@@ -188,11 +188,48 @@ def test_boundary_abort():
 def test_canonical_coordinate_brackets(rng):
     n = 2
     x0 = np.array([1.0, 0.5, 0.3, -0.2])
+    table = poisson_bracket_fd(lambda x: x[:n], lambda x: x[n:], x0, step=1e-5)
     for i in range(n):
         for j in range(n):
-            [[bij]] = poisson_bracket_fd([lambda x, i=i: x[i]], [lambda x, j=j: x[n + j]],
-                                         x0, step=1e-5)
-            assert bij == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+            assert table[i, j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+
+
+def test_bracket_of_families_of_different_sizes():
+    # {q_i, p_j} = delta_ij and {q_i, q_j} = 0: a 2 x 3 table
+    x0 = np.array([0.9, 0.4, 0.1, 0.7, -0.3, 0.5])
+    table = poisson_bracket_fd(lambda x: x[:2], lambda x: np.r_[x[3:5], x[2]],
+                               x0, step=1e-5)
+    assert table.shape == (2, 3)
+    assert np.allclose(table, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-9)
+
+
+def test_bracket_of_scalar_maps_is_one_by_one():
+    # {q p, q} = -q at (q, p) = (0.6, 1.3)
+    table = poisson_bracket_fd(lambda x: x[0] * x[1], lambda x: x[0],
+                               np.array([0.6, 1.3]), step=1e-5)
+    assert table.shape == (1, 1)
+    assert table[0, 0] == pytest.approx(-0.6, abs=1e-9)
+
+
+def test_bracket_of_a_map_with_itself_builds_one_jacobian(monkeypatch):
+    calls = []
+    fd = dynamics.fd_gradient
+    monkeypatch.setattr(dynamics, "fd_gradient",
+                        lambda *a, **k: calls.append(1) or fd(*a, **k))
+    x0 = np.array([0.3, -0.8, 1.1, 0.2])
+
+    def H(x):
+        return np.array([x @ x, x[0] * x[3] - x[1] * x[2]])
+
+    table = poisson_bracket_fd(H, H, x0)
+    assert len(calls) == 1
+    assert np.array_equal(table, poisson_bracket_fd(H, lambda x: H(x), x0))
+    assert len(calls) == 3
+
+
+def test_bracket_needs_an_even_dimension():
+    with pytest.raises(ValueError, match="even"):
+        poisson_bracket_fd(lambda x: x, lambda x: x, np.zeros(3))
 
 
 def test_involutivity_of_invariants(rng):
@@ -202,20 +239,36 @@ def test_involutivity_of_invariants(rng):
         p = sample_params(rng, n, CFG)
         pt = sample_sutherland(rng, n, gap=0.15)
         x0 = np.r_[pt.q, pt.p]
-        H0 = hamiltonians(SutherlandPoint(q=pt.q, p=pt.p), p)
+        scale = np.maximum(1.0, np.abs(hamiltonians(pt, p)))
 
-        def make_H(k):
-            scale = max(1.0, abs(float(H0[k - 1])))
+        def H(x):
+            return hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), p) / scale
 
-            def H(x):
-                return float(hamiltonians(
-                    SutherlandPoint(q=x[:n], p=x[n:]), p)[k - 1]) / scale
-            return H
-
-        Hs = [make_H(k) for k in range(1, n + 1)]
-        table = poisson_bracket_fd(Hs, Hs, x0, step=1e-5, richardson=True)
+        table = poisson_bracket_fd(H, H, x0, step=1e-5, richardson=True)
         for i, j in zip(*np.triu_indices(n, 1)):
             assert abs(table[i, j]) < 1e-6
+
+
+def test_involutivity_table_evaluates_each_stencil_point_once(monkeypatch):
+    # one Richardson Jacobian of the family (H_1, H_2, H_3) evaluates
+    # hamiltonians at 2 * 2 * 2n = 24 points; a gradient per H_k took 72
+    import bcsuth.verification as verification
+
+    calls, counts = [], []
+    hamiltonians_ = verification.sutherland.hamiltonians
+    bracket = verification.dynamics.poisson_bracket_fd
+
+    def counted_bracket(*a, **k):
+        calls.clear()
+        table = bracket(*a, **k)
+        counts.append(len(calls))
+        return table
+
+    monkeypatch.setattr(verification.sutherland, "hamiltonians",
+                        lambda *a, **k: calls.append(1) or hamiltonians_(*a, **k))
+    monkeypatch.setattr(verification.dynamics, "poisson_bracket_fd", counted_bracket)
+    run_suite(SuiteConfig("dynamics", n_values=(3,), samples=1))
+    assert counts == [24]
 
 
 def test_actions_commute_under_pullback(rng):
@@ -224,14 +277,12 @@ def test_actions_commute_under_pullback(rng):
     pt = sample_sutherland(rng, n)
     x0 = np.r_[pt.q, pt.p]
 
-    def make_lam(j):
-        def lamj(x):
-            dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), p)
-            return float(dual.lam[j])
-        return lamj
+    def lam(x):
+        dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), p)
+        return dual.lam
 
-    [[br]] = poisson_bracket_fd([make_lam(0)], [make_lam(1)], x0, step=1e-4)
-    assert abs(br) < 1e-5
+    table = poisson_bracket_fd(lam, lam, x0, step=1e-4)
+    assert abs(table[0, 1]) < 1e-5
 
 
 def test_angle_linearity_single_particle():

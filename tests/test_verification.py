@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcsuth.verification import (DEFAULT_TOLERANCES, SUITES, SuiteConfig,
-                                 run_suite, sample_lambda, sample_params,
+                                 _Collector, run_suite, sample_lambda, sample_params,
                                  sample_sutherland)
 
 FAST = SuiteConfig(suite="structure", n_values=(1, 2, 3), samples=5, seed=42)
@@ -98,6 +98,23 @@ def test_samplers_respect_domains(rng):
         lam = sample_lambda(rng, n, p)
         assert np.all(lam[:-1] - lam[1:] > 2 * p.mu)
         assert lam[-1] > p.nu
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_a_nan_residual_fails_its_row(first):
+    # max() keeps its running value when compared against NaN, so the
+    # worst value must rank NaN itself, in either order of arrival
+    name = "duality.round_trip"
+    col = _Collector(FAST)
+    vals = [(1e-17, {"sample": "finite"}), (float("nan"), {"sample": "nan"})]
+    for residual, ctx in (vals[::-1] if first else vals):
+        col.add(name, residual, ctx)
+    col.add(name, 2e-17, {"sample": "later"})
+    row = col.result(name)
+    assert np.isnan(row.max_residual) and np.isnan(row.mean_residual)
+    assert not row.passed
+    assert row.counterexample == {"sample": "nan"}
+    assert row.headroom is None
 
 
 def test_dual_H0_control_runs_the_row_code(monkeypatch):
