@@ -32,12 +32,16 @@ the equations are
 with DUAL_PAIRING = -2 the measured pullback constant of the duality maps
 (see :mod:`bcsuth.duality`); these are exactly the equations whose flows are
 carried to Sutherland-chart flows by the backward map.
+
+Monitors cost nothing until read: each column group of ``default_monitors``
+is evaluated over the states ``integrate`` sampled when a column is first read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,7 +49,7 @@ import numpy as np
 from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
 from .errors import BoundaryApproachError, NonConvergenceError
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
-                     chart_membership, z_from_angles)
+                     chart_membership, require_inside, z_from_angles)
 from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
@@ -117,14 +121,40 @@ class FlowSpec:
             raise ValueError("k must be >= 1")
 
 
+class _Monitors(Mapping):
+    """Column name -> series over a copy of the sampled states.  The first read
+    of a column evaluates its whole group at every state; a raise keeps none."""
+
+    def __init__(self, groups, states):
+        self._groups = {name: group for group in groups for name in group[0]}
+        self._states, self._columns = states, {}
+
+    def __getitem__(self, name):
+        if name not in self._columns:
+            names, values = self._groups[name]
+            table = np.array([values(x) for x in self._states], dtype=float)
+            self._columns.update(zip(names, table.T.copy()))
+        return self._columns[name]
+
+    def __contains__(self, name):
+        return name in self._groups
+
+    def __iter__(self):
+        return iter(self._groups)
+
+    def __len__(self):
+        return len(self._groups)
+
+
 @dataclass
 class Trajectory:
-    """Times, states in the chart of ``flow`` and sampled monitor series."""
+    """Times, states in the chart of ``flow`` and sampled monitor series; from
+    ``integrate``, ``monitors`` evaluates each column group on first read."""
 
     times: np.ndarray
     states: np.ndarray
     monitor_times: np.ndarray
-    monitors: dict
+    monitors: Mapping
     flow: FlowSpec
     params: CouplingParams
     stats: dict
@@ -313,48 +343,51 @@ def march(f, x0, dt, order, stats=None):
 
 
 def default_monitors(flow: FlowSpec, params: CouplingParams):
-    """One callable x -> {column: value} for the flow's chart.
+    """The flow's monitor column groups, each a pair (names, x -> values).
 
-    qp chart: the flow Hamiltonian, every H_k and every action component, from
-    one ``hamiltonians`` and one ``action_map`` call; lambda_theta chart: the
-    flow Hamiltonian and the dual actions q_j, from one backward map.
+    ``H_flow``, the flow Hamiltonian, alone; qp chart: every H_k and every
+    action component, from one ``hamiltonians`` and one ``action_map`` call;
+    lambda_theta chart: the dual actions q_j, from one backward map.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
+    groups = [(("H_flow",), lambda x: (H(x),))]
     if flow.chart == "qp":
-        def monitor(x):
+        def lax(x):
             pt = SutherlandPoint(q=x[:n], p=x[n:])
-            Hs, lam = hamiltonians(pt, params), action_map(pt, params)
-            return {"H_flow": float(H(x)),
-                    **{f"H{k+1}": float(Hs[k]) for k in range(n)},
-                    **{f"lambda{j+1}": float(lam[j]) for j in range(n)}}
+            return np.r_[hamiltonians(pt, params), action_map(pt, params)]
+        groups.append(([f"H{k+1}" for k in range(n)]
+                       + [f"lambda{j+1}" for j in range(n)], lax))
     else:
-        def monitor(x):
+        def positions(x):
             pt, _ = backward_map_full(
                 DualPoint(lam=x[:n], theta=x[n:]), params, validate=False)
-            return {"H_flow": float(H(x)),
-                    **{f"q{j+1}": float(pt.q[j]) for j in range(n)}}
-    return monitor
+            return pt.q
+        groups.append(([f"q{j+1}" for j in range(n)], positions))
+    return groups
 
 
 def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
-    """Integrate the flow from x0 with ``march``, sampling monitors every
-    ``monitor_stride`` steps; the integrator counters go to ``stats``.
+    """Integrate the flow from x0 with ``march``, sampling the state every
+    ``monitor_stride`` steps and at the end; the integrator counters go to
+    ``stats``.  No monitor is evaluated here: ``Trajectory.monitors`` runs
+    each group of ``default_monitors`` over a copy of the sampled states when
+    one of its columns is first read.
 
-    Aborts with BoundaryApproachError (carrying the truncated trajectory) if
-    the state comes within ``boundary_margin`` of a chamber wall.
+    Refuses an x0 outside its chart (DomainError).  Aborts with
+    BoundaryApproachError (carrying the truncated trajectory) if the state
+    comes within ``boundary_margin`` of a chamber wall.
     """
     x0 = np.asarray(x0, dtype=float)
     n = params.n
+    require_inside(x0[:n].tolist(), flow.chart, params)
     nsteps = int(round(flow.T / flow.dt))
     f = vector_field(flow, params)
-    monitor = default_monitors(flow, params)
 
     states = np.empty((nsteps + 1, x0.size))
     states[0] = x0
     times = flow.dt * np.arange(nsteps + 1)
     mon_idx = [0]
-    mon_vals = {name: [v] for name, v in monitor(x0).items()}
 
     stats = dict.fromkeys(STATS, 0)
     steps = march(f, x0, flow.dt, START_ORDER[flow.gradient], stats)
@@ -371,13 +404,10 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
             break
         if step % flow.monitor_stride == 0 or step == nsteps:
             mon_idx.append(step)
-            vals = monitor(x)
-            for name, series in mon_vals.items():
-                series.append(vals[name])
     traj = Trajectory(
         times=times[: step + 1], states=states[: step + 1],
-        monitor_times=times[np.asarray(mon_idx, dtype=int)],
-        monitors={k: np.asarray(v) for k, v in mon_vals.items()},
+        monitor_times=times[mon_idx],
+        monitors=_Monitors(default_monitors(flow, params), states[mon_idx]),
         flow=flow, params=params, stats=stats)
     if not inside:
         raise BoundaryApproachError(

@@ -224,6 +224,25 @@ def test_flow_stall_prints_the_integrator_counters(capsys):
     assert stats["evaluations"] > stats["steps"] >= 0
 
 
+def test_flow_monitor_failure_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the monitors are evaluated when the CSV is built, before --out is opened
+    import bcsuth.dynamics as dynamics
+    from bcsuth.errors import ConsistencyError
+
+    def refuse(*args, **kwargs):
+        raise ConsistencyError("monitor backward map refused")
+
+    monkeypatch.setattr(dynamics, "backward_map_full", refuse)
+    out_csv = tmp_path / "dual.csv"
+    code, out, err = run_cli(
+        capsys, "--out", str(out_csv), "flow", "--system", "dual_H0", "--n", "1",
+        "--mu", "1", "--nu", "2", "--x0", "2.5785910319,3.6849307341",
+        "--dt", "1e-2", "--T", "0.1")
+    assert code == 1 and out == ""
+    assert "monitor backward map refused" in err
+    assert not out_csv.exists()
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "verify", "--suite", "rsvd", "--seed", "42", "--n-max", "2",

@@ -9,7 +9,8 @@ from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
                              default_monitors, fd_gradient,
                              hamiltonian_function, implicit_midpoint_step,
                              integrate, poisson_bracket_fd, vector_field)
-from bcsuth.errors import BoundaryApproachError, NonConvergenceError
+from bcsuth.errors import (BoundaryApproachError, DegenerateTorusError,
+                           DomainError, NonConvergenceError)
 from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
                            lambda_of_z)
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
@@ -338,15 +339,17 @@ def test_trajectory_csv(tmp_path):
 
 
 def test_monitor_selection():
+    # one group per call shape: H_flow alone, then the chart's Lax data
     flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-2, T=0.1)
-    x0 = np.array([np.pi / 4, 1.0])
-    assert {"H_flow", "H1", "lambda1"} <= set(default_monitors(flow, P1)(x0))
+    assert [tuple(names) for names, _ in default_monitors(flow, P1)] == [
+        ("H_flow",), ("H1", "lambda1")]
+    dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-2, T=0.1)
+    assert [tuple(names) for names, _ in default_monitors(dflow, P1)] == [
+        ("H_flow",), ("q1",)]
 
 
-def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
-    n = 2
-    p = sample_params(rng, n, CFG)
-    pt = sample_sutherland(rng, n, gap=0.15)
+def _count_monitor_calls(monkeypatch):
+    """Count the calls of the monitors' Lax-data functions on ``dynamics``."""
     calls = {"hamiltonians": 0, "action_map": 0, "backward_map_full": 0}
 
     def counted(name):
@@ -359,9 +362,19 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(dynamics, name, counted(name))
+    return calls
+
+
+def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
+    n = 2
+    p = sample_params(rng, n, CFG)
+    pt = sample_sutherland(rng, n, gap=0.15)
+    calls = _count_monitor_calls(monkeypatch)
     flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=0.02,
                     monitor_stride=5)
     traj = integrate(flow, np.r_[pt.q, pt.p], p)
+    for name in traj.monitors:
+        traj.monitors[name]
     samples = traj.monitor_times.size
     assert calls["hamiltonians"] == calls["action_map"] == samples
     for row, i in enumerate(np.searchsorted(traj.times, traj.monitor_times)):
@@ -376,8 +389,81 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
     dflow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3,
                      T=0.005, gradient="fd", monitor_stride=1)
     dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
+    for name in dtraj.monitors:
+        dtraj.monitors[name]
     assert calls["backward_map_full"] == dtraj.monitor_times.size
     assert {f"q{j+1}" for j in range(n)} <= set(dtraj.monitors)
+
+
+@pytest.mark.parametrize("system", ["sutherland_H1", "dual_H0"])
+def test_monitors_are_evaluated_on_first_read(rng, monkeypatch, system):
+    n = 2
+    p = sample_params(rng, n, CFG)
+    pt = sample_sutherland(rng, n, gap=0.15)
+    calls = _count_monitor_calls(monkeypatch)
+    if system == "sutherland_H1":
+        chart, x0 = "qp", np.r_[pt.q, pt.p]
+        first, group = "lambda1", ["H1", "H2", "lambda1", "lambda2"]
+        per_sample = {"hamiltonians": 1, "action_map": 1, "backward_map_full": 0}
+    else:
+        dual, _ = forward_map_full(pt, p)
+        chart, x0 = "lambda_theta", np.r_[dual.lam, dual.theta]
+        first, group = "q1", ["q1", "q2"]
+        per_sample = {"hamiltonians": 0, "action_map": 0, "backward_map_full": 1}
+    flow = FlowSpec(system=system, chart=chart, dt=1e-3, T=0.02, monitor_stride=5)
+    traj = integrate(flow, x0, p)
+    assert sum(calls.values()) == 0
+    assert set(traj.monitors) == {"H_flow", *group}
+    assert len(traj.monitors) == 1 + len(group)
+    assert first in traj.monitors and "p1" not in traj.monitors
+    assert sum(calls.values()) == 0
+    assert traj.monitors["H_flow"].shape == traj.monitor_times.shape
+    assert sum(calls.values()) == 0
+    assert traj.monitors[first].shape == traj.monitor_times.shape
+    once = {name: k * traj.monitor_times.size for name, k in per_sample.items()}
+    assert calls == once
+    for name in group:
+        traj.monitors[name]
+    assert calls == once
+
+
+def test_monitor_columns_are_a_snapshot_of_the_run():
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-2, T=0.1,
+                    monitor_stride=5)
+    traj = integrate(flow, np.array([np.pi / 4, 1.0]), P1)
+    sampled = [SutherlandPoint(q=x[:1], p=x[1:])
+               for x in traj.states[np.searchsorted(traj.times, traj.monitor_times)]]
+    H = [closed_form_H1(x, P1) for x in sampled]
+    lam = [action_map(x, P1)[0] for x in sampled]
+    traj.states[:] = np.array([0.3, -2.0])
+    assert traj.monitors["H_flow"].tolist() == H
+    assert traj.monitors["lambda1"].tolist() == lam
+
+
+def test_boundary_partial_has_one_monitor_row_per_sample():
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=2.0,
+                    boundary_margin=0.1, monitor_stride=3)
+    with pytest.raises(BoundaryApproachError) as exc:
+        integrate(flow, np.array([0.8, 20.0]), P1)
+    partial = exc.value.partial
+    assert partial.monitor_times.size > 1
+    assert partial.monitor_times[-1] < partial.times[-1]
+    for name in partial.monitors:
+        assert partial.monitors[name].shape == partial.monitor_times.shape
+        assert np.all(np.isfinite(partial.monitors[name]))
+
+
+@pytest.mark.parametrize("system, x0, error", [
+    ("sutherland_H1", [0.3, 0.9, 1.0, 1.0], DomainError),
+    ("dual_H0", [1.0, 2.0, 0.1, 0.2], DomainError),
+    ("dual_H0", [4.0, 2.0, 0.1, 0.2], DegenerateTorusError)])
+def test_integrate_refuses_a_start_outside_its_chart(system, x0, error):
+    # the start is checked before any step; on the chamber wall the angle
+    # chart is undefined
+    p = couplings_from_rsvd(1.0, 2.0, 0.0, 2)
+    flow = FlowSpec(system=system, chart=dynamics.SYSTEMS[system], dt=1e-3, T=0.01)
+    with pytest.raises(error, match="point is"):
+        integrate(flow, np.array(x0), p)
 
 
 def test_fd_gradient_jacobian_of_vector_function():

@@ -7,9 +7,11 @@ resolving every traced name catches a change that would break the benchmark;
 the two factorization rows must also keep their residuals below 1e-12, at
 n = 4 and 8 as well.  One
 small round of each workload (map-roundtrip, flow-exact and verify-all)
-checks the calls and the outcomes those workloads rely on.
+checks the calls and the outcomes those workloads rely on, and the reads
+flow-exact makes of a trajectory are checked one by one.
 """
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -68,6 +70,29 @@ def test_map_roundtrip_round(perfbench):
 def test_flow_exact_round(perfbench):
     rnd = perfbench("workloads").FlowExact(seed=1, T=0.01, ns=(1,)).run_round()
     assert (rnd.failed, rnd.problems) == (0, [])
+
+
+def test_flow_exact_reads_of_a_trajectory(perfbench):
+    # what the flow-exact check and perfbench's own tests read of a
+    # Trajectory: the H_flow column, the end state and time, and a copy with
+    # the H_flow column replaced
+    W = perfbench("workloads")
+    wl = W.FlowExact(seed=1, T=0.01, ns=(1,))
+    for job in wl.inputs():
+        traj = wl.integrate(job)
+        H = traj.monitors["H_flow"]
+        assert H.shape == traj.monitor_times.shape
+        assert traj.states[-1].shape == (2,)
+        assert traj.times[-1] == pytest.approx(wl.T)
+        assert W.check_trajectory(job, traj, wl.dt, wl.T)[1] == []
+        drifted = H.copy()
+        drifted[-1] += 1.0
+        moved = dataclasses.replace(
+            traj, monitors={**traj.monitors, "H_flow": drifted})
+        assert moved.monitors["H_flow"] is drifted
+        assert set(moved.monitors) == set(traj.monitors)
+        problems = W.check_trajectory(job, moved, wl.dt, wl.T)[1]
+        assert any("energy" in p for p in problems)
 
 
 def test_verify_all_round(perfbench, tmp_path):
