@@ -162,7 +162,7 @@ def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
     theta lives on the circle; it is measured from its value at the point and
     wrapped to (-pi, pi], so the central differences need no wrapping.
     """
-    from .dynamics import fd_gradient
+    from .dynamics import _rows, fd_gradient
 
     n = point.n
     theta0 = forward_map(point, params).theta
@@ -171,7 +171,7 @@ def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
         dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params)
         return np.r_[dual.lam, (dual.theta - theta0 + np.pi) % (2.0 * np.pi) - np.pi]
 
-    J = fd_gradient(lifted, np.r_[point.q, point.p], 1e-5, richardson)
+    J = fd_gradient(_rows(lifted), np.r_[point.q, point.p], 1e-5, richardson)
     Omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     return J.T @ Omega @ J, Omega
 
@@ -302,10 +302,12 @@ def degeneracy_count(osc: OscillatorPoint) -> int:
     return int(np.sum(np.abs(osc.z) > 1e-9))
 
 
-def dual_hamiltonian_restricted(q, k: int) -> float:
-    """h~_k(q) = ((-1)^k / k) sum_j cos(2 k q_j), the dual Hamiltonians in dual actions."""
+def dual_hamiltonian_restricted(q, k: int):
+    """h~_k(q) = ((-1)^k / k) sum_j cos(2 k q_j), the dual Hamiltonians in dual
+    actions, over a stack q of shape (..., n); a float for a single q."""
     q = np.asarray(q, dtype=float)
-    return float((-1) ** k / k * np.sum(np.cos(2 * k * q)))
+    h = (-1) ** k / k * np.sum(np.cos(2 * k * q), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> tuple:
@@ -324,8 +326,8 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
     n = point.n
     rows = np.arange(1, n + 1)[:, None]  # i = 1..n
 
-    def X_of(q):
-        return (-1.0) ** (rows + 1) * 2.0 * np.sin(2.0 * rows * q)
+    def X_of(q):  # (..., n) -> (..., n, n)
+        return (-1.0) ** (rows + 1) * 2.0 * np.sin(2.0 * rows * q[..., None, :])
 
     X = X_of(q)
     det = float(np.linalg.det(X))
@@ -334,10 +336,12 @@ def superintegrability_data(point: SutherlandPoint, params: CouplingParams) -> t
             f"dual-action Jacobian X(q) is singular (det = {det!r}) inside the chamber")
 
     def f(x):
-        return np.linalg.inv(X_of(x[:n])).T @ x[n:]
+        inv = np.linalg.inv(X_of(x[..., :n]))
+        return (inv.swapaxes(-1, -2) @ x[..., n:, None])[..., 0]
 
     def h(x):
-        return np.array([dual_hamiltonian_restricted(x[:n], k) for k in range(1, n + 1)])
+        return np.stack([dual_hamiltonian_restricted(x[..., :n], k)
+                         for k in range(1, n + 1)], axis=-1)
 
     x0 = np.r_[q, p]
     table = poisson_bracket_fd(f, h, x0, step=1e-4, richardson=True)

@@ -19,7 +19,12 @@ Gradients are closed-form where a closed form is known,
 ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
 ``grad_dual_H0`` for the dual H0.  ``gradient="fd"`` uses central finite
 differences; it is the only mode for the higher H_k and the dual h_k, and the
-reference the closed forms are tested against.
+reference the closed forms are tested against.  ``fd_gradient`` evaluates a
+whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
+a stack of points (..., d) to values (...) or (..., p).  The dual H0 is one
+numpy kernel over such stacks; the other Hamiltonians, and the maps of one
+point (the Newton Jacobian's vector field among them), are lifted to stacks
+row by row by ``_rows``.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -107,6 +112,8 @@ class FlowSpec:
         if not abs(steps - round(steps)) <= 1e-9 * steps:
             raise ValueError(f"T / dt must be an integer, got T = {self.T!r}, "
                              f"dt = {self.dt!r} (T / dt = {steps!r})")
+        if not 0 < self.fd_step < math.inf:
+            raise ValueError(f"fd_step must be finite and > 0, got {self.fd_step!r}")
         if not self.boundary_margin >= 0:
             raise ValueError("boundary_margin must be >= 0")
         if self.monitor_stride < 1:
@@ -187,40 +194,56 @@ class Trajectory:
 def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarray:
     """Central-difference derivative of fn at x: the package's one FD stencil.
 
-    Returns the gradient for a scalar fn and the Jacobian, one column per
-    component of x, for a vector fn.  With ``richardson`` the steps h and h/2
-    are combined as (4 D(h/2) - D(h)) / 3, which cancels the h^2 error.
+    ``fn`` maps a stack of points (..., d) to values (...) or (..., p); it is
+    called once, on the (2d, d) stencil x + h e_j, x - h e_j, or with
+    ``richardson`` on the (4d, d) stencil of the steps h and h/2, which are
+    combined as (4 D(h/2) - D(h)) / 3 to cancel the h^2 error.  Returns the
+    gradient for a scalar fn and the Jacobian, one column per component of
+    x, for a vector fn.  A map of one point goes through :func:`_rows`.
     """
     x = np.asarray(x, dtype=float)
+    d = x.size
+    steps = (step, step / 2.0) if richardson else (step,)
+    signed = np.array([sign * h for h in steps for sign in (1.0, -1.0)])
+    values = np.asarray(fn((x + signed[:, None, None] * np.eye(d)).reshape(-1, d)))
+    v = values.reshape((len(steps), 2, d) + values.shape[1:])
+    diffs = [(v[i, 0] - v[i, 1]) / (2.0 * h) for i, h in enumerate(steps)]
+    D = (4.0 * diffs[1] - diffs[0]) / 3.0 if richardson else diffs[0]
+    return np.moveaxis(D, 0, -1) if D.ndim > 1 else D
 
-    def central(h):
-        return np.stack([np.subtract(fn(x + e), fn(x - e)) / (2.0 * h)
-                         for e in h * np.eye(x.size)], axis=-1)
 
-    d = central(step)
-    if richardson:
-        d = (4.0 * central(step / 2.0) - d) / 3.0
-    return d
+def _rows(fn):
+    """The map of one point ``fn`` as a map of stacks (..., d), evaluated row
+    by row; a single point gets fn's own value."""
+    def stacked(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return fn(x)
+        values = np.array([fn(row) for row in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+    return stacked
 
 
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
-    """Scalar Hamiltonian x -> H(x) in the flow's chart coordinates."""
+    """The Hamiltonian as a map of stacks (..., 2n) -> (...) in the flow's
+    chart coordinates, a float at a single point: the dual H0 is one array
+    kernel, the others go through :func:`_rows`."""
     n = params.n
     k = flow.k
-    if flow.system == "sutherland_H1":
-        return lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)
-    if flow.system == "sutherland_Hk":
-        return lambda x: float(
-            hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1])
     if flow.system == "dual_H0":
-        return lambda x: _dual_H0_kernel(x[:n], x[n:], params)
+        return lambda x: _dual_H0_kernel(x[..., :n], x[..., n:], params)
+    if flow.system == "sutherland_H1":
+        return _rows(lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params))
+    if flow.system == "sutherland_Hk":
+        return _rows(lambda x: float(
+            hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1]))
     # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
     def H(x):
         dp = DualPoint(lam=x[:n], theta=x[n:])
         z = z_from_angles(dp, params).z
         return float(dual_Hk(z, params, kmax=k)[k - 1])
 
-    return H
+    return _rows(H)
 
 
 def vector_field(flow: FlowSpec, params: CouplingParams):
@@ -303,7 +326,7 @@ def _solve(f, x0, dt, x1, stats):
             break
         best = nrm
         if Jg is None:
-            Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(f, mid, JAC_STEP)
+            Jg = np.eye(x0.size) - 0.5 * dt * fd_gradient(_rows(f), mid, JAC_STEP)
             stats["evaluations"] += 2 * x0.size
             stats["jacobians"] += 1
         x1 = x1 - np.linalg.solve(Jg, F)
@@ -421,7 +444,8 @@ def poisson_bracket_fd(fa, fb, x, step: float = 1e-5,
     fb: R^{2m} -> R^q (a scalar map is a family of one), by central
     differences in canonical coordinates.
 
-    x is ordered (positions, momenta).  The p x q table is J_a Omega J_b^T,
+    x is ordered (positions, momenta).  Both maps take stacks (..., 2m), as
+    for :func:`fd_gradient`.  The p x q table is J_a Omega J_b^T,
     Omega = [[0, I], [-I, 0]], from one :func:`fd_gradient` Jacobian per map
     (one in all when ``fb is fa``), with ``richardson`` as there.
     """
@@ -474,7 +498,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
                                   validate=False)
         return flow_H(np.r_[pt.q, pt.p])
 
-    dHdlam = fd_gradient(energy_at, lam0, 1e-5)
+    dHdlam = fd_gradient(_rows(energy_at), lam0, 1e-5)
 
     sample_dt = float(ts[1] - ts[0]) if ts.size > 1 else float(traj.flow.dt)
     unwrap_hazard = bool(sample_dt * float(np.max(np.abs(slopes))) > np.pi)

@@ -217,8 +217,9 @@ def chart_membership(pos: list, chart: str, params: CouplingParams,
 
     ``pos`` is q for chart "qp" (slacks pi/2 - q_1, q_a - q_(a+1), q_n) and
     lambda for chart "lambda_theta" (slacks lambda_a - lambda_(a+1) - 2*mu,
-    lambda_n - nu, the wall since nu > |kappa|).  Plain float arithmetic, so
-    hot loops need build no point.
+    lambda_n - nu, the wall since nu > |kappa|).  A slack that is NaN or
+    infinite counts as outside.  Plain float arithmetic, so hot loops need
+    build no point.
     """
     if chart == "qp":
         slacks = [math.pi / 2 - pos[0]] + [a - b for a, b in zip(pos, pos[1:])]
@@ -228,7 +229,7 @@ def chart_membership(pos: list, chart: str, params: CouplingParams,
         slacks.append(pos[-1] - params.nu)
     status = "inside"
     for s in slacks:
-        if s < -margin:
+        if not -margin <= s < math.inf:  # below the band, or not finite
             return "outside"
         if not s > margin:
             status = "boundary"
@@ -268,6 +269,22 @@ def require_inside(pos: list, chart: str, params: CouplingParams):
             error = DegenerateTorusError
     raise error(f"{rule} with slack > {DOMAIN_MARGIN}; "
                 f"point is {status} ({name} = {pos})")
+
+
+def require_inside_rows(lam, params: CouplingParams):
+    """:func:`require_inside` on every row of a stack (..., n) of lambda
+    vectors in one numpy pass; the first row that is not inside raises its
+    error.  The slacks are those of :func:`chart_membership`, bit for bit."""
+    lam = np.asarray(lam, dtype=float)
+    slack = np.empty_like(lam)
+    np.subtract(lam[..., :-1], lam[..., 1:], out=slack[..., :-1])
+    slack[..., :-1] -= 2 * params.mu
+    np.subtract(lam[..., -1], params.nu, out=slack[..., -1])
+    if slack.min() > DOMAIN_MARGIN and slack.max() < math.inf:
+        return
+    bad = ~np.all((slack > DOMAIN_MARGIN) & (slack < math.inf), axis=-1)
+    require_inside(lam.reshape(-1, lam.shape[-1])[np.argmax(bad)].tolist(),
+                   "lambda_theta", params)
 
 
 def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> bool:

@@ -35,7 +35,8 @@ from .errors import ConsistencyError, DomainError
 from .matkernel import (StructuredMatrix, exchange_matrix, jacobi_minor_residual,
                         structure_residual)
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
-                     require_inside, strongly_regular, z_from_angles)
+                     require_inside, require_inside_rows, strongly_regular,
+                     z_from_angles)
 
 #: bound of A_check's optional unitarity and commutator checks
 SELFCHECK_TOL = 1e-8
@@ -379,31 +380,26 @@ def commutator_residual(A, F, lam, params: CouplingParams) -> float:
     return float(np.linalg.norm(np.asarray(A, dtype=complex) * den - num))
 
 
-def _h0_weights(lam: list, coef: list, params: CouplingParams,
-                grad: bool = False):
-    """Shared kernel of :func:`dual_H0` and :func:`grad_dual_H0`, on plain floats.
+def _h0_weights(lam: list, params: CouplingParams):
+    """The weights of :func:`grad_dual_H0` and their derivatives, on plain floats.
 
-    With H0 = sum_j cos(theta_j) w_j - (nu*kappa/4mu^2) (P - 1), returns the
-    products coef_j * w_j (multiplied left to right from ``coef_j``, the
-    operation order of the closed form) and P = prod_j (1 - 4mu^2/lam_j^2).
-    With ``grad`` also G and dP: G[j][m] = d log w_j / d lam_m, using
-    d/dx (1/2) log(1 - a^2/x^2) = a^2 / (x (x^2 - a^2)), and dP[m] = dP/dlam_m.
-    The caller guarantees lam lies inside the chamber, where every factor of
-    w_j is positive.
+    With H0 = sum_j cos(theta_j) w_j - (nu*kappa/4mu^2) (P - 1) and
+    P = prod_j (1 - 4mu^2/lam_j^2), returns w, G and dP: G[j][m] = d log w_j /
+    d lam_m, using d/dx (1/2) log(1 - a^2/x^2) = a^2 / (x (x^2 - a^2)), and
+    dP[m] = dP/dlam_m.  The caller guarantees lam lies inside the chamber,
+    where every factor of w_j is positive.
     """
-    # the factors of w_j square with ``** 2`` and those of P with ``x * x``;
+    # the factors of w_j square with ``** 2`` and those of dP with ``y * y``;
     # the two can round apart in the last bit, and this choice fixes the
-    # values of H0 (and of the verify residuals built on them) bit for bit
+    # values of grad_dual_H0 (and so the analytic dual flow) bit for bit
     mu4, nu2, kappa2 = 4 * params.mu**2, params.nu**2, params.kappa**2
     n = len(lam)
     w, G = [], []
-    P = 1.0
     for j, x in enumerate(lam):
         x2 = x ** 2
-        wj = coef[j] * math.sqrt(1 - nu2 / x2) * math.sqrt(1 - kappa2 / x2)
-        if grad:
-            g = [0.0] * n
-            g[j] = nu2 / (x * (x2 - nu2)) + kappa2 / (x * (x2 - kappa2))
+        wj = math.sqrt(1 - nu2 / x2) * math.sqrt(1 - kappa2 / x2)
+        g = [0.0] * n
+        g[j] = nu2 / (x * (x2 - nu2)) + kappa2 / (x * (x2 - kappa2))
         for k, y in enumerate(lam):
             if k == j:
                 continue
@@ -411,17 +407,12 @@ def _h0_weights(lam: list, coef: list, params: CouplingParams,
             d2, s2 = d ** 2, s ** 2
             wj *= math.sqrt(1 - mu4 / d2)
             wj *= math.sqrt(1 - mu4 / s2)
-            if grad:
-                gd = mu4 / (d * (d2 - mu4))
-                gs = mu4 / (s * (s2 - mu4))
-                g[j] += gd + gs
-                g[k] += gs - gd
+            gd = mu4 / (d * (d2 - mu4))
+            gs = mu4 / (s * (s2 - mu4))
+            g[j] += gd + gs
+            g[k] += gs - gd
         w.append(wj)
-        if grad:
-            G.append(g)
-        P *= 1 - mu4 / (x * x)
-    if not grad:
-        return w, P
+        G.append(g)
     # dP/dlam_m = (8mu^2/lam_m^3) prod_{j != m} (1 - 4mu^2/lam_j^2), with no
     # division by the m-th factor, which vanishes at lam_m = 2mu
     dP = []
@@ -431,26 +422,43 @@ def _h0_weights(lam: list, coef: list, params: CouplingParams,
             if j != m:
                 rest *= 1 - mu4 / (y * y)
         dP.append(rest)
-    return w, P, G, dP
+    return w, G, dP
 
 
-def _dual_H0_kernel(lam, theta, params: CouplingParams) -> float:
-    """:func:`dual_H0` at raw coordinates, without building a DualPoint.
+def _dual_H0_kernel(lam, theta, params: CouplingParams):
+    """:func:`dual_H0` at raw coordinates (..., n), over any leading stack axes.
 
-    Each theta_j is reduced to [0, 2*pi) as :func:`canonical_angle` reduces
-    it, so the value is the one ``dual_H0`` returns bit for bit.
+    Returns an array of shape (...), a float for a single point; each row's
+    value is the one that point alone gives, bit for bit.  Every row is
+    checked against the chamber by :func:`require_inside_rows`, and the
+    first row that is not inside raises its error.  Each theta_j is reduced
+    mod 2*pi as :func:`canonical_angle` reduces it, so the value is the one
+    ``dual_H0`` returns.  The pair factors of w_j and w_{j+o} are one array
+    per neighbour offset o = 1 .. n-1; sum and product run left to right.
     """
-    lam = np.asarray(lam, dtype=float).tolist()
-    require_inside(lam, "lambda_theta", params)
-    cos = []
-    for t in np.asarray(theta, dtype=float).tolist():
-        t %= TWO_PI
-        cos.append(math.cos(0.0 if t >= TWO_PI else t))
-    terms, P = _h0_weights(lam, cos, params)
-    total = 0.0
-    for term in terms:  # left to right: sum() compensates on Python >= 3.12
-        total += term
-    return total - params.nu * params.kappa / (4 * params.mu**2) * (P - 1.0)
+    lam = np.asarray(lam, dtype=float)
+    require_inside_rows(lam, params)
+    mu, nu, kappa = params.mu, params.nu, params.kappa
+    mu4 = 4 * mu**2
+    x2 = lam * lam
+    # canonical_angle maps a theta that rounds up to 2*pi to 0.0; the cosine
+    # of the float 2*pi is 1.0 = cos(0.0), so the reduction alone suffices
+    terms = np.cos(np.mod(theta, TWO_PI)) * np.sqrt(
+        (1 - nu**2 / x2) * (1 - kappa**2 / x2))
+    n = lam.shape[-1]
+    for o in range(1, n):
+        a, b = lam[..., :-o], lam[..., o:]
+        d, s = a - b, a + b
+        pair = np.sqrt((1 - mu4 / (d * d)) * (1 - mu4 / (s * s)))
+        terms[..., :-o] *= pair
+        terms[..., o:] *= pair
+    factors = 1 - mu4 / x2
+    total, P = terms[..., 0], factors[..., 0]
+    for j in range(1, n):
+        total = total + terms[..., j]
+        P = P * factors[..., j]
+    H = total - nu * kappa / mu4 * (P - 1.0)
+    return float(H) if H.ndim == 0 else H
 
 
 def dual_H0(dual: DualPoint, params: CouplingParams) -> float:
@@ -479,7 +487,7 @@ def grad_dual_H0(lam, theta, params: CouplingParams) -> tuple[np.ndarray, np.nda
     lam = np.asarray(lam, dtype=float).tolist()
     theta = np.asarray(theta, dtype=float).tolist()
     require_inside(lam, "lambda_theta", params)
-    w, _, G, dP = _h0_weights(lam, [1.0] * len(lam), params, grad=True)
+    w, G, dP = _h0_weights(lam, params)
     c = params.nu * params.kappa / (4 * params.mu**2)
     cw = [math.cos(t) * wj for t, wj in zip(theta, w)]
     dlam = [sum(cwj * Gj[m] for cwj, Gj in zip(cw, G)) - c * dPm

@@ -324,8 +324,8 @@ def _suite_sutherland(config: SuiteConfig) -> list:
 
             dq, dp = sutherland.grad_H1(pt.q, pt.p, params)
             fd = dynamics.fd_gradient(
-                lambda x: sutherland.closed_form_H1(
-                    SutherlandPoint(q=x[:n], p=x[n:]), params),
+                dynamics._rows(lambda x: sutherland.closed_form_H1(
+                    SutherlandPoint(q=x[:n], p=x[n:]), params)),
                 np.r_[pt.q, pt.p], 1e-6)
             col.add("sutherland.grad_H1_fd",
                     float(np.max(np.abs(np.r_[dq, dp] - fd)))
@@ -556,10 +556,8 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         # FD-meaningful)
         scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(pt, params)))
 
-        def H(x):
-            return sutherland.hamiltonians(
-                SutherlandPoint(q=x[:n], p=x[n:]), params) / scale
-
+        H = dynamics._rows(lambda x: sutherland.hamiltonians(
+            SutherlandPoint(q=x[:n], p=x[n:]), params) / scale)
         table = dynamics.poisson_bracket_fd(H, H, x0, step=1e-5, richardson=True)
         for i, j in zip(*np.triu_indices(n, 1)):
             col.add("dynamics.involutivity", abs(float(table[i, j])), ctx)

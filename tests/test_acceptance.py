@@ -297,6 +297,7 @@ def test_criterion_8d_involutivity():
             x0 = np.r_[pt.q, pt.p]
             scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(pt, params)))
 
+            @dynamics._rows
             def H(x):
                 return sutherland.hamiltonians(
                     SutherlandPoint(q=x[:n], p=x[n:]), params) / scale

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ def test_map_backward_outside_the_chamber_is_a_domain_error(capsys):
         capsys, "map", "--direction", "backward", "--n", "1",
         "--mu", "1", "--nu", "2", "--lam", "1.5", "--theta", "0")
     assert code == 2
+    assert "point is outside" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--direction", "backward", "--n", "1", "--mu", "1", "--nu", "2",
+     "--lam", "nan", "--theta", "0.3"),
+    ("map", "--direction", "backward", "--n", "1", "--mu", "1", "--nu", "2",
+     "--lam", "inf", "--theta", "0.3"),
+    ("flow", "--system", "dual_H0", "--n", "1", "--mu", "1", "--nu", "2",
+     "--x0", "nan,0.3", "--T", "0.01", "--dt", "0.001")])
+def test_non_finite_positions_are_outside_the_chart(capsys, argv):
+    # NaN read as a degenerate boundary point (exit 3); inf reached the
+    # eigensolver with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
     assert "point is outside" in err
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
 from bcsuth.errors import (BoundaryApproachError, DegenerateTorusError,
                            DomainError, NonConvergenceError)
 from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
-                           lambda_of_z)
+                           lambda_of_z, require_inside)
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
 from bcsuth.verification import (SuiteConfig, run_suite, sample_dual,
                                  sample_lambda, sample_params,
@@ -35,6 +36,15 @@ def test_flow_spec_validation():
     for system, chart in (("dual_H0", "qp"), ("sutherland_H1", "lambda_theta")):
         with pytest.raises(ValueError, match="is defined in the"):
             FlowSpec(system=system, chart=chart, dt=1e-3, T=1.0)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-6, math.nan, math.inf])
+def test_flow_spec_refuses_an_fd_step_that_is_not_finite_and_positive(fd_step):
+    # a zero step divided by zero in the stencil, a NaN one surfaced as a
+    # degenerate torus at lambda = [nan]
+    with pytest.raises(ValueError, match="fd_step must be finite and > 0"):
+        FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3, T=0.01,
+                 gradient="fd", fd_step=fd_step)
 
 
 def test_flow_spec_requires_a_whole_number_of_steps():
@@ -189,7 +199,8 @@ def test_boundary_abort():
 def test_canonical_coordinate_brackets(rng):
     n = 2
     x0 = np.array([1.0, 0.5, 0.3, -0.2])
-    table = poisson_bracket_fd(lambda x: x[:n], lambda x: x[n:], x0, step=1e-5)
+    table = poisson_bracket_fd(lambda x: x[..., :n], lambda x: x[..., n:], x0,
+                               step=1e-5)
     for i in range(n):
         for j in range(n):
             assert table[i, j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
@@ -198,7 +209,7 @@ def test_canonical_coordinate_brackets(rng):
 def test_bracket_of_families_of_different_sizes():
     # {q_i, p_j} = delta_ij and {q_i, q_j} = 0: a 2 x 3 table
     x0 = np.array([0.9, 0.4, 0.1, 0.7, -0.3, 0.5])
-    table = poisson_bracket_fd(lambda x: x[:2], lambda x: np.r_[x[3:5], x[2]],
+    table = poisson_bracket_fd(lambda x: x[..., :2], lambda x: x[..., [3, 4, 2]],
                                x0, step=1e-5)
     assert table.shape == (2, 3)
     assert np.allclose(table, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-9)
@@ -206,7 +217,7 @@ def test_bracket_of_families_of_different_sizes():
 
 def test_bracket_of_scalar_maps_is_one_by_one():
     # {q p, q} = -q at (q, p) = (0.6, 1.3)
-    table = poisson_bracket_fd(lambda x: x[0] * x[1], lambda x: x[0],
+    table = poisson_bracket_fd(lambda x: x[..., 0] * x[..., 1], lambda x: x[..., 0],
                                np.array([0.6, 1.3]), step=1e-5)
     assert table.shape == (1, 1)
     assert table[0, 0] == pytest.approx(-0.6, abs=1e-9)
@@ -219,6 +230,7 @@ def test_bracket_of_a_map_with_itself_builds_one_jacobian(monkeypatch):
                         lambda *a, **k: calls.append(1) or fd(*a, **k))
     x0 = np.array([0.3, -0.8, 1.1, 0.2])
 
+    @dynamics._rows
     def H(x):
         return np.array([x @ x, x[0] * x[3] - x[1] * x[2]])
 
@@ -242,6 +254,7 @@ def test_involutivity_of_invariants(rng):
         x0 = np.r_[pt.q, pt.p]
         scale = np.maximum(1.0, np.abs(hamiltonians(pt, p)))
 
+        @dynamics._rows
         def H(x):
             return hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), p) / scale
 
@@ -278,6 +291,7 @@ def test_actions_commute_under_pullback(rng):
     pt = sample_sutherland(rng, n)
     x0 = np.r_[pt.q, pt.p]
 
+    @dynamics._rows
     def lam(x):
         dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), p)
         return dual.lam
@@ -470,10 +484,11 @@ def test_fd_gradient_jacobian_of_vector_function():
     A = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 4.0, -1.5, 2.0],
                   [-3.0, 0.0, 1.0, -0.75]])
     x0 = np.array([0.3, -1.1, 0.7, 2.0])
-    J = fd_gradient(lambda x: A @ x, x0, 1e-2)
+    J = fd_gradient(dynamics._rows(lambda x: A @ x), x0, 1e-2)
     assert J.shape == A.shape
     assert np.max(np.abs(J - A)) < 1e-12
 
+    @dynamics._rows
     def cubic(x):
         return np.array([x[0] ** 3 + x[1], x[0] * x[1] ** 2, x[2] ** 3 * x[3]])
 
@@ -685,6 +700,82 @@ def test_fd_gradient_matches_per_column_stencils(rng):
                 assert np.array_equal(fd_gradient(H, x0, h), per_column(H, x0, h))
                 rich = (4.0 * per_column(H, x0, h / 2) - per_column(H, x0, h)) / 3.0
                 assert np.array_equal(fd_gradient(H, x0, h, richardson=True), rich)
+
+
+def test_fd_gradient_calls_fn_once_on_the_whole_stencil():
+    x0 = np.array([0.3, -1.1, 0.7])
+    for richardson, rows in ((False, 6), (True, 12)):
+        shapes = []
+
+        def cubic(x):
+            shapes.append(x.shape)
+            return np.sum(x ** 3, axis=-1)
+        g = fd_gradient(cubic, x0, 1e-3, richardson)
+        assert shapes == [(rows, 3)]
+        assert np.allclose(g, 3 * x0 ** 2, atol=1e-5)
+
+
+@pytest.mark.parametrize("system", list(dynamics.SYSTEMS))
+def test_hamiltonian_function_maps_stacks_row_by_row(rng, system):
+    # every system takes a stack (..., 2n) to (...), each row the value of
+    # that point alone, bit for bit, and a single point to a float
+    for n in (1, 2, 3):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        chart = dynamics.SYSTEMS[system]
+        if chart == "qp":
+            pt = backward_map(dual, p)
+            x0 = np.r_[pt.q, pt.p]
+        else:
+            x0 = np.r_[dual.lam, dual.theta]
+        flow = FlowSpec(system=system, chart=chart, dt=1e-3, T=0.01, k=n,
+                        gradient="fd")
+        H = hamiltonian_function(flow, p)
+        stack = x0 + 1e-4 * rng.standard_normal((6, 2 * n))
+        values = H(stack)
+        assert values.shape == (6,)
+        assert np.array_equal(values, [H(x) for x in stack])
+        assert np.array_equal(H(stack.reshape(2, 3, 2 * n)), values.reshape(2, 3))
+        assert type(H(x0)) is float
+
+
+def test_dual_H0_stack_raises_the_error_of_its_first_row_off_the_chamber():
+    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
+    H = hamiltonian_function(FlowSpec(system="dual_H0", chart="lambda_theta",
+                                      dt=1e-3, T=0.01, gradient="fd"), p)
+    inside, wall, outside, nan = [5.0, 2.5], [5.0, 2.0], [5.0, 1.9], [math.nan, 2.5]
+    for lams, first in (([inside, wall, outside], wall),
+                        ([inside, outside, wall], outside),
+                        ([inside, nan, wall], nan)):
+        with pytest.raises(DomainError) as one:
+            require_inside(first, "lambda_theta", p)
+        with pytest.raises(DomainError) as stacked:
+            H(np.c_[lams, np.zeros((3, 2))])
+        assert type(stacked.value) is type(one.value)
+        assert str(stacked.value) == str(one.value)
+    # an FD stencil whose h-step below lambda_2 leaves the chamber
+    x0 = np.array([5.0, 2.0 + 5e-7, 0.1, 0.2])
+    with pytest.raises(DomainError) as one:
+        require_inside([5.0, float(x0[1] - 1e-6)], "lambda_theta", p)
+    with pytest.raises(DomainError) as stencil:
+        fd_gradient(H, x0, 1e-6)
+    assert type(stencil.value) is type(one.value) is DomainError
+    assert str(stencil.value) == str(one.value)
+
+
+def test_fd_dual_H0_flow_equals_the_row_by_row_kernel(rng, monkeypatch):
+    # the FD field evaluates the whole stencil in one kernel call; the same
+    # kernel called once per stencil row gives the same trajectory bits
+    for n in (1, 2, 3):
+        flow, x0, p = _flow_start(rng, "dual_H0", n, "fd", T=0.05)
+        stacked = integrate(flow, x0, p)
+        with monkeypatch.context() as m:
+            H = dynamics.hamiltonian_function
+            m.setattr(dynamics, "hamiltonian_function",
+                      lambda flow, params: dynamics._rows(H(flow, params)))
+            rowwise = integrate(flow, x0, p)
+        assert np.array_equal(stacked.states, rowwise.states)
+        assert stacked.stats == rowwise.stats
 
 
 def test_analytic_field_calls_the_module_gradient(rng, monkeypatch):

@@ -1,14 +1,18 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsuth.errors import DegenerateChartError, ParameterError
+from bcsuth.errors import DegenerateChartError, DomainError, ParameterError
 from bcsuth.params import (CouplingParams, DualPoint, OscillatorPoint,
                            SutherlandPoint, angles_from_z, canonical_angle,
                            chart_membership, couplings_from_rsvd,
                            couplings_from_sutherland, domain_membership,
-                           lambda_of_z, strongly_regular, z_from_angles)
+                           lambda_of_z, require_inside, require_inside_rows,
+                           strongly_regular, z_from_angles)
 
 
 def test_couplings_forward():
@@ -111,6 +115,34 @@ def test_chart_membership_classifies_as_domain_membership(case):
     point = (SutherlandPoint(q=x, p=np.zeros_like(x)) if chart == "qp"
              else DualPoint(lam=x, theta=np.zeros_like(x)))
     assert domain_membership(point, params, margin) == status
+    if chart == "lambda_theta":
+        # the stacked chamber check agrees with require_inside row by row,
+        # behind a row with slack 1 everywhere
+        ahead = params.nu + 1.0 + (2 * params.mu + 1.0) * np.arange(x.size)[::-1]
+        try:
+            require_inside(x.tolist(), chart, params)
+        except DomainError as exc:
+            for rows in (x, np.stack([ahead, x])):
+                with pytest.raises(DomainError, match=re.escape(str(exc))) as got:
+                    require_inside_rows(rows, params)
+                assert type(got.value) is type(exc)
+        else:
+            require_inside_rows(np.stack([ahead, x]), params)
+
+
+@pytest.mark.parametrize("chart, pos", [
+    ("qp", [math.nan]), ("qp", [math.inf]), ("qp", [1.2, -math.inf]),
+    ("qp", [math.nan, 0.3]), ("lambda_theta", [math.nan]),
+    ("lambda_theta", [math.inf]), ("lambda_theta", [math.inf, 2.5]),
+    ("lambda_theta", [5.0, math.nan]), ("lambda_theta", [math.inf, math.inf])])
+def test_non_finite_positions_are_outside_their_chart(chart, pos):
+    # a NaN slack read as boundary and an infinite one as inside
+    params = couplings_from_rsvd(1.0, 2.0, 0.5, len(pos))
+    assert chart_membership(pos, chart, params) == "outside"
+    assert chart_membership(pos, chart, params, 0.0) == "outside"
+    with pytest.raises(DomainError, match="point is outside") as exc:
+        require_inside(pos, chart, params)
+    assert type(exc.value) is DomainError
 
 
 def test_strongly_regular_examples():

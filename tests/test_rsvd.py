@@ -4,7 +4,7 @@ import pytest
 
 from conftest import match_spectra
 
-from bcsuth.dynamics import fd_gradient
+from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
 from bcsuth.params import (DualPoint, couplings_from_rsvd, lambda_of_z,
@@ -195,7 +195,7 @@ def test_grad_dual_H0_matches_richardson_fd(rng):
             dual = sample_dual(rng, n, p)
             x = np.r_[dual.lam, dual.theta]
             ref = fd_gradient(
-                lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), p),
+                _rows(lambda x: dual_H0(DualPoint(lam=x[:n], theta=x[n:]), p)),
                 x, 1e-5, richardson=True)
             dlam, dtheta = grad_dual_H0(dual.lam, dual.theta, p)
             err = np.max(np.abs(np.r_[dlam, dtheta] - ref))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bcsuth.dynamics import fd_gradient
+from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import ConsistencyError, DomainError
 from bcsuth.matkernel import (exp_iQ, pair_diagonalize_gminus,
                               structure_residual)
@@ -88,7 +88,7 @@ def test_grad_H1_matches_finite_differences(rng):
         pt = sample_sutherland(rng, n)
         dq, dp = grad_H1(pt.q, pt.p, params)
         fd = fd_gradient(
-            lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params),
+            _rows(lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params)),
             np.r_[pt.q, pt.p], 1e-6)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(np.r_[dq, dp] - fd)) / scale < 1e-6
