@@ -9,22 +9,26 @@ Newton with an FD Jacobian take over.  ``march`` starts each step's
 iteration from the polynomial extrapolation of the trajectory's last states,
 which leaves it fewer sweeps to go than the Euler predictor; only the first
 step starts from x0, whose first sweep is the Euler predictor.  The order of
-the extrapolation, ``START_ORDER``, follows the field's smoothness: 7 past
-states for the closed-form fields, which then take about one evaluation per
-step, and 5 for FD fields, whose noise a higher order would amplify.  The
-steps of the H_1 and dual H0 flows work on raw coordinate arrays and build no
-point value types.
+the extrapolation is one constant, ``START_ORDER`` = 7 past states, with
+which smooth orbits take about one evaluation per step.  The steps of the H_1
+and dual H0 flows work on raw coordinate arrays and build no point value
+types.
 
 Gradients are closed-form where a closed form is known,
 ``gradient="analytic"``: ``grad_H1`` for the Sutherland H_1 and
-``grad_dual_H0`` for the dual H0.  ``gradient="fd"`` uses central finite
-differences; it is the only mode for the higher H_k and the dual h_k, and the
+``grad_dual_H0`` for the dual H0.  ``gradient="fd"`` uses Richardson-
+extrapolated central differences (steps h and h/2, error O(h^4)) at the base
+step h = min(``FlowSpec.fd_step``, half the point's smallest chamber slack),
+so the stencil never leaves the chamber; at the default h = 1e-4 the field's
+rounding noise is about 1e-12 relative, well below the integrator's
+tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
 a stack of points (..., d) to values (...) or (..., p).  The dual H0 is one
-numpy kernel over such stacks; the other Hamiltonians, and the maps of one
-point (the Newton Jacobian's vector field among them), are lifted to stacks
-row by row by ``_rows``.
+numpy kernel over such stacks and the dual h_k read z for the whole stack in
+one pass; the other Hamiltonians, and the maps of one point (the Newton
+Jacobian's vector field among them), are lifted to stacks row by row by
+``_rows``.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -39,7 +43,8 @@ with DUAL_PAIRING = -2 the measured pullback constant of the duality maps
 carried to Sutherland-chart flows by the backward map.
 
 Monitors cost nothing until read: each column group of ``default_monitors``
-is evaluated over the states ``integrate`` sampled when a column is first read.
+is a map of the stack of states ``integrate`` sampled, evaluated when one of
+its columns is first read.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ import numpy as np
 from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
 from .errors import BoundaryApproachError, NonConvergenceError
 from .params import (CouplingParams, DualPoint, SutherlandPoint,
-                     chart_membership, require_inside, z_from_angles)
+                     canonical_angle, chart_membership, chart_slacks,
+                     require_finite, require_inside, z_from_angle_rows)
 from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
 from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
 
@@ -71,13 +77,13 @@ GRADIENTS = {"sutherland_H1": "grad_H1", "dual_H0": "grad_dual_H0"}
 NEWTON_TOL = 1e-13
 MAX_ITER = 50
 JAC_STEP = 1e-7
-#: ``march`` starts each step from the extrapolation of this many past
-#: states, by ``FlowSpec.gradient``.  The weights of an order-m start sum to
-#: 2^m - 1 in absolute value, so the start carries the field's noise times
-#: that: a closed-form field's roundoff stays far below ``NEWTON_TOL`` at
-#: order 7 (about one evaluation per step on smooth orbits), while the ~1e-10
-#: noise of an FD field costs sweeps above order 5
-START_ORDER = {"analytic": 7, "fd": 5}
+#: ``integrate`` starts each step from the extrapolation of this many past
+#: states.  The weights of an order-m start sum to 2^m - 1 in absolute value,
+#: so the start carries the field's noise times that: the roundoff of a
+#: closed-form field, and the ~1e-12 noise of the Richardson FD field, stay
+#: far below ``NEWTON_TOL`` at order 7 (about one evaluation per step on
+#: smooth orbits)
+START_ORDER = 7
 #: integrator counters of ``Trajectory.stats``: steps taken, vector-field
 #: evaluations (the Newton Jacobian's included), Newton Jacobians built and
 #: Newton stalls accepted below the 1e-10 floor
@@ -94,7 +100,9 @@ class FlowSpec:
     T: float
     k: int = 1
     gradient: str = "analytic"
-    fd_step: float = 1e-6
+    #: base step h of the FD field's Richardson stencil (steps h and h/2),
+    #: capped at half the point's smallest chamber slack
+    fd_step: float = 1e-4
     monitor_stride: int = 10
     boundary_margin: float = 1e-6
 
@@ -130,7 +138,8 @@ class FlowSpec:
 
 class _Monitors(Mapping):
     """Column name -> series over a copy of the sampled states.  The first read
-    of a column evaluates its whole group at every state; a raise keeps none."""
+    of a column evaluates its whole group on the (samples, 2n) stack of
+    states; a raise keeps none."""
 
     def __init__(self, groups, states):
         self._groups = {name: group for group in groups for name in group[0]}
@@ -139,7 +148,7 @@ class _Monitors(Mapping):
     def __getitem__(self, name):
         if name not in self._columns:
             names, values = self._groups[name]
-            table = np.array([values(x) for x in self._states], dtype=float)
+            table = np.asarray(values(self._states), dtype=float)
             self._columns.update(zip(names, table.T.copy()))
         return self._columns[name]
 
@@ -227,7 +236,8 @@ def _rows(fn):
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     """The Hamiltonian as a map of stacks (..., 2n) -> (...) in the flow's
     chart coordinates, a float at a single point: the dual H0 is one array
-    kernel, the others go through :func:`_rows`."""
+    kernel, the dual h_k read z for the whole stack in one pass and evaluate
+    ``dual_Hk`` row by row, the others go through :func:`_rows`."""
     n = params.n
     k = flow.k
     if flow.system == "dual_H0":
@@ -237,18 +247,25 @@ def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     if flow.system == "sutherland_Hk":
         return _rows(lambda x: float(
             hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1]))
-    # dual Hamiltonians restricted to the angle chart, via the global Lax matrix
+    # dual Hamiltonians restricted to the angle chart, via the global Lax
+    # matrix; a row's z is the one its DualPoint gives, bit for bit
     def H(x):
-        dp = DualPoint(lam=x[:n], theta=x[n:])
-        z = z_from_angles(dp, params).z
-        return float(dual_Hk(z, params, kmax=k)[k - 1])
-
-    return _rows(H)
+        x = np.asarray(x, dtype=float)
+        z = z_from_angle_rows(x[..., :n], canonical_angle(x[..., n:]), params)
+        values = np.array([dual_Hk(row, params, kmax=k)[k - 1]
+                           for row in z.reshape(-1, n)])
+        return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
+    return H
 
 
 def vector_field(flow: FlowSpec, params: CouplingParams):
     """Vector field f(x) = (s dH/dmomenta, -s dH/dpositions) of the flow's
-    Hamiltonian, with s = 1 in the qp chart and DUAL_PAIRING in lambda_theta."""
+    Hamiltonian, with s = 1 in the qp chart and DUAL_PAIRING in lambda_theta.
+
+    The FD field is the Richardson stencil of :func:`fd_gradient` at the base
+    step min(``fd_step``, slack / 2), slack the smallest chamber slack of x
+    (:func:`chart_slacks`): no row of the stencil leaves the chamber.
+    """
     n = params.n
     s = 1.0 if flow.chart == "qp" else DUAL_PAIRING
     signs = np.r_[np.full(n, s), np.full(n, -s)]
@@ -262,7 +279,8 @@ def vector_field(flow: FlowSpec, params: CouplingParams):
         H = hamiltonian_function(flow, params)
 
         def f(x):
-            g = fd_gradient(H, x, flow.fd_step)
+            slack = min(chart_slacks(x[:n].tolist(), flow.chart, params))
+            g = fd_gradient(H, x, min(flow.fd_step, 0.5 * slack), richardson=True)
             return np.concatenate((g[n:], g[:n])) * signs
     return f
 
@@ -343,8 +361,8 @@ def march(f, x0, dt, order, stats=None):
     off the step's solution by O(dt^m), against O(dt^2) for the Euler
     predictor, so fewer sweeps reach the tolerance; the accepted state meets
     the same residual bound.  The weights sum to 2^m - 1 in absolute value, so
-    the start also carries f's own noise times that; ``START_ORDER`` gives the
-    order for each gradient mode.  While fewer than m states exist the order
+    the start also carries f's own noise times that; ``integrate`` takes the
+    order ``START_ORDER``.  While fewer than m states exist the order
     is lower; the first step's order-1 start is x0 itself, whose first sweep
     is the Euler predictor.  ``stats`` is passed to every
     ``implicit_midpoint_step``.
@@ -366,27 +384,30 @@ def march(f, x0, dt, order, stats=None):
 
 
 def default_monitors(flow: FlowSpec, params: CouplingParams):
-    """The flow's monitor column groups, each a pair (names, x -> values).
+    """The flow's monitor column groups, each a pair (names, map of a stack
+    of states (samples, 2n) -> table (samples, len(names))).
 
-    ``H_flow``, the flow Hamiltonian, alone; qp chart: every H_k and every
-    action component, from one ``hamiltonians`` and one ``action_map`` call;
-    lambda_theta chart: the dual actions q_j, from one backward map.
+    ``H_flow``, the flow Hamiltonian, alone, from one
+    :func:`hamiltonian_function` call; qp chart: every H_k and every action
+    component, from one ``hamiltonians`` and one ``action_map`` call per
+    sample; lambda_theta chart: the dual actions q_j, from one backward map
+    per sample.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
-    groups = [(("H_flow",), lambda x: (H(x),))]
+    groups = [(("H_flow",), lambda xs: H(xs)[:, None])]
     if flow.chart == "qp":
         def lax(x):
             pt = SutherlandPoint(q=x[:n], p=x[n:])
             return np.r_[hamiltonians(pt, params), action_map(pt, params)]
         groups.append(([f"H{k+1}" for k in range(n)]
-                       + [f"lambda{j+1}" for j in range(n)], lax))
+                       + [f"lambda{j+1}" for j in range(n)], _rows(lax)))
     else:
         def positions(x):
             pt, _ = backward_map_full(
                 DualPoint(lam=x[:n], theta=x[n:]), params, validate=False)
             return pt.q
-        groups.append(([f"q{j+1}" for j in range(n)], positions))
+        groups.append(([f"q{j+1}" for j in range(n)], _rows(positions)))
     return groups
 
 
@@ -397,13 +418,15 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     each group of ``default_monitors`` over a copy of the sampled states when
     one of its columns is first read.
 
-    Refuses an x0 outside its chart (DomainError).  Aborts with
+    Refuses an x0 outside its chart, or with a momentum or angle that is not
+    finite (DomainError, naming the component).  Aborts with
     BoundaryApproachError (carrying the truncated trajectory) if the state
     comes within ``boundary_margin`` of a chamber wall.
     """
     x0 = np.asarray(x0, dtype=float)
     n = params.n
     require_inside(x0[:n].tolist(), flow.chart, params)
+    require_finite(x0[n:], "p" if flow.chart == "qp" else "theta")
     nsteps = int(round(flow.T / flow.dt))
     f = vector_field(flow, params)
 
@@ -413,7 +436,7 @@ def integrate(flow: FlowSpec, x0, params: CouplingParams) -> Trajectory:
     mon_idx = [0]
 
     stats = dict.fromkeys(STATS, 0)
-    steps = march(f, x0, flow.dt, START_ORDER[flow.gradient], stats)
+    steps = march(f, x0, flow.dt, START_ORDER, stats)
     for step in range(1, nsteps + 1):
         try:
             x = next(steps)

@@ -41,6 +41,17 @@ def _as_real_vector(x, name):
     return v
 
 
+def require_finite(v, name):
+    """Raise DomainError naming the first entry of the vector ``v`` (called
+    ``name``, entries name1, name2, ...) that is NaN or infinite."""
+    values = np.asarray(v, dtype=float).tolist()
+    if math.isfinite(sum(values)):  # never, if an entry is NaN or infinite
+        return
+    for i, x in enumerate(values):
+        if not math.isfinite(x):
+            raise DomainError(f"{name} must be finite, got {name}{i + 1} = {x!r}")
+
+
 def canonical_angle(theta):
     """Map angles to the canonical representative in [0, 2*pi)."""
     t = np.asarray(theta, dtype=float) % TWO_PI
@@ -129,7 +140,11 @@ def _freeze(arr):
 
 @dataclass(frozen=True, eq=False)
 class SutherlandPoint:
-    """Point (q, p) of the Sutherland chart. Arrays are stored read-only."""
+    """Point (q, p) of the Sutherland chart. Arrays are stored read-only.
+
+    A non-finite momentum raises DomainError; a non-finite q is left to the
+    chamber check, which counts it as outside.
+    """
 
     q: np.ndarray
     p: np.ndarray
@@ -137,6 +152,7 @@ class SutherlandPoint:
     def __post_init__(self):
         q = _freeze(_as_real_vector(self.q, "q").copy())
         p = _freeze(_as_real_vector(self.p, "p").copy())
+        require_finite(p, "p")
         if q.shape != p.shape:
             raise ValueError(f"q and p must have equal length, got {q.size} and {p.size}")
         object.__setattr__(self, "q", q)
@@ -158,7 +174,9 @@ class SutherlandPoint:
 class DualPoint:
     """Point (lambda, theta) of the dual angle chart.
 
-    Angles are stored as their canonical representative in [0, 2*pi).
+    Angles are stored as their canonical representative in [0, 2*pi); a
+    non-finite angle raises DomainError, a non-finite lambda is left to the
+    chamber check, which counts it as outside.
     """
 
     lam: np.ndarray
@@ -166,7 +184,9 @@ class DualPoint:
 
     def __post_init__(self):
         lam = _freeze(_as_real_vector(self.lam, "lambda").copy())
-        theta = _freeze(canonical_angle(_as_real_vector(self.theta, "theta")))
+        theta = _as_real_vector(self.theta, "theta")
+        require_finite(theta, "theta")
+        theta = _freeze(canonical_angle(theta))
         if lam.shape != theta.shape:
             raise ValueError(
                 f"lambda and theta must have equal length, got {lam.size} and {theta.size}"
@@ -211,24 +231,30 @@ class OscillatorPoint:
         return cls(z=z)
 
 
-def chart_membership(pos: list, chart: str, params: CouplingParams,
-                     margin: float = DOMAIN_MARGIN) -> str:
-    """:func:`domain_membership` on positions given as a list of floats.
-
-    ``pos`` is q for chart "qp" (slacks pi/2 - q_1, q_a - q_(a+1), q_n) and
-    lambda for chart "lambda_theta" (slacks lambda_a - lambda_(a+1) - 2*mu,
-    lambda_n - nu, the wall since nu > |kappa|).  A slack that is NaN or
-    infinite counts as outside.  Plain float arithmetic, so hot loops need
-    build no point.
-    """
+def chart_slacks(pos: list, chart: str, params: CouplingParams) -> list:
+    """The slacks of the chamber inequalities at positions given as a list of
+    floats: pi/2 - q_1, q_a - q_(a+1), q_n for chart "qp" (``pos`` is q), and
+    lambda_a - lambda_(a+1) - 2*mu, lambda_n - nu for chart "lambda_theta"
+    (``pos`` is lambda; the wall is at nu since nu > |kappa|).  A move of h
+    in one position moves each slack by at most h."""
     if chart == "qp":
         slacks = [math.pi / 2 - pos[0]] + [a - b for a, b in zip(pos, pos[1:])]
         slacks.append(pos[-1])
     else:
         slacks = [a - b - 2 * params.mu for a, b in zip(pos, pos[1:])]
         slacks.append(pos[-1] - params.nu)
+    return slacks
+
+
+def chart_membership(pos: list, chart: str, params: CouplingParams,
+                     margin: float = DOMAIN_MARGIN) -> str:
+    """:func:`domain_membership` on positions given as a list of floats, from
+    the slacks of :func:`chart_slacks`.  A slack that is NaN or infinite
+    counts as outside.  Plain float arithmetic, so hot loops need build no
+    point.
+    """
     status = "inside"
-    for s in slacks:
+    for s in chart_slacks(pos, chart, params):
         if not -margin <= s < math.inf:  # below the band, or not finite
             return "outside"
         if not s > margin:
@@ -274,8 +300,13 @@ def require_inside(pos: list, chart: str, params: CouplingParams):
 def require_inside_rows(lam, params: CouplingParams):
     """:func:`require_inside` on every row of a stack (..., n) of lambda
     vectors in one numpy pass; the first row that is not inside raises its
-    error.  The slacks are those of :func:`chart_membership`, bit for bit."""
+    error.  The slacks are those of :func:`chart_membership`, bit for bit.
+    A single row goes to :func:`require_inside` itself, whose float loop is
+    cheaper than the numpy pass at that size."""
     lam = np.asarray(lam, dtype=float)
+    if lam.ndim == 1:
+        require_inside(lam.tolist(), "lambda_theta", params)
+        return
     slack = np.empty_like(lam)
     np.subtract(lam[..., :-1], lam[..., 1:], out=slack[..., :-1])
     slack[..., :-1] -= 2 * params.mu
@@ -334,11 +365,21 @@ def z_from_angles(dual: DualPoint, params: CouplingParams) -> OscillatorPoint:
     z_j = sqrt(lambda_j - lambda_{j+1} - 2*mu) * prod_{a<=j} e^{i*theta_a} for
     j < n and z_n = sqrt(lambda_n - nu) * prod_{a<=n} e^{i*theta_a}.
     """
-    lam, theta = dual.lam, dual.theta
-    require_inside(lam.tolist(), "lambda_theta", params)
-    gaps = np.concatenate((lam[:-1] - lam[1:] - 2 * params.mu, [lam[-1] - params.nu]))
-    phases = np.exp(1j * np.cumsum(theta))
-    return OscillatorPoint(z=np.sqrt(gaps) * phases)
+    return OscillatorPoint(z=z_from_angle_rows(dual.lam, dual.theta, params))
+
+
+def z_from_angle_rows(lam, theta, params: CouplingParams) -> np.ndarray:
+    """:func:`z_from_angles` over a stack (..., n) of positions and angles in
+    one numpy pass, each row's z the bits that point alone gives when its
+    angles are canonical (:func:`canonical_angle`).  Every row is checked by
+    one :func:`require_inside_rows`."""
+    lam = np.asarray(lam, dtype=float)
+    require_inside_rows(lam, params)
+    gaps = np.empty_like(lam)
+    np.subtract(lam[..., :-1], lam[..., 1:], out=gaps[..., :-1])
+    gaps[..., :-1] -= 2 * params.mu
+    np.subtract(lam[..., -1], params.nu, out=gaps[..., -1])
+    return np.sqrt(gaps) * np.exp(1j * np.cumsum(theta, axis=-1))
 
 
 def angles_from_z(osc: OscillatorPoint, params: CouplingParams) -> DualPoint:

@@ -145,21 +145,23 @@ def _severity(residual: float):
 
 
 class _Collector:
-    """Accumulates residuals per check and freezes the worst counterexample;
-    a NaN residual is the worst and fails its row."""
+    """Accumulates residuals per check, keeps each row's running worst (the
+    first of equals) and freezes the context of the add that set it; a NaN
+    residual is the worst and fails its row."""
 
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.data: dict[str, list] = {}
+        self.worst: dict[str, float] = {}
         self.examples: dict[str, dict] = {}
 
     def add(self, name: str, residual: float, context: dict | None = None):
-        vals = self.data.setdefault(name, [])
         residual = float(residual)
-        if context is not None and (
-                not vals or _severity(residual) > _severity(max(vals, key=_severity))):
-            self.examples[name] = context
-        vals.append(residual)
+        if name not in self.worst or _severity(residual) > _severity(self.worst[name]):
+            self.worst[name] = residual
+            if context is not None:
+                self.examples[name] = context
+        self.data.setdefault(name, []).append(residual)
 
     def result(self, name: str, negative_control: bool = False) -> CheckResult:
         vals = self.data.get(name, [])
@@ -167,7 +169,7 @@ class _Collector:
             return CheckResult(name, math.nan, math.nan, self.config.tol(name),
                                False, negative_control,
                                {"error": "no samples evaluated"})
-        mx = max(vals, key=_severity)
+        mx = self.worst[name]
         mean = sum(vals) / len(vals)
         tol = self.config.tol(name)
         if negative_control:
@@ -546,7 +548,7 @@ def _suite_dynamics(config: SuiteConfig) -> list:
         # time reversal: step the endpoint back with the same rule
         steps = dynamics.march(dynamics.vector_field(flow, params),
                                traj.states[-1], -flow.dt,
-                               dynamics.START_ORDER[flow.gradient])
+                               dynamics.START_ORDER)
         for _ in range(traj.states.shape[0] - 1):
             back = next(steps)
         col.add("dynamics.time_reversal", float(np.max(np.abs(back - x0))), ctx)

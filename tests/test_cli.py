@@ -226,12 +226,22 @@ def test_flow_default_gradient_is_fd_without_a_closed_form(capsys):
         assert "analytic gradients exist only" in err
 
 
-def test_flow_stall_prints_the_integrator_counters(capsys):
-    # the FD field of H_2 stalls above the 1e-10 Newton floor at this start
+def test_flow_stall_prints_the_integrator_counters(capsys, monkeypatch):
+    # a field that vanishes for 30 evaluations, one per step, and then has no
+    # midpoint solution at this step size (as in test_dynamics'
+    # test_nonconvergence_carries_the_counters): Newton stalls in step 31
+    import bcsuth.dynamics as dynamics
+    evals = []
+
+    def stalling_field(flow, params):
+        def f(x):
+            evals.append(1)
+            return np.zeros_like(x) if len(evals) <= 30 else 100.0 * (1.0 + x**2)
+        return f
+    monkeypatch.setattr(dynamics, "vector_field", stalling_field)
     code, out, err = run_cli(
-        capsys, "flow", "--system", "sutherland_Hk", "--k", "2",
-        "--gradient", "fd", "--chart", "qp", "--n", "2", "--mu", "1",
-        "--nu", "2", "--x0", "1.1,0.4,0.3,-0.7", "--T", "0.05", "--dt", "0.001")
+        capsys, "flow", "--system", "sutherland_H1", "--n", "1", "--mu", "1",
+        "--nu", "2", "--x0", "0.7853981633974483,1", "--T", "10", "--dt", "0.1")
     assert code == 1 and out == ""
     message, counters = err.splitlines()
     assert message.startswith("error: implicit midpoint Newton stalled")
@@ -239,7 +249,31 @@ def test_flow_stall_prints_the_integrator_counters(capsys):
     assert counters.startswith(label)
     stats = json.loads(counters[len(label):])
     assert set(stats) == {"steps", "evaluations", "jacobians", "stalls"}
-    assert stats["evaluations"] > stats["steps"] >= 0
+    assert stats["steps"] == 30
+    assert stats["evaluations"] == len(evals) > stats["steps"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("map", "--direction", "backward", "--n", "1", "--mu", "1", "--nu", "2",
+      "--lam", "3", "--theta", "nan"), "theta must be finite, got theta1 = nan"),
+    (("flow", "--system", "dual_H0", "--n", "1", "--mu", "1", "--nu", "2",
+      "--x0", "3,nan", "--T", "0.01", "--dt", "0.001"),
+     "theta must be finite, got theta1 = nan"),
+    (("flow", "--system", "sutherland_H1", "--n", "1", "--mu", "1", "--nu", "2",
+      "--x0", "0.7,nan", "--T", "0.01", "--dt", "0.001"),
+     "p must be finite, got p1 = nan"),
+    (("map", "--direction", "forward", "--n", "1", "--mu", "1", "--nu", "2",
+      "--q", "0.7", "--p", "inf"), "p must be finite, got p1 = inf")])
+def test_non_finite_momenta_and_angles_are_refused(capsys, argv, message):
+    # a NaN angle used to reach the Cauchy core (RuntimeWarning, then "Array
+    # must not contain infs or NaNs") or, in a flow, to be blamed on lambda;
+    # a NaN momentum stalled Newton at residual nan, an infinite one stopped
+    # the SVD
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_flow_monitor_failure_writes_no_file(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
 from bcsuth.errors import (BoundaryApproachError, DegenerateTorusError,
                            DomainError, NonConvergenceError)
 from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
-                           lambda_of_z, require_inside)
+                           lambda_of_z, require_inside, z_from_angles)
+from bcsuth.rsvd import dual_Hk
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
 from bcsuth.verification import (SuiteConfig, run_suite, sample_dual,
                                  sample_lambda, sample_params,
@@ -480,6 +482,19 @@ def test_integrate_refuses_a_start_outside_its_chart(system, x0, error):
         integrate(flow, np.array(x0), p)
 
 
+@pytest.mark.parametrize("system, x0, message", [
+    ("sutherland_H1", [0.7, 0.3, 0.1, math.inf], "p must be finite, got p2 = inf"),
+    ("dual_H0", [5.0, 2.5, math.nan, 0.2], "theta must be finite, got theta1 = nan")])
+def test_integrate_refuses_a_non_finite_momentum_or_angle(system, x0, message):
+    # the first step would turn the state NaN, and the next chamber check
+    # would blame the positions
+    p = couplings_from_rsvd(1.0, 2.0, 0.0, 2)
+    flow = FlowSpec(system=system, chart=dynamics.SYSTEMS[system], dt=1e-3, T=0.01)
+    with pytest.raises(DomainError) as exc:
+        integrate(flow, np.array(x0), p)
+    assert str(exc.value) == message
+
+
 def test_fd_gradient_jacobian_of_vector_function():
     A = np.array([[1.0, -2.0, 0.5, 3.0], [0.25, 4.0, -1.5, 2.0],
                   [-3.0, 0.0, 1.0, -0.75]])
@@ -535,8 +550,6 @@ def test_extrapolated_start_reaches_the_same_fixed_point(rng, system, gradient):
         ref = _euler_started(flow, x0, p)
         assert (np.linalg.norm(traj.states[-1] - ref[-1])
                 <= 1e-11 * np.linalg.norm(ref[-1]))
-        if gradient == "fd":
-            continue  # the FD field's own noise sits near NEWTON_TOL
         f = vector_field(flow, p)
         for x0_, x1 in zip(traj.states[:-1], traj.states[1:]):
             defect = x1 - x0_ - flow.dt * f(0.5 * (x0_ + x1))
@@ -566,14 +579,14 @@ def test_near_wall_dual_orbit_drift_unchanged(monkeypatch):
                    for j in range(n))
     flow, x0, params, traj = max(orbits, key=lambda o: q_drift(o[3]))
     assert params.n == 3 and q_drift(traj) == row.max_residual
-    monkeypatch.setitem(dynamics.START_ORDER, flow.gradient, 1)
+    monkeypatch.setattr(dynamics, "START_ORDER", 1)
     assert abs(q_drift(integrate(flow, x0, params)) - row.max_residual) <= 1e-15
 
 
 def test_extrapolated_start_halves_the_evaluations(rng, monkeypatch):
     def evaluations(flow, x0, p, order=None):
         if order is not None:
-            monkeypatch.setitem(dynamics.START_ORDER, flow.gradient, order)
+            monkeypatch.setattr(dynamics, "START_ORDER", order)
         stats = integrate(flow, x0, p).stats
         monkeypatch.undo()
         assert stats["steps"] == int(round(flow.T / flow.dt))
@@ -597,15 +610,16 @@ def test_extrapolated_start_halves_the_evaluations(rng, monkeypatch):
     assert evaluations(flow, x0, p) <= 0.65 * evaluations(flow, x0, p, 1)
 
 
-def test_fd_flows_keep_the_order_5_start(rng):
-    # the ~1e-10 noise of an FD field, times the 2^m - 1 weight sum of an
-    # order-m start, costs sweeps above order 5: FD flows step exactly as an
-    # order-5 march does
-    assert dynamics.START_ORDER == {"analytic": 7, "fd": 5}
+def test_fd_flows_take_the_start_order(rng):
+    # the ~1e-12 noise of the Richardson FD field, times the 2^7 - 1 weight
+    # sum of an order-7 start, stays below the tolerance: FD flows step
+    # exactly as an order-START_ORDER march does, as the closed-form ones do
+    assert dynamics.START_ORDER == 7
     for n in (1, 2, 3):
         flow, x0, p = _flow_start(rng, "dual_H0", n, "fd")
         traj = integrate(flow, x0, p)
-        steps = dynamics.march(vector_field(flow, p), x0, flow.dt, 5)
+        steps = dynamics.march(vector_field(flow, p), x0, flow.dt,
+                               dynamics.START_ORDER)
         ref = [next(steps) for _ in range(traj.states.shape[0] - 1)]
         assert np.array_equal(traj.states[1:], np.array(ref))
 
@@ -622,7 +636,7 @@ def test_verify_reverses_time_with_the_analytic_order(monkeypatch):
     monkeypatch.setattr(dynamics, "march", recording)
     run_suite(SuiteConfig(suite="dynamics", seed=1, n_values=(1,)))
     reversal = [order for backward, order in orders if backward]
-    assert reversal == [dynamics.START_ORDER["analytic"]]
+    assert reversal == [dynamics.START_ORDER]
 
 
 def test_nonconvergence_carries_the_counters(monkeypatch):
@@ -739,10 +753,7 @@ def test_hamiltonian_function_maps_stacks_row_by_row(rng, system):
         assert type(H(x0)) is float
 
 
-def test_dual_H0_stack_raises_the_error_of_its_first_row_off_the_chamber():
-    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
-    H = hamiltonian_function(FlowSpec(system="dual_H0", chart="lambda_theta",
-                                      dt=1e-3, T=0.01, gradient="fd"), p)
+def _stack_raises_the_error_of_its_first_row_off_the_chamber(H, p):
     inside, wall, outside, nan = [5.0, 2.5], [5.0, 2.0], [5.0, 1.9], [math.nan, 2.5]
     for lams, first in (([inside, wall, outside], wall),
                         ([inside, outside, wall], outside),
@@ -753,6 +764,13 @@ def test_dual_H0_stack_raises_the_error_of_its_first_row_off_the_chamber():
             H(np.c_[lams, np.zeros((3, 2))])
         assert type(stacked.value) is type(one.value)
         assert str(stacked.value) == str(one.value)
+
+
+def test_dual_H0_stack_raises_the_error_of_its_first_row_off_the_chamber():
+    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
+    H = hamiltonian_function(FlowSpec(system="dual_H0", chart="lambda_theta",
+                                      dt=1e-3, T=0.01, gradient="fd"), p)
+    _stack_raises_the_error_of_its_first_row_off_the_chamber(H, p)
     # an FD stencil whose h-step below lambda_2 leaves the chamber
     x0 = np.array([5.0, 2.0 + 5e-7, 0.1, 0.2])
     with pytest.raises(DomainError) as one:
@@ -791,3 +809,111 @@ def test_analytic_field_calls_the_module_gradient(rng, monkeypatch):
     flow, x0, p = _flow_start(rng, "sutherland_H1", 2, T=0.05)
     traj = integrate(flow, x0, p)
     assert len(calls) == traj.stats["evaluations"] > 0
+
+
+def test_dual_Hk_stack_raises_the_error_of_its_first_row_off_the_chamber():
+    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
+    for k in (1, 2):
+        H = hamiltonian_function(FlowSpec(system="dual_Hk", chart="lambda_theta",
+                                          dt=1e-3, T=0.01, k=k, gradient="fd"), p)
+        _stack_raises_the_error_of_its_first_row_off_the_chamber(H, p)
+
+
+def test_dual_Hk_stack_matches_the_point_route_bit_for_bit(rng):
+    # z is read for the whole stack in one pass, the angles reduced as
+    # canonical_angle reduces them: each row keeps the bits of DualPoint ->
+    # z_from_angles -> dual_Hk, also at angles just below 0 (which reduce to
+    # 0.0) and just below 2 pi
+    below_2pi = np.nextafter(2 * np.pi, 0.0)
+    for n in (1, 2, 3):
+        p = sample_params(rng, n, CFG)
+        lam = np.array([sample_lambda(rng, n, p) for _ in range(6)])
+        theta = rng.uniform(-10.0, 20.0, (6, n))
+        theta[0] = -1e-17
+        theta[1] = below_2pi
+        theta[2, -1] = -np.nextafter(0.0, 1.0)
+        stack = np.c_[lam, theta]
+        for k in range(1, n + 1):
+            flow = FlowSpec(system="dual_Hk", chart="lambda_theta", dt=1e-3,
+                            T=0.01, k=k, gradient="fd")
+            H = hamiltonian_function(flow, p)
+            ref = [float(dual_Hk(z_from_angles(DualPoint(lam=x[:n], theta=x[n:]), p).z,
+                                 p, kmax=k)[k - 1]) for x in stack]
+            assert np.array_equal(H(stack), ref)
+            assert np.array_equal(H(stack.reshape(2, 3, 2 * n)), np.reshape(ref, (2, 3)))
+            assert H(stack[1]) == ref[1]
+
+
+def test_monitor_H_flow_is_one_call_on_the_sampled_stack(rng, monkeypatch):
+    # the H_flow group maps the (samples, 2n) stack of sampled states in one
+    # hamiltonian_function call: one dual H0 kernel call, same values
+    kernel = dynamics._dual_H0_kernel
+    shapes = []
+
+    def counted(lam, theta, params):
+        shapes.append(np.shape(lam))
+        return kernel(lam, theta, params)
+    flow, x0, p = _flow_start(rng, "dual_H0", 2, T=0.05)
+    traj = integrate(flow, x0, p)
+    monkeypatch.setattr(dynamics, "_dual_H0_kernel", counted)
+    H = traj.monitors["H_flow"]
+    samples = traj.monitor_times.size
+    assert samples > 1 and shapes == [(samples, 2)]
+    sampled = traj.states[np.searchsorted(traj.times, traj.monitor_times)]
+    assert H.tolist() == [kernel(x[:2], x[2:], p) for x in sampled]
+
+
+def test_fd_field_matches_the_closed_form_field(rng):
+    # the Richardson stencil at the 1e-4 base step is good to about 1e-12
+    # relative (a central difference at 1e-6 reached up to about 1e-9)
+    for n in (1, 2, 3):
+        for system in ("sutherland_H1", "dual_H0"):
+            for _ in range(10):
+                flow, x0, p = _flow_start(rng, system, n)
+                exact = vector_field(flow, p)(x0)
+                fd = vector_field(replace(flow, gradient="fd"), p)(x0)
+                assert np.linalg.norm(fd - exact) <= 1e-10 * np.linalg.norm(exact)
+
+
+def test_fd_dual_H0_flow_takes_about_one_evaluation_per_step(rng):
+    # starts drawn as the flow-exact benchmark draws them (action gaps
+    # uniform in (0.05, 0.3)): with a field far below the tolerance and the
+    # order-7 start, a step takes about 1.1 evaluations (about 1.9 with the
+    # central difference at 1e-6 and the order-5 start)
+    for n in (1, 2, 3):
+        p = sample_params(rng, n, CFG)
+        gaps = rng.uniform(0.05, 0.3, n) + 2 * p.mu * (np.arange(n) < n - 1)
+        lam = p.nu + np.cumsum(gaps[::-1])[::-1]
+        x0 = np.r_[lam, rng.uniform(0, 2 * np.pi, n)]
+        flow = FlowSpec(system="dual_H0", chart="lambda_theta", dt=1e-3, T=0.1,
+                        gradient="fd")
+        stats = integrate(flow, x0, p).stats
+        assert stats["steps"] == 100
+        assert stats["evaluations"] <= 1.3 * stats["steps"]
+
+
+@pytest.mark.parametrize("system", ["dual_H0", "dual_Hk"])
+def test_fd_dual_flows_integrate_at_a_slack_below_the_step(system):
+    # the base step is capped at half the smallest chamber slack, so a start
+    # 5e-5 from the wall integrates; a fixed 1e-4 stencil leaves the chamber
+    p = couplings_from_rsvd(1.0, 2.0, 0.5, 2)
+    x0 = np.array([p.nu + 2 * p.mu + 0.2 + 5e-5, p.nu + 5e-5, 0.4, 1.3])
+    flow = FlowSpec(system=system, chart="lambda_theta", dt=1e-3, T=0.02,
+                    gradient="fd")
+    assert integrate(flow, x0, p).stats["steps"] == 20
+    with pytest.raises(DomainError):
+        fd_gradient(hamiltonian_function(flow, p), x0, flow.fd_step, richardson=True)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.001])
+def test_fd_H1_flow_from_a_former_stall_follows_the_closed_form(dt):
+    # the start whose FD H_k flows stalled Newton above its 1e-10 floor: the
+    # FD k = 1 flow now follows the closed-form H_1 flow to about 1e-11 (the
+    # central difference at 1e-6 to 1.7e-10)
+    p = couplings_from_rsvd(1.0, 2.0, 0.0, 2)
+    x0 = np.array([1.1, 0.4, 0.3, -0.7])
+    exact = integrate(FlowSpec(system="sutherland_H1", chart="qp", dt=dt, T=0.05),
+                      x0, p)
+    fd = integrate(FlowSpec(system="sutherland_Hk", chart="qp", dt=dt, T=0.05,
+                            k=1, gradient="fd"), x0, p)
+    assert np.max(np.abs(fd.states - exact.states)) <= 5e-11

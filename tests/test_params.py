@@ -220,3 +220,17 @@ def test_point_serialization_round_trip():
     assert np.allclose(dp2.lam, dp.lam) and np.allclose(dp2.theta, dp.theta)
     op = OscillatorPoint(z=[1 + 2j, -0.5j])
     assert np.allclose(OscillatorPoint.from_dict(op.to_dict()).z, op.z)
+
+
+def test_non_finite_momenta_and_angles_are_refused():
+    # each refusal names the component; a non-finite position is left to
+    # the chamber check, which counts it as outside
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=re.escape(f"got p2 = {v!r}")):
+            SutherlandPoint(q=[0.7, 0.3], p=[0.1, v])
+        with pytest.raises(DomainError, match=re.escape(f"got theta1 = {v!r}")):
+            DualPoint(lam=[5.0, 2.5], theta=[v, 0.2])
+    # finite entries whose sum overflows are finite
+    assert SutherlandPoint(q=[0.7, 0.3], p=[1e308, 1e308]).p[1] == 1e308
+    assert math.isnan(SutherlandPoint(q=[math.nan], p=[0.0]).q[0])
+    assert math.isnan(DualPoint(lam=[math.nan], theta=[0.0]).lam[0])

@@ -173,3 +173,37 @@ def test_all_pool_has_at_most_one_worker_per_suite(monkeypatch, jobs, workers):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     run_suite(_cfg("all"), jobs=jobs)
     assert sizes == [workers]
+
+
+def test_collector_keeps_the_first_worst_counterexample():
+    # a residual replaces the row's example only when it is strictly worse
+    # than every earlier one, context or not
+    name = "duality.round_trip"
+    col = _Collector(FAST)
+    for residual, sample in ((1.0, "a"), (1.0, "b"), (0.5, "c")):
+        col.add(name, residual, {"sample": sample})
+    assert col.result(name).counterexample == {"sample": "a"}
+    col.add(name, 2.0)
+    col.add(name, 2.0, {"sample": "d"})
+    row = col.result(name)
+    assert row.max_residual == 2.0 and row.counterexample == {"sample": "a"}
+    col.add(name, 3.0, {"sample": "e"})
+    assert col.result(name).counterexample == {"sample": "e"}
+
+
+def test_collector_ranks_each_residual_once(monkeypatch):
+    # a running worst per row: two severity keys per add, not a rescan of
+    # every earlier residual
+    import bcsuth.verification as verification
+    calls = []
+    severity = verification._severity
+
+    def counted(residual):
+        calls.append(1)
+        return severity(residual)
+    monkeypatch.setattr(verification, "_severity", counted)
+    col = _Collector(FAST)
+    for i in range(300):
+        col.add("duality.round_trip", float(i % 7), {"i": i})
+    assert len(calls) <= 2 * 300
+    assert col.result("duality.round_trip").max_residual == 6.0
