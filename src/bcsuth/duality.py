@@ -35,7 +35,7 @@ from .matkernel import exchange_matrix, exp_iQ, exp_iQ_diagonal, \
     cartan_decompose_gminus, pair_diagonalize_gminus
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, canonical_angle, chart_membership,
-                     z_from_angles)
+                     z_from_angle_rows)
 from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
 from .sutherland import lax_K, lax_Y, momentum_residual, \
     real_constraint_vector, sutherland_section
@@ -101,7 +101,7 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     exceeds 1e-6.
     """
     n = dual.n
-    z = z_from_angles(dual, params).z
+    z = z_from_angle_rows(dual.lam, dual.theta, params)
     h = h_matrix(dual.lam, params).h.m
     A, phi = _A_tilde_phi(z, params)
     eta, q = cartan_decompose_gminus(-(h @ A @ h).conj().T)

@@ -36,7 +36,7 @@ from .matkernel import (StructuredMatrix, exchange_matrix, jacobi_minor_residual
                         structure_residual)
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
                      require_inside, require_inside_rows, strongly_regular,
-                     z_from_angles)
+                     z_from_angle_rows)
 
 #: bound of A_check's optional unitarity and commutator checks
 SELFCHECK_TOL = 1e-8
@@ -355,8 +355,7 @@ def A_check(dual: DualPoint, params: CouplingParams,
     the removable singularities never appear.  With ``validate`` the unitarity
     and the rank-one commutator identity are checked against SELFCHECK_TOL.
     """
-    osc = z_from_angles(dual, params)
-    At = A_tilde(osc.z, params).m
+    At = A_tilde(z_from_angle_rows(dual.lam, dual.theta, params), params).m
     m = _central_phases(dual.theta)
     A = (At * m) / m[:, None]
     if validate:

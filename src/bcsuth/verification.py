@@ -1,77 +1,50 @@
-"""Seedable verification suites aggregating the numerical identities.
+"""Seedable verification: one table of residual rows and one runner.
 
-Each suite draws seeded random samples, evaluates a family of named residual
-checks at fixed tolerances, and returns a deterministic report (same config
-and seed give byte-identical JSON).  Every suite carries at least one
-negative control: a deliberately corrupted input whose residual must exceed
-ten times the tolerance, guarding against vacuous passes.
+``ROWS`` is the table.  Each entry names one numerical identity, its
+tolerance, the sampler that draws its inputs and its residual function, which
+reads one sample; one row per suite also carries the suite's negative control.
+A row's suite is the prefix of its name, and ``SUITES`` and
+``DEFAULT_TOLERANCES`` are views of the table.
+
+Each sampler draws one sample per (n, sample index) of its cases, in order,
+from its own stream ``np.random.default_rng([seed, id])``, the id written in
+the table.  It draws a sample's random numbers first, then computes the
+sample's maps once for every row that reads it.  So a row's samples depend
+only on the seed, its sampler's id, n and the sample index: adding or
+deleting a row moves no other row.  No id is 0 but the dynamics sampler's:
+SeedSequence reads [seed, 0] as the bare seed, so that sampler keeps the
+stream ``default_rng(seed)`` and the draw order it has always had.
+
+A negative control is a deliberately corrupted input, drawn from
+``default_rng(seed + 1)`` and measured with its row's code; its residual must
+exceed ten times the row's tolerance, guarding against vacuous passes.
+
+A ``BcsuthError`` in a sample gives each row it left without a value a NaN
+residual, which fails the row, with the counterexample {n, params, point,
+error}; a control that raises fails too, and the run goes on.  Expected
+refusals skip the sample instead: a degenerate torus in the duality sampler's
+forward map, and the raw entry formula's near-resonance ``DomainError`` in
+``rsvd.smooth_vs_direct``.  Same config and seed give byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import duality, dynamics, matkernel, rsvd, sutherland
-from .errors import BcsuthError
+from .errors import BcsuthError, DegenerateTorusError, DomainError
 from .params import (CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, lambda_of_z, strongly_regular,
                      z_from_angles)
-
-SUITES = ("structure", "sutherland", "rsvd", "duality", "dynamics", "appendix")
-
-DEFAULT_TOLERANCES = {
-    "structure.gamma_split_sum": 5e-16,
-    "structure.gamma_split_parts": 1e-13,
-    "structure.pair_diag_reconstruction": 1e-10,
-    "structure.cartan_recovery": 1e-10,
-    "structure.frame_centrality": 1e-12,
-    "structure.phase_invariance": 1e-10,
-    "sutherland.spectrum_pairing": 1e-10,
-    "sutherland.odd_traces": 1e-10,
-    "sutherland.Hk_spectral_identity": 1e-10,
-    "sutherland.H1_closed_form": 1e-10,
-    "sutherland.grad_H1_fd": 1e-6,
-    "sutherland.momentum_residual": 1e-10,
-    "rsvd.unitarity": 1e-10,
-    "rsvd.commutator_identity": 1e-10,
-    "rsvd.sum_plus": 1e-10,
-    "rsvd.sum_minus": 1e-10,
-    "rsvd.w_system_plus": 1e-9,
-    "rsvd.w_system_minus": 1e-9,
-    "rsvd.moduli_positive": 0.0,
-    "rsvd.minus_branch_obstruction": 0.0,
-    "rsvd.f_moduli_vs_branch": 1e-10,
-    "rsvd.smooth_vs_direct": 1e-9,
-    "rsvd.dual_H0_identity": 1e-10,
-    "rsvd.h_frame_identity": 1e-10,
-    "rsvd.f_vs_g_factorization": 1e-10,
-    "rsvd.boundary_exclusion": 0.0,
-    "duality.round_trip": 1e-8,
-    "duality.moduli_vs_plus_branch": 1e-9,
-    "duality.momentum_residual": 1e-9,
-    "duality.dual_H0_consistency": 1e-8,
-    "duality.canonicity_calibrated": 1e-4,
-    "duality.invariant_phi": 1e-9,
-    "duality.invariant_chi": 1e-8,
-    "duality.rank_dlambda": 0.0,
-    "duality.superintegrability_brackets": 1e-6,
-    "duality.detX_margin": 0.0,
-    "dynamics.energy_drift": 1e-8,
-    "dynamics.action_conservation": 1e-6,
-    "dynamics.Hk_conservation": 1e-6,
-    "dynamics.involutivity": 1e-6,
-    "dynamics.time_reversal": 1e-9,
-    "dynamics.dual_q_drift": 1e-6,
-    "appendix.jacobi_minors": 1e-10,
-    "appendix.cofactor_chain": 1e-8,
-    "appendix.w_system_from_chain": 1e-9,
-}
 
 
 @dataclass(frozen=True)
@@ -183,17 +156,9 @@ class _Collector:
         return CheckResult(name, mx, mean, tol, passed, negative_control, example,
                            headroom if math.isfinite(headroom) else None)
 
-    def report(self, control: str, residual: float, note: str) -> list:
-        """Every row, sorted by name, then the negative-control row ``control``
-        of one deliberately corrupted input with the given residual."""
-        neg = _Collector(self.config)
-        neg.add(control, residual, {"note": note})
-        return ([self.result(name) for name in sorted(self.data)]
-                + [neg.result(control, negative_control=True)])
-
 
 # ---------------------------------------------------------------------------
-# samplers (conventions fixed so that reports are reproducible)
+# point samplers (conventions fixed so that reports are reproducible)
 
 def sample_params(rng: np.random.Generator, n: int, config: SuiteConfig,
                   force_kappa_zero: bool = False) -> CouplingParams:
@@ -241,54 +206,47 @@ def sample_oscillator(rng: np.random.Generator, n: int) -> OscillatorPoint:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# the table
 
-def _suite_structure(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    for n in config.n_values:
-        for _ in range(config.samples):
-            Y = matkernel.random_gminus_algebra(rng, n)
-            ctx = {"n": n, "Y_norm": float(np.linalg.norm(Y))}
-            Ytot = Y + matkernel.random_gplus_algebra(rng, n)
-            Yp, Ym = matkernel.gamma_split(Ytot)
-            scale = max(1.0, float(np.max(np.abs(Ytot))))
-            col.add("structure.gamma_split_sum",
-                    float(np.max(np.abs((Yp + Ym) - Ytot))) / scale, ctx)
-            col.add("structure.gamma_split_parts",
-                    max(matkernel.structure_residual(Yp, "gplus"),
-                        matkernel.structure_residual(Ym, "gminus")), ctx)
-            spec = matkernel.pair_diagonalize_gminus(Y)
-            g = spec.frame.m
-            d = spec.values
-            col.add("structure.pair_diag_reconstruction",
-                    _pair_diag_residual(Y, g, d), ctx)
-            col.add("structure.frame_centrality",
-                    matkernel.structure_residual(g, "Gplus"), ctx)
+@dataclass(frozen=True)
+class Sampler:
+    """``draw(x, rng, config)`` fills the namespace x, which holds n and the
+    sample index s, with one sample, or returns False to skip it (an expected
+    refusal); ``cases(config)`` gives the (n, s) drawn, in stream order."""
 
-            B, eta0, q0 = matkernel.random_Gminus_group(rng, n)
-            eta, q = matkernel.cartan_decompose_gminus(B)
-            col.add("structure.cartan_recovery", float(np.max(np.abs(q - q0))),
-                    {"n": n, "q0": q0.tolist()})
+    id: int
+    draw: Callable
+    cases: Callable = lambda config: ((n, s) for n in config.n_values
+                                      for s in range(config.samples))
 
-            # phase changes of the input eigenvectors only move the frame
-            # inside the central subgroup: recovered values are unchanged
-            phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=n))
-            zeta = np.diag(np.r_[phases, phases])
-            spec2 = matkernel.pair_diagonalize_gminus(
-                (zeta @ g) @ (1j * np.diag(np.r_[d, -d])) @ (zeta @ g).conj().T)
-            col.add("structure.phase_invariance",
-                    float(np.max(np.abs(spec2.values - d))), ctx)
-    # negative control: Y rebuilt from its frame with one entry moved must
-    # fail the reconstruction row
-    rng2 = np.random.default_rng(config.seed + 1)
-    Y = matkernel.random_gminus_algebra(rng2, 2)
-    spec = matkernel.pair_diagonalize_gminus(Y)
-    g_bad = spec.frame.m.copy()
-    g_bad[0, 0] += 1e-2
-    return col.report("structure.pair_diag_reconstruction",
-                      _pair_diag_residual(Y, g_bad, spec.values),
-                      "deliberately perturbed frame")
+
+@dataclass(frozen=True)
+class Row:
+    """``residual(x)`` gives a sample's residual, a list of them, or None to
+    skip the sample.  ``control(rng, config)``, where given, is the residual
+    of the suite's negative control, the corrupted input ``note``."""
+
+    name: str
+    tol: float
+    sampler: Sampler
+    residual: Callable
+    control: Callable | None = None
+    note: str = ""
+
+
+def _draw_structure(x, rng, config):
+    x.Y = matkernel.random_gminus_algebra(rng, x.n)
+    x.Ytot = x.Y + matkernel.random_gplus_algebra(rng, x.n)
+    x.B, _, x.q0 = matkernel.random_Gminus_group(rng, x.n)
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=x.n))
+    x.Yp, x.Ym = matkernel.gamma_split(x.Ytot)
+    spec = matkernel.pair_diagonalize_gminus(x.Y)
+    x.g, x.d = spec.frame.m, spec.values
+    # phase changes of the input eigenvectors only move the frame inside the
+    # central subgroup: recovered values are unchanged
+    zg = np.diag(np.r_[phases, phases]) @ x.g
+    x.d_rephased = matkernel.pair_diagonalize_gminus(
+        zg @ (1j * np.diag(np.r_[x.d, -x.d])) @ zg.conj().T).values
 
 
 def _pair_diag_residual(Y, g, d) -> float:
@@ -297,139 +255,58 @@ def _pair_diag_residual(Y, g, d) -> float:
     return float(np.linalg.norm(recon - Y))
 
 
-def _suite_sutherland(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    for n in config.n_values:
-        for s in range(config.samples):
-            params = sample_params(rng, n, config, force_kappa_zero=(s % 5 == 0))
-            pt = sample_sutherland(rng, n)
-            ctx = {"n": n, "params": params.to_dict(), "point": pt.to_dict()}
+def _control_structure(rng, config) -> float:
+    Y = matkernel.random_gminus_algebra(rng, 2)
+    spec = matkernel.pair_diagonalize_gminus(Y)
+    g_bad = spec.frame.m.copy()
+    g_bad[0, 0] += 1e-2
+    return _pair_diag_residual(Y, g_bad, spec.values)
 
-            eigs = sutherland.spectrum(pt, params)
-            lam = sutherland.action_map(pt, params)
-            paired = np.sort(np.r_[lam, -lam])
-            col.add("sutherland.spectrum_pairing",
-                    float(np.max(np.abs(np.sort(eigs) - paired))), ctx)
-            col.add("sutherland.odd_traces",
-                    sutherland.odd_trace_residual(pt, params), ctx)
 
-            H = sutherland.hamiltonians(pt, params)
-            Hlam = np.array([np.sum(lam ** (2 * k)) / (2.0 * k)
-                             for k in range(1, n + 1)])
-            scale = np.maximum(1.0, np.abs(Hlam))
-            col.add("sutherland.Hk_spectral_identity",
-                    float(np.max(np.abs(H - Hlam) / scale)), ctx)
-            col.add("sutherland.H1_closed_form",
-                    abs(H[0] - sutherland.closed_form_H1(pt, params))
-                    / max(1.0, abs(H[0])), ctx)
+def _draw_point(x, rng, config):
+    """Couplings, kappa = 0 at every fifth sample, and a Sutherland point."""
+    x.params = sample_params(rng, x.n, config, force_kappa_zero=(x.s % 5 == 0))
+    x.point = sample_sutherland(rng, x.n)
 
-            dq, dp = sutherland.grad_H1(pt.q, pt.p, params)
-            fd = dynamics.fd_gradient(
-                dynamics._rows(lambda x: sutherland.closed_form_H1(
-                    SutherlandPoint(q=x[:n], p=x[n:]), params)),
-                np.r_[pt.q, pt.p], 1e-6)
-            col.add("sutherland.grad_H1_fd",
-                    float(np.max(np.abs(np.r_[dq, dp] - fd)))
-                    / max(1.0, float(np.max(np.abs(fd)))), ctx)
 
-            y, Y, V = sutherland.sutherland_section(pt, params)
-            r1, r2 = sutherland.momentum_residual(y, Y, V, params)
-            col.add("sutherland.momentum_residual", max(r1, r2), ctx)
-    # negative control: corrupt one Lax entry, the constraint must be violated
-    rngn = np.random.default_rng(config.seed + 1)
-    params = sample_params(rngn, 2, config)
-    pt = sample_sutherland(rngn, 2)
-    y, Y, V = sutherland.sutherland_section(pt, params)
+def _draw_sutherland(x, rng, config):
+    _draw_point(x, rng, config)
+    x.lam = sutherland.action_map(x.point, x.params)
+    x.H = sutherland.hamiltonians(x.point, x.params)
+    x.Hlam = np.array([np.sum(x.lam ** (2 * k)) / (2.0 * k)
+                       for k in range(1, x.n + 1)])
+
+
+def _grad_H1_fd(x) -> float:
+    n, pt, params = x.n, x.point, x.params
+    dq, dp = sutherland.grad_H1(pt.q, pt.p, params)
+    fd = dynamics.fd_gradient(
+        dynamics._rows(lambda y: sutherland.closed_form_H1(
+            SutherlandPoint(q=y[:n], p=y[n:]), params)),
+        np.r_[pt.q, pt.p], 1e-6)
+    return (float(np.max(np.abs(np.r_[dq, dp] - fd)))
+            / max(1.0, float(np.max(np.abs(fd)))))
+
+
+def _control_sutherland(rng, config) -> float:
+    params = sample_params(rng, 2, config)
+    y, Y, V = sutherland.sutherland_section(sample_sutherland(rng, 2), params)
     Y_bad = Y.copy()
     Y_bad[0, 1] += 1e-2
     Y_bad[1, 0] -= 1e-2
-    r1, r2 = sutherland.momentum_residual(y, Y_bad, V, params)
-    return col.report("sutherland.momentum_residual", max(r1, r2),
-                      "deliberately corrupted Lax entry")
+    return max(sutherland.momentum_residual(y, Y_bad, V, params))
 
 
-def _suite_rsvd(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    for n in config.n_values:
-        for s in range(config.samples):
-            params = sample_params(rng, n, config, force_kappa_zero=(s % 5 == 0))
-            dual = sample_dual(rng, n, params)
-            lam = dual.lam
-            ctx = {"n": n, "params": params.to_dict(), "point": dual.to_dict()}
-
-            A = rsvd.A_check(dual, params, validate=False).m
-            col.add("rsvd.unitarity",
-                    matkernel.structure_residual(A, "Gminus"), ctx)
-            f = rsvd.f_vector(dual, params)
-            col.add("rsvd.commutator_identity",
-                    rsvd.commutator_residual(A, f, lam, params), ctx)
-
-            Fsq_plus, Fsq_minus = rsvd.F_squared_branches(lam, params)
-            N = 2 * n
-            col.add("rsvd.sum_plus", abs(Fsq_plus.sum() - N), ctx)
-            col.add("rsvd.sum_minus", abs(Fsq_minus.sum() + N), ctx)
-            col.add("rsvd.w_system_plus",
-                    max(rsvd.w_system_residual(lam, Fsq_plus, params)), ctx)
-            col.add("rsvd.w_system_minus",
-                    max(rsvd.w_system_residual(lam, Fsq_minus, params)), ctx)
-            col.add("rsvd.moduli_positive",
-                    0.0 if np.all(Fsq_plus > 0) else 1.0, ctx)
-            minus_ok = all(Fsq_minus[c] < 0 or Fsq_minus[n + c] < 0
-                           for c in range(n))
-            col.add("rsvd.minus_branch_obstruction",
-                    0.0 if minus_ok else 1.0, ctx)
-            col.add("rsvd.f_moduli_vs_branch",
-                    float(np.max(np.abs(np.abs(f) ** 2 - Fsq_plus))), ctx)
-
-            # smooth z-route against the raw entry formula, away from resonance
-            try:
-                A_raw = rsvd.A_check_direct(dual, params)
-                mask_err = float(np.max(np.abs(A - A_raw)))
-                col.add("rsvd.smooth_vs_direct", mask_err, ctx)
-            except BcsuthError:
-                pass
-
-            h0 = rsvd.dual_H0(dual, params)
-            frame = rsvd.h_matrix(lam, params)
-            h = frame.h.m
-            col.add("rsvd.dual_H0_identity",
-                    abs(h0 - float(np.trace(h @ A @ h).real) / 2.0), ctx)
-            # h rotates diag(lambda, -lambda) into diag(d, -d) - kappa*C
-            d = np.sqrt(lam**2 - params.kappa**2)
-            target = np.diag(np.r_[d, -d]) - params.kappa * matkernel.exchange_matrix(n)
-            col.add("rsvd.h_frame_identity", max(
-                float(np.max(np.abs(frame.alpha**2 + frame.beta**2 - 1.0))),
-                float(np.linalg.norm(h @ np.diag(np.r_[lam, -lam]) @ h.conj().T
-                                     - target))), ctx)
-
-            z = z_from_angles(dual, params).z
-            g = rsvd.g_functions(z, params)
-            zprev = np.r_[1.0 + 0j, z[:-1]]
-            f_from_g = np.r_[np.abs(z) * g[:n],
-                             np.exp(1j * dual.theta) * np.abs(zprev) * g[n:]]
-            col.add("rsvd.f_vs_g_factorization",
-                    float(np.max(np.abs(f - f_from_g))), ctx)
-
-            # boundary exclusion probe: for strongly regular lambda just
-            # outside the chamber, some plus-branch modulus must go negative
-            lam_bad = _lambda_just_outside(rng, lam, params,
-                                           shrink_gap=(n > 1 and s % 2 == 0))
-            if lam_bad is not None:
-                obstructed = np.any(rsvd.F_squared_branches(lam_bad, params)[0] < 0)
-                col.add("rsvd.boundary_exclusion",
-                        0.0 if obstructed else 1.0,
-                        {"lambda_outside": lam_bad.tolist()})
-    # negative control: perturbed plus branch must violate the moduli system
-    rngn = np.random.default_rng(config.seed + 1)
-    params = sample_params(rngn, 2, config)
-    dual = sample_dual(rngn, 2, params)
-    Fsq_bad, _ = rsvd.F_squared_branches(dual.lam, params)
-    Fsq_bad[0] += 1e-3
-    return col.report("rsvd.w_system_plus",
-                      max(rsvd.w_system_residual(dual.lam, Fsq_bad, params)),
-                      "plus branch perturbed by 1e-3")
+def _draw_rsvd(x, rng, config):
+    x.params = params = sample_params(rng, x.n, config, force_kappa_zero=(x.s % 5 == 0))
+    x.point = dual = sample_dual(rng, x.n, params)
+    x.lam = dual.lam
+    x.lam_bad = _lambda_just_outside(rng, x.lam, params,
+                                     shrink_gap=(x.n > 1 and x.s % 2 == 0))
+    x.A = rsvd.A_check(dual, params, validate=False).m
+    x.f = rsvd.f_vector(dual, params)
+    x.Fsq_plus, x.Fsq_minus = rsvd.F_squared_branches(x.lam, params)
+    x.frame = rsvd.h_matrix(x.lam, params)
 
 
 def _lambda_just_outside(rng, lam, params, shrink_gap: bool):
@@ -445,214 +322,335 @@ def _lambda_just_outside(rng, lam, params, shrink_gap: bool):
         lam_bad[a + 1] = lam_bad[a] - (2.0 - 0.63) * params.mu
         for b in range(a + 2, n):
             lam_bad[b] = lam_bad[b - 1] - 2.2 * params.mu - 0.1 * (n - b)
-        if lam_bad[-1] <= params.nu:
-            return None
+        ordered = lam_bad[-1] > params.nu
     else:
         lam_bad[-1] = abs(params.kappa) + 0.69 * (params.nu - abs(params.kappa))
-        if n > 1 and lam_bad[-2] - lam_bad[-1] <= 2 * params.mu:
-            return None
-    if not strongly_regular(lam_bad, params):
+        ordered = n == 1 or lam_bad[-2] - lam_bad[-1] > 2 * params.mu
+    return lam_bad if ordered and strongly_regular(lam_bad, params) else None
+
+
+def _smooth_vs_direct(x):
+    # the smooth z-route against the raw entry formula, away from resonance
+    try:
+        return float(np.max(np.abs(x.A - rsvd.A_check_direct(x.point, x.params))))
+    except DomainError:
         return None
-    return lam_bad
 
 
-def _suite_duality(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    for n in config.n_values:
-        for s in range(config.samples):
-            params = sample_params(rng, n, config, force_kappa_zero=(s % 5 == 0))
-            pt = sample_sutherland(rng, n)
-            ctx = {"n": n, "params": params.to_dict(), "point": pt.to_dict()}
-            try:
-                dual, F = duality.forward_map_full(pt, params)
-            except BcsuthError:
-                continue
-            back, Y = duality.backward_map_full(dual, params)
-            err = max(float(np.max(np.abs(back.q - pt.q))),
-                      float(np.max(np.abs(back.p - pt.p))))
-            moduli, h0 = duality.forward_residuals(pt, dual, F, params)
-            _, mom = duality.backward_residuals(back, Y, params)
-            col.add("duality.round_trip", err, ctx)
-            col.add("duality.moduli_vs_plus_branch", moduli, ctx)
-            col.add("duality.momentum_residual", max(mom), ctx)
-            col.add("duality.dual_H0_consistency", h0, ctx)
-            inv = duality.invariant_crosscheck(pt, params, mmax=4, kmax=2)
-            col.add("duality.invariant_phi", inv["phi_max_error"], ctx)
-            col.add("duality.invariant_chi", inv["chi_max_error"], ctx)
-            if n <= 3 and s < max(3, config.samples // 5):
-                col.add("duality.canonicity_calibrated",
-                        duality.canonicity_residual(
-                            pt, params, scale=duality.DUAL_PAIRING,
-                            richardson=True), ctx)
-            X, fvals, table = duality.superintegrability_data(pt, params)
-            col.add("duality.superintegrability_brackets",
-                    float(np.max(np.abs(table + np.eye(n)))), ctx)
-            col.add("duality.detX_margin",
-                    0.0 if abs(np.linalg.det(X)) > 1e-9 else 1.0, ctx)
+def _h_frame_identity(x) -> float:
+    # h rotates diag(lambda, -lambda) into diag(d, -d) - kappa*C
+    kappa, frame, h = x.params.kappa, x.frame, x.frame.h.m
+    d = np.sqrt(x.lam**2 - kappa**2)
+    target = np.diag(np.r_[d, -d]) - kappa * matkernel.exchange_matrix(x.n)
+    return max(float(np.max(np.abs(frame.alpha**2 + frame.beta**2 - 1.0))),
+               float(np.linalg.norm(h @ np.diag(np.r_[x.lam, -x.lam]) @ h.conj().T
+                                    - target)))
 
-            z = sample_oscillator(rng, n)
-            zpat = z.z.copy()
-            nzero = int(rng.integers(0, n + 1))
-            zpat[rng.permutation(n)[:nzero]] = 0.0
-            osc = OscillatorPoint(z=zpat)
-            rank = duality.rank_of_dlambda(osc, params)
-            col.add("duality.rank_dlambda",
-                    abs(rank - duality.degeneracy_count(osc)),
-                    {"z": osc.to_dict()})
-    # negative control: an angle offset breaks the dual Hamiltonian consistency
-    rngn = np.random.default_rng(config.seed + 1)
-    params = sample_params(rngn, 2, config)
-    pt = sample_sutherland(rngn, 2)
+
+def _f_vs_g_factorization(x) -> float:
+    z = z_from_angles(x.point, x.params).z
+    g = rsvd.g_functions(z, x.params)
+    zprev = np.r_[1.0 + 0j, z[:-1]]
+    f_from_g = np.r_[np.abs(z) * g[:x.n],
+                     np.exp(1j * x.point.theta) * np.abs(zprev) * g[x.n:]]
+    return float(np.max(np.abs(x.f - f_from_g)))
+
+
+def _control_rsvd(rng, config) -> float:
+    params = sample_params(rng, 2, config)
+    dual = sample_dual(rng, 2, params)
+    Fsq_bad, _ = rsvd.F_squared_branches(dual.lam, params)
+    Fsq_bad[0] += 1e-3
+    return max(rsvd.w_system_residual(dual.lam, Fsq_bad, params))
+
+
+def _draw_duality(x, rng, config):
+    _draw_point(x, rng, config)
+    pt, params = x.point, x.params
+    try:
+        dual, F = duality.forward_map_full(pt, params)
+    except DegenerateTorusError:
+        return False
+    x.back, Y = duality.backward_map_full(dual, params)
+    x.moduli, x.h0 = duality.forward_residuals(pt, dual, F, params)
+    x.momentum = max(duality.backward_residuals(x.back, Y, params)[1])
+    x.inv = duality.invariant_crosscheck(pt, params, mmax=4, kmax=2)
+    x.X, _, x.brackets = duality.superintegrability_data(pt, params)
+
+
+def _draw_oscillator(x, rng, config):
+    """Couplings and an oscillator point with a random set of z_k = 0."""
+    x.params = sample_params(rng, x.n, config, force_kappa_zero=(x.s % 5 == 0))
+    z = sample_oscillator(rng, x.n).z.copy()
+    nzero = int(rng.integers(0, x.n + 1))
+    z[rng.permutation(x.n)[:nzero]] = 0.0
+    x.point = OscillatorPoint(z=z)
+
+
+def _control_duality(rng, config) -> float:
+    params = sample_params(rng, 2, config)
+    pt = sample_sutherland(rng, 2)
     dual, F = duality.forward_map_full(pt, params)
     shifted = DualPoint(lam=dual.lam, theta=dual.theta + 0.3)
-    _, h0 = duality.forward_residuals(pt, shifted, F, params)
-    return col.report("duality.dual_H0_consistency", h0, "angles shifted by 0.3")
+    return duality.forward_residuals(pt, shifted, F, params)[1]
 
 
-def _suite_dynamics(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    for n in config.n_values:
-        if n > 3:
-            continue
-        params = sample_params(rng, n, config)
-        # gentle orbit near the dual-chart origin: the midpoint energy
-        # oscillation grows quadratically with the orbit amplitude and
-        # quartically with the fastest mode frequency, so the amplitude is
-        # shrunk with n to keep the drift at the 1e-8 scale
-        zscale = {1: 0.05, 2: 0.01}.get(n, 0.003)
-        z = zscale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        z[np.abs(z) < 0.05 * zscale] += 0.1 * zscale
-        dual0 = DualPoint(lam=lambda_of_z(z, params),
-                          theta=rng.uniform(0, 2 * math.pi, n))
-        pt, _ = duality.backward_map_full(dual0, params, validate=False)
-        ctx = {"n": n, "params": params.to_dict(), "point": pt.to_dict()}
+def _draw_dynamics(x, rng, config):
+    n = x.n
+    x.params = params = sample_params(rng, n, config)
+    # gentle orbit near the dual-chart origin: the midpoint energy
+    # oscillation grows quadratically with the orbit amplitude and
+    # quartically with the fastest mode frequency, so the amplitude is
+    # shrunk with n to keep the drift at the 1e-8 scale
+    zscale = {1: 0.05, 2: 0.01}.get(n, 0.003)
+    z = zscale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    z[np.abs(z) < 0.05 * zscale] += 0.1 * zscale
+    dual0 = DualPoint(lam=lambda_of_z(z, params),
+                      theta=rng.uniform(0, 2 * math.pi, n))
+    # the dual flow conserves the Sutherland positions; it runs on a separate
+    # orbit at moderate amplitude (tiny |z| puts the angle chart next to the
+    # chamber wall, where the dual Hamiltonian's lambda-derivatives steepen
+    # like 1/sqrt(gap) and the fixed-step integrator loses digits)
+    z2 = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    z2[np.abs(z2) < 0.02] += 0.1
+    dual = DualPoint(lam=lambda_of_z(z2, params),
+                     theta=rng.uniform(0, 2 * math.pi, n))
+    x.point, _ = duality.backward_map_full(dual0, params, validate=False)
+    x.x0 = np.r_[x.point.q, x.point.p]
+    flow = dynamics.FlowSpec(system="sutherland_H1", chart="qp",
+                             dt=1e-3, T=2.0, monitor_stride=50)
+    x.traj = dynamics.integrate(flow, x.x0, params)
+    # time reversal: step the endpoint back with the same rule
+    steps = dynamics.march(dynamics.vector_field(flow, params),
+                           x.traj.states[-1], -flow.dt, dynamics.START_ORDER)
+    for _ in range(x.traj.states.shape[0] - 1):
+        x.back = next(steps)
+    # involutivity of the unit-normalized spectral invariants (the raw H_k
+    # scale like lambda^(2k); only the scale-free bracket is FD-meaningful)
+    scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(x.point, params)))
+    H = dynamics._rows(lambda y: sutherland.hamiltonians(
+        SutherlandPoint(q=y[:n], p=y[n:]), params) / scale)
+    x.brackets = dynamics.poisson_bracket_fd(H, H, x.x0, step=1e-5, richardson=True)
+    dflow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
+                              dt=5e-4, T=1.0, monitor_stride=200)
+    x.dtraj = dynamics.integrate(dflow, np.r_[dual.lam, dual.theta], params)
 
-        flow = dynamics.FlowSpec(system="sutherland_H1", chart="qp",
-                                 dt=1e-3, T=2.0, monitor_stride=50)
-        x0 = np.r_[pt.q, pt.p]
-        traj = dynamics.integrate(flow, x0, params)
-        H_series = traj.monitors["H_flow"]
-        col.add("dynamics.energy_drift",
-                float(np.max(np.abs(H_series - H_series[0]))), ctx)
-        lam_cols = [traj.monitors[f"lambda{j+1}"] for j in range(n)]
-        col.add("dynamics.action_conservation",
-                max(float(np.max(np.abs(c - c[0]))) for c in lam_cols), ctx)
-        for k in range(1, n + 1):
-            Hk = traj.monitors[f"H{k}"]
-            col.add("dynamics.Hk_conservation",
-                    float(np.max(np.abs(Hk - Hk[0]))) / max(1.0, abs(Hk[0])),
-                    ctx)
 
-        # time reversal: step the endpoint back with the same rule
-        steps = dynamics.march(dynamics.vector_field(flow, params),
-                               traj.states[-1], -flow.dt,
-                               dynamics.START_ORDER)
-        for _ in range(traj.states.shape[0] - 1):
-            back = next(steps)
-        col.add("dynamics.time_reversal", float(np.max(np.abs(back - x0))), ctx)
+def _drift(traj, names) -> float:
+    """Largest excursion of the monitor columns ``names`` from their start."""
+    return max(float(np.max(np.abs(traj.monitors[k] - traj.monitors[k][0])))
+               for k in names)
 
-        # involutivity of the unit-normalized spectral invariants (the raw
-        # H_k scale like lambda^(2k); only the scale-free bracket is
-        # FD-meaningful)
-        scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(pt, params)))
 
-        H = dynamics._rows(lambda x: sutherland.hamiltonians(
-            SutherlandPoint(q=x[:n], p=x[n:]), params) / scale)
-        table = dynamics.poisson_bracket_fd(H, H, x0, step=1e-5, richardson=True)
-        for i, j in zip(*np.triu_indices(n, 1)):
-            col.add("dynamics.involutivity", abs(float(table[i, j])), ctx)
-        if n == 1:
-            col.add("dynamics.involutivity", 0.0, ctx)
-
-        # dual flow conserves the Sutherland positions; run it on a separate
-        # orbit at moderate amplitude (tiny |z| puts the angle chart next to
-        # the chamber wall, where the dual Hamiltonian's lambda-derivatives
-        # steepen like 1/sqrt(gap) and the fixed-step integrator loses digits)
-        z2 = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        z2[np.abs(z2) < 0.02] += 0.1
-        dual = DualPoint(lam=lambda_of_z(z2, params),
-                         theta=rng.uniform(0, 2 * math.pi, n))
-        dflow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
-                                  dt=5e-4, T=1.0, monitor_stride=200)
-        dtraj = dynamics.integrate(dflow, np.r_[dual.lam, dual.theta], params)
-        q_cols = [dtraj.monitors[f"q{j+1}"] for j in range(n)]
-        col.add("dynamics.dual_q_drift",
-                max(float(np.max(np.abs(c - c[0]))) for c in q_cols), ctx)
-    # negative control: explicit Euler at the same step size drifts visibly
-    rngn = np.random.default_rng(config.seed + 1)
-    params = sample_params(rngn, 1, config)
-    pt = sample_sutherland(rngn, 1)
+def _control_dynamics(rng, config) -> float:
+    params = sample_params(rng, 1, config)
+    pt = sample_sutherland(rng, 1)
     flow = dynamics.FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=2.0)
     f = dynamics.vector_field(flow, params)
-    x = np.r_[pt.q, pt.p]
+    y = np.r_[pt.q, pt.p]
     H0 = sutherland.closed_form_H1(pt, params)
     drift = 0.0
     for _ in range(2000):
-        x = x + flow.dt * f(x)
+        y = y + flow.dt * f(y)
         drift = max(drift, abs(sutherland.closed_form_H1(
-            SutherlandPoint(q=x[:1], p=x[1:]), params) - H0))
-    return col.report("dynamics.energy_drift", drift, "explicit Euler control")
+            SutherlandPoint(q=y[:1], p=y[1:]), params) - H0))
+    return drift
 
 
-def _suite_appendix(config: SuiteConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    col = _Collector(config)
-    # generic complementary-minor identity on random det-1 matrices
-    for N in (4, 6, 8):
-        for _ in range(config.samples):
-            U = matkernel.random_unitary(rng, N)
-            A = U / np.linalg.det(U) ** (1.0 / N)
-            rows = list(rng.permutation(N))
-            cols = list(rng.permutation(N))
-            p = N // 2
-            col.add("appendix.jacobi_minors",
-                    matkernel.jacobi_minor_residual(A, rows, cols, p),
-                    {"N": N})
+def _draw_unitary(x, rng, config):
+    """A random det-1 matrix of size N = x.n, a row order and a column order."""
+    U = matkernel.random_unitary(rng, x.n)
+    x.A = U / np.linalg.det(U) ** (1.0 / x.n)
+    x.rows = list(rng.permutation(x.n))
+    x.cols = list(rng.permutation(x.n))
+
+
+def _draw_chain(x, rng, config):
     # the cofactor chain on dual-chamber data (realizable branch); the minus
     # branch has negative moduli, so no actual vector represents it and only
     # the signed polynomial system applies to it
-    for n in config.n_values:
-        for s in range(config.samples):
-            params = sample_params(rng, n, config, force_kappa_zero=(s % 4 == 0))
-            dual = sample_dual(rng, n, params)
-            lam = dual.lam
-            branches = rsvd.F_squared_branches(lam, params)
-            F = rsvd.f_vector(dual, params)
-            a = int(rng.integers(0, n))
-            ctx = {"n": n, "a": a, "lambda": lam.tolist()}
-            chain = rsvd.appendix_chain(F, lam, params, a=a)
-            worst = max(v for k, v in chain.items()
-                        if k not in ("linear_equation", "quadratic_equation"))
-            col.add("appendix.cofactor_chain", worst, ctx)
-            col.add("appendix.w_system_from_chain",
-                    max(chain["linear_equation"],
-                        chain["quadratic_equation"]), ctx)
-            for Fsq in branches:
-                col.add("appendix.w_system_from_chain",
-                        max(rsvd.w_system_residual(lam, Fsq, params)), ctx)
-    # negative control: det != 1 must be rejected / show a large residual
-    rngn = np.random.default_rng(config.seed + 1)
-    U = matkernel.random_unitary(rngn, 4)
-    A = U / np.linalg.det(U) ** (1.0 / 4)
-    A = 1.05 * A
-    try:
-        res = matkernel.jacobi_minor_residual(A, list(range(4)), list(range(4)),
-                                              2, det_tol=np.inf)
-    except BcsuthError:
-        res = 1.0
-    return col.report("appendix.jacobi_minors", res, "det scaled off 1")
+    x.params = sample_params(rng, x.n, config, force_kappa_zero=(x.s % 4 == 0))
+    x.point = sample_dual(rng, x.n, x.params)
+    a = int(rng.integers(0, x.n))
+    x.lam = x.point.lam
+    x.chain = rsvd.appendix_chain(rsvd.f_vector(x.point, x.params),
+                                  x.lam, x.params, a=a)
 
 
-_SUITE_RUNNERS = {
-    "structure": _suite_structure,
-    "sutherland": _suite_sutherland,
-    "rsvd": _suite_rsvd,
-    "duality": _suite_duality,
-    "dynamics": _suite_dynamics,
-    "appendix": _suite_appendix,
-}
+def _control_appendix(rng, config) -> float:
+    U = matkernel.random_unitary(rng, 4)
+    A = 1.05 * (U / np.linalg.det(U) ** (1.0 / 4))
+    return matkernel.jacobi_minor_residual(A, list(range(4)), list(range(4)), 2,
+                                           det_tol=np.inf)
+
+
+_STRUCTURE = Sampler(1, _draw_structure)
+_SUTHERLAND = Sampler(2, _draw_sutherland)
+_RSVD = Sampler(3, _draw_rsvd)
+_DUALITY = Sampler(4, _draw_duality)
+_CANONICITY = Sampler(5, _draw_point, lambda config: (
+    (n, s) for n in config.n_values if n <= 3
+    for s in range(min(config.samples, max(3, config.samples // 5)))))
+_OSCILLATOR = Sampler(6, _draw_oscillator)
+# id 0 is the bare seed's stream (see the module docstring); one orbit per n
+_DYNAMICS = Sampler(0, _draw_dynamics,
+                    lambda config: ((n, 0) for n in config.n_values if n <= 3))
+_UNITARY = Sampler(7, _draw_unitary, lambda config: (
+    (N, s) for N in (4, 6, 8) for s in range(config.samples)))
+_CHAIN = Sampler(8, _draw_chain)
+
+ROWS = (
+    Row("structure.gamma_split_sum", 5e-16, _STRUCTURE,
+        lambda x: float(np.max(np.abs((x.Yp + x.Ym) - x.Ytot)))
+        / max(1.0, float(np.max(np.abs(x.Ytot))))),
+    Row("structure.gamma_split_parts", 1e-13, _STRUCTURE,
+        lambda x: max(matkernel.structure_residual(x.Yp, "gplus"),
+                      matkernel.structure_residual(x.Ym, "gminus"))),
+    Row("structure.pair_diag_reconstruction", 1e-10, _STRUCTURE,
+        lambda x: _pair_diag_residual(x.Y, x.g, x.d),
+        _control_structure, "deliberately perturbed frame"),
+    Row("structure.cartan_recovery", 1e-10, _STRUCTURE, lambda x: float(
+        np.max(np.abs(matkernel.cartan_decompose_gminus(x.B)[1] - x.q0)))),
+    Row("structure.frame_centrality", 1e-12, _STRUCTURE,
+        lambda x: matkernel.structure_residual(x.g, "Gplus")),
+    Row("structure.phase_invariance", 1e-10, _STRUCTURE,
+        lambda x: float(np.max(np.abs(x.d_rephased - x.d)))),
+    Row("sutherland.spectrum_pairing", 1e-10, _SUTHERLAND, lambda x: float(np.max(
+        np.abs(np.sort(sutherland.spectrum(x.point, x.params))
+               - np.sort(np.r_[x.lam, -x.lam]))))),
+    Row("sutherland.odd_traces", 1e-10, _SUTHERLAND,
+        lambda x: sutherland.odd_trace_residual(x.point, x.params)),
+    Row("sutherland.Hk_spectral_identity", 1e-10, _SUTHERLAND, lambda x: float(
+        np.max(np.abs(x.H - x.Hlam) / np.maximum(1.0, np.abs(x.Hlam))))),
+    Row("sutherland.H1_closed_form", 1e-10, _SUTHERLAND,
+        lambda x: abs(x.H[0] - sutherland.closed_form_H1(x.point, x.params))
+        / max(1.0, abs(x.H[0]))),
+    Row("sutherland.grad_H1_fd", 1e-6, _SUTHERLAND, _grad_H1_fd),
+    Row("sutherland.momentum_residual", 1e-10, _SUTHERLAND,
+        lambda x: max(sutherland.momentum_residual(
+            *sutherland.sutherland_section(x.point, x.params), x.params)),
+        _control_sutherland, "deliberately corrupted Lax entry"),
+    Row("rsvd.unitarity", 1e-10, _RSVD,
+        lambda x: matkernel.structure_residual(x.A, "Gminus")),
+    Row("rsvd.commutator_identity", 1e-10, _RSVD,
+        lambda x: rsvd.commutator_residual(x.A, x.f, x.lam, x.params)),
+    Row("rsvd.sum_plus", 1e-10, _RSVD, lambda x: abs(x.Fsq_plus.sum() - 2 * x.n)),
+    Row("rsvd.sum_minus", 1e-10, _RSVD, lambda x: abs(x.Fsq_minus.sum() + 2 * x.n)),
+    Row("rsvd.w_system_plus", 1e-9, _RSVD,
+        lambda x: max(rsvd.w_system_residual(x.lam, x.Fsq_plus, x.params)),
+        _control_rsvd, "plus branch perturbed by 1e-3"),
+    Row("rsvd.w_system_minus", 1e-9, _RSVD,
+        lambda x: max(rsvd.w_system_residual(x.lam, x.Fsq_minus, x.params))),
+    Row("rsvd.moduli_positive", 0.0, _RSVD,
+        lambda x: 0.0 if np.all(x.Fsq_plus > 0) else 1.0),
+    Row("rsvd.minus_branch_obstruction", 0.0, _RSVD, lambda x: 0.0 if np.all(
+        (x.Fsq_minus[:x.n] < 0) | (x.Fsq_minus[x.n:] < 0)) else 1.0),
+    Row("rsvd.f_moduli_vs_branch", 1e-10, _RSVD,
+        lambda x: float(np.max(np.abs(np.abs(x.f) ** 2 - x.Fsq_plus)))),
+    Row("rsvd.smooth_vs_direct", 1e-9, _RSVD, _smooth_vs_direct),
+    Row("rsvd.dual_H0_identity", 1e-10, _RSVD,
+        lambda x: abs(rsvd.dual_H0(x.point, x.params) - float(
+            np.trace(x.frame.h.m @ x.A @ x.frame.h.m).real) / 2.0)),
+    Row("rsvd.h_frame_identity", 1e-10, _RSVD, _h_frame_identity),
+    Row("rsvd.f_vs_g_factorization", 1e-10, _RSVD, _f_vs_g_factorization),
+    # strongly regular lambda just outside the chamber: some plus-branch
+    # modulus must go negative
+    Row("rsvd.boundary_exclusion", 0.0, _RSVD, lambda x: None if x.lam_bad is None
+        else float(not np.any(rsvd.F_squared_branches(x.lam_bad, x.params)[0] < 0))),
+    Row("duality.round_trip", 1e-8, _DUALITY,
+        lambda x: max(float(np.max(np.abs(x.back.q - x.point.q))),
+                      float(np.max(np.abs(x.back.p - x.point.p))))),
+    Row("duality.moduli_vs_plus_branch", 1e-9, _DUALITY, lambda x: x.moduli),
+    Row("duality.momentum_residual", 1e-9, _DUALITY, lambda x: x.momentum),
+    Row("duality.dual_H0_consistency", 1e-8, _DUALITY, lambda x: x.h0,
+        _control_duality, "angles shifted by 0.3"),
+    Row("duality.canonicity_calibrated", 1e-4, _CANONICITY,
+        lambda x: duality.canonicity_residual(
+            x.point, x.params, scale=duality.DUAL_PAIRING, richardson=True)),
+    Row("duality.invariant_phi", 1e-9, _DUALITY, lambda x: x.inv["phi_max_error"]),
+    Row("duality.invariant_chi", 1e-8, _DUALITY, lambda x: x.inv["chi_max_error"]),
+    Row("duality.rank_dlambda", 0.0, _OSCILLATOR,
+        lambda x: abs(duality.rank_of_dlambda(x.point, x.params)
+                      - duality.degeneracy_count(x.point))),
+    Row("duality.superintegrability_brackets", 1e-6, _DUALITY,
+        lambda x: float(np.max(np.abs(x.brackets + np.eye(x.n))))),
+    Row("duality.detX_margin", 0.0, _DUALITY,
+        lambda x: 0.0 if abs(np.linalg.det(x.X)) > 1e-9 else 1.0),
+    Row("dynamics.energy_drift", 1e-8, _DYNAMICS, lambda x: _drift(x.traj, ["H_flow"]),
+        _control_dynamics, "explicit Euler control"),
+    Row("dynamics.action_conservation", 1e-6, _DYNAMICS,
+        lambda x: _drift(x.traj, [f"lambda{j + 1}" for j in range(x.n)])),
+    Row("dynamics.Hk_conservation", 1e-6, _DYNAMICS, lambda x: [
+        _drift(x.traj, [f"H{k}"]) / max(1.0, abs(x.traj.monitors[f"H{k}"][0]))
+        for k in range(1, x.n + 1)]),
+    Row("dynamics.involutivity", 1e-6, _DYNAMICS, lambda x: [
+        abs(float(x.brackets[i, j])) for i, j in zip(*np.triu_indices(x.n, 1))]
+        or [0.0]),
+    Row("dynamics.time_reversal", 1e-9, _DYNAMICS,
+        lambda x: float(np.max(np.abs(x.back - x.x0)))),
+    Row("dynamics.dual_q_drift", 1e-6, _DYNAMICS,
+        lambda x: _drift(x.dtraj, [f"q{j + 1}" for j in range(x.n)])),
+    Row("appendix.jacobi_minors", 1e-10, _UNITARY,
+        lambda x: matkernel.jacobi_minor_residual(x.A, x.rows, x.cols, x.n // 2),
+        _control_appendix, "det scaled off 1"),
+    Row("appendix.cofactor_chain", 1e-8, _CHAIN, lambda x: max(
+        v for k, v in x.chain.items()
+        if k not in ("linear_equation", "quadratic_equation"))),
+    Row("appendix.w_system_from_chain", 1e-9, _CHAIN, lambda x: [
+        max(x.chain["linear_equation"], x.chain["quadratic_equation"])] + [
+        max(rsvd.w_system_residual(x.lam, Fsq, x.params))
+        for Fsq in rsvd.F_squared_branches(x.lam, x.params)]),
+)
+
+SUITES = tuple(dict.fromkeys(row.name.split(".")[0] for row in ROWS))
+
+DEFAULT_TOLERANCES = {row.name: row.tol for row in ROWS}
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+def _context(x) -> dict:
+    """A sample's counterexample: n, and the params and point if drawn."""
+    return {"n": x.n, **{key: getattr(x, key).to_dict()
+                         for key in ("params", "point") if hasattr(x, key)}}
+
+
+def _run_rows(suite: str, config: SuiteConfig) -> list:
+    """The suite's rows, sorted by name, then the suite's negative control."""
+    rows = sorted((r for r in ROWS if r.name.startswith(suite + ".")),
+                  key=lambda r: r.name)
+    col, neg = _Collector(config), _Collector(config)
+    for sampler in dict.fromkeys(r.sampler for r in rows):
+        readers = [r for r in rows if r.sampler is sampler]
+        rng = np.random.default_rng([config.seed, sampler.id])
+        for n, s in sampler.cases(config):
+            x, done = SimpleNamespace(n=n, s=s), 0
+            try:
+                if sampler.draw(x, rng, config) is False:
+                    continue
+                ctx = _context(x)
+                for row in readers:
+                    values = row.residual(x)
+                    for value in np.atleast_1d(() if values is None else values):
+                        col.add(row.name, value, ctx)
+                    done += 1
+            except BcsuthError as exc:
+                ctx = {**_context(x), "error": repr(exc)}
+                for row in readers[done:]:
+                    col.add(row.name, math.nan, ctx)
+    controls = [r for r in rows if r.control is not None]
+    for row in controls:
+        try:
+            value = row.control(np.random.default_rng(config.seed + 1), config)
+            neg.add(row.name, value, {"note": row.note})
+        except BcsuthError as exc:
+            neg.add(row.name, math.nan, {"note": row.note, "error": repr(exc)})
+    return ([col.result(r.name) for r in rows]
+            + [neg.result(r.name, negative_control=True) for r in controls])
+
+
+_SUITE_RUNNERS = {suite: functools.partial(_run_rows, suite) for suite in SUITES}
 
 
 def _run_named(config: SuiteConfig) -> list:

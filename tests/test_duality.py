@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bcsuth.duality as duality
+import bcsuth.params as params_module
 import bcsuth.rsvd as rsvd
 from bcsuth.duality import (DUAL_PAIRING, backward_map, backward_map_full,
                             backward_residuals, canonicity_residual,
@@ -366,6 +367,22 @@ def test_backward_map_builds_no_angle_gauge_object(rng, monkeypatch):
         pt, Y = backward_map_full(dual, p)
         assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
         assert np.array_equal(Y, Y_ref)
+
+
+def test_z_chart_builds_no_oscillator_point(rng, monkeypatch):
+    # the backward map and A_check read z(lambda, theta) as an array; the
+    # OscillatorPoint wrapper of z_from_angles is not on their path
+    cases = []
+    for n in (1, 2, 3, 4):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        cases.append((dual, p, backward_map_full(dual, p)[0],
+                      rsvd.A_check(dual, p).m))
+    _forbid(monkeypatch, params_module.z_from_angles)
+    for dual, p, ref, A_ref in cases:
+        pt, _ = backward_map_full(dual, p)
+        assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+        assert np.array_equal(rsvd.A_check(dual, p).m, A_ref)
 
 
 def _angle_gauge_backward(dual, p):

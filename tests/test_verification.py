@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from bcsuth.verification import (DEFAULT_TOLERANCES, SUITES, SuiteConfig,
+from bcsuth.errors import ConsistencyError
+from bcsuth.verification import (DEFAULT_TOLERANCES, ROWS, SUITES, SuiteConfig,
                                  _Collector, run_suite, sample_lambda, sample_params,
                                  sample_sutherland)
 
@@ -207,3 +210,90 @@ def test_collector_ranks_each_residual_once(monkeypatch):
         col.add("duality.round_trip", float(i % 7), {"i": i})
     assert len(calls) <= 2 * 300
     assert col.result("duality.round_trip").max_residual == 6.0
+
+
+_DUALITY_SAMPLE_ROWS = {
+    "duality.round_trip", "duality.moduli_vs_plus_branch",
+    "duality.momentum_residual", "duality.dual_H0_consistency",
+    "duality.invariant_phi", "duality.invariant_chi",
+    "duality.superintegrability_brackets", "duality.detX_margin"}
+
+
+def _raise_consistency(*args, **kwargs):
+    raise ConsistencyError("gate tripped on purpose")
+
+
+def test_an_error_in_a_sample_fails_its_rows_and_the_run_goes_on(monkeypatch):
+    # every row of the duality sampler reads the backward map, the other
+    # samplers' rows and the control do not
+    import bcsuth.duality as duality
+
+    monkeypatch.setattr(duality, "backward_map_full", _raise_consistency)
+    report = run_suite(_cfg("duality", n_values=(1, 2), samples=3))
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == _DUALITY_SAMPLE_ROWS
+    for row in failed.values():
+        assert np.isnan(row.max_residual) and not row.negative_control
+        assert "gate tripped on purpose" in row.counterexample["error"]
+        assert set(row.counterexample) == {"n", "params", "point", "error"}
+
+
+def test_verify_writes_the_report_when_a_sample_raises(monkeypatch, tmp_path):
+    import bcsuth.duality as duality
+    from bcsuth import cli
+
+    monkeypatch.setattr(duality, "backward_map_full", _raise_consistency)
+    out = tmp_path / "verify.json"
+    code = cli.main(["verify", "--suite", "duality", "--n-max", "1",
+                     "--samples", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1 and report["passed"] is False
+    assert {c["name"] for c in report["checks"]
+            if not c["passed"]} == _DUALITY_SAMPLE_ROWS
+
+
+def test_a_control_that_raises_fails(monkeypatch):
+    import bcsuth.duality as duality
+
+    monkeypatch.setattr(duality, "forward_map_full", _raise_consistency)
+    report = run_suite(_cfg("duality", n_values=(1,), samples=2))
+    [control] = [c for c in report.checks if c.negative_control]
+    assert np.isnan(control.max_residual) and not control.passed
+    assert "gate tripped on purpose" in control.counterexample["error"]
+
+
+def test_seed_9_fails_only_the_known_dual_q_drift():
+    # the known near-wall defect of the dynamics suite stays visible: its
+    # sampler keeps the bare seed's stream
+    report = run_suite(SuiteConfig("all", seed=9))
+    [failed] = [c for c in report.checks if not c.passed]
+    assert failed.name == "dynamics.dual_q_drift"
+    assert failed.max_residual == pytest.approx(1.0950155597821976e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["duality.rank_dlambda",
+                                  "duality.canonicity_calibrated"])
+def test_deleting_a_row_moves_no_other_row(monkeypatch, name):
+    # each of these rows has a sampler of its own, which goes with it
+    import bcsuth.verification as verification
+
+    cfg = _cfg("duality", n_values=(1, 2, 3), samples=6)
+    full = {c.name: c for c in run_suite(cfg).checks if not c.negative_control}
+    rows = tuple(r for r in ROWS if r.name != name)
+    assert {r.sampler for r in rows} < {r.sampler for r in ROWS}
+    monkeypatch.setattr(verification, "ROWS", rows)
+    trimmed = run_suite(cfg).checks
+    assert name not in {c.name for c in trimmed}
+    for c in trimmed:
+        if not c.negative_control:
+            assert c == full[c.name]
+
+
+def test_sampler_ids_are_unique_and_only_dynamics_reads_the_bare_seed():
+    # SeedSequence reads [seed, 0] as seed: id 0 is the dynamics suite's
+    # historical default_rng(seed) stream, and no other sampler may alias it
+    samplers = {r.sampler for r in ROWS}
+    ids = [s.id for s in samplers]
+    assert len(ids) == len(set(ids))
+    assert {r.name.split(".")[0] for r in ROWS if r.sampler.id == 0} == {"dynamics"}
+    assert {r.sampler.id for r in ROWS if r.name.startswith("dynamics.")} == {0}
