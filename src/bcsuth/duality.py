@@ -19,11 +19,11 @@ two-form sum(dlambda ^ dtheta) pulls back along the forward map to
 
     DUAL_PAIRING = -2.0.
 
-This constant is locked by three independent numerical probes (angle winding
-along the flow, small-oscillation frequency at the oscillator origin, and the
-finite-difference Jacobian test) and is exact to roundoff.  Canonicity checks
-against the uncalibrated convention (scale = 1) therefore fail by exactly this
-factor; pass ``scale=DUAL_PAIRING`` for the calibrated test.
+Two probes in the code measure it: the FD pullback of the forward map behind
+:func:`canonicity_residual`, and the H_1 angle slopes -DUAL_PAIRING * dH/dlambda
+of :func:`bcsuth.dynamics.angle_linearity_check`.  The oscillator-origin probe
+is ROADMAP.md item 14, the loop-integral normalization item 10.  Uncalibrated
+canonicity checks (scale = 1) fail by this factor; pass ``scale=DUAL_PAIRING``.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     n = dual.n
     z = z_from_angle_rows(dual.lam, dual.theta, params)
     h = h_matrix(dual.lam, params).h.m
-    A, phi = _A_tilde_phi(z, params)
+    A, phi = _A_tilde_phi(z, dual.lam, params)
     eta, q = cartan_decompose_gminus(-(h @ A @ h).conj().T)
     qpoint_probe = chart_membership(q.tolist(), "qp", params, 1e-12)
     if qpoint_probe != "inside":

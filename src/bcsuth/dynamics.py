@@ -24,11 +24,11 @@ rounding noise is about 1e-12 relative, well below the integrator's
 tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
-a stack of points (..., d) to values (...) or (..., p).  The dual H0 is one
-numpy kernel over such stacks and the dual h_k read z for the whole stack in
-one pass; the other Hamiltonians, and the maps of one point (the Newton
-Jacobian's vector field among them), are lifted to stacks row by row by
-``_rows``.
+a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_1
+and the dual H0 are each one numpy kernel over such stacks and the dual h_k
+read z for the whole stack in one pass; the higher H_k, and the maps of one
+point (the Newton Jacobian's vector field among them), are lifted to stacks
+row by row by ``_rows``.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -49,6 +49,7 @@ its columns is first read.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
@@ -62,7 +63,7 @@ from .params import (CouplingParams, DualPoint, SutherlandPoint,
                      canonical_angle, chart_membership, chart_slacks,
                      require_finite, require_inside, z_from_angle_rows)
 from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
-from .sutherland import action_map, closed_form_H1, grad_H1, hamiltonians
+from .sutherland import _H1_kernel, action_map, grad_H1, hamiltonians
 
 #: each system and the chart it lives in
 SYSTEMS = {"sutherland_H1": "qp", "sutherland_Hk": "qp",
@@ -213,12 +214,21 @@ def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarr
     x = np.asarray(x, dtype=float)
     d = x.size
     steps = (step, step / 2.0) if richardson else (step,)
-    signed = np.array([sign * h for h in steps for sign in (1.0, -1.0)])
-    values = np.asarray(fn((x + signed[:, None, None] * np.eye(d)).reshape(-1, d)))
+    values = np.asarray(fn(x + step * _unit_stencil(d, richardson)))
     v = values.reshape((len(steps), 2, d) + values.shape[1:])
     diffs = [(v[i, 0] - v[i, 1]) / (2.0 * h) for i, h in enumerate(steps)]
     D = (4.0 * diffs[1] - diffs[0]) / 3.0 if richardson else diffs[0]
     return np.moveaxis(D, 0, -1) if D.ndim > 1 else D
+
+
+@functools.lru_cache
+def _unit_stencil(d: int, richardson: bool) -> np.ndarray:
+    """The read-only rows e_j, -e_j (then e_j/2, -e_j/2 with ``richardson``)
+    that :func:`fd_gradient` scales by its step, exactly: by powers of two."""
+    scales = (1.0, 0.5) if richardson else (1.0,)
+    table = np.concatenate([sign * h * np.eye(d) for h in scales for sign in (1.0, -1.0)])
+    table.flags.writeable = False
+    return table
 
 
 def _rows(fn):
@@ -235,15 +245,16 @@ def _rows(fn):
 
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     """The Hamiltonian as a map of stacks (..., 2n) -> (...) in the flow's
-    chart coordinates, a float at a single point: the dual H0 is one array
-    kernel, the dual h_k read z for the whole stack in one pass and evaluate
-    ``dual_Hk`` row by row, the others go through :func:`_rows`."""
+    chart coordinates, a float at a single point: the Sutherland H_1 and the
+    dual H0 are each one array kernel, the dual h_k read z for the whole
+    stack in one pass and evaluate ``dual_Hk`` row by row, the higher H_k go
+    through :func:`_rows`."""
     n = params.n
     k = flow.k
     if flow.system == "dual_H0":
         return lambda x: _dual_H0_kernel(x[..., :n], x[..., n:], params)
     if flow.system == "sutherland_H1":
-        return _rows(lambda x: closed_form_H1(SutherlandPoint(q=x[:n], p=x[n:]), params))
+        return lambda x: _H1_kernel(x[..., :n], x[..., n:], params)
     if flow.system == "sutherland_Hk":
         return _rows(lambda x: float(
             hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1]))
@@ -306,14 +317,7 @@ def implicit_midpoint_step(f, x0, dt, start=None, stats=None):
     x0 = np.asarray(x0, dtype=float)
     if stats is None:
         stats = dict.fromkeys(STATS, 0)
-    x1 = _solve(f, x0, dt, x0 if start is None else start, stats)
-    stats["steps"] += 1
-    return x1
-
-
-def _solve(f, x0, dt, x1, stats):
-    """The sweeps, with the two-back hand-off, and Newton of ``implicit_midpoint_step``
-    from x1; adds evaluations, Jacobians and accepted stalls to ``stats``."""
+    x1 = x0 if start is None else start
     last = prev = math.inf  # the increments one and two sweeps back
     halving = True
     for _ in range(MAX_ITER):
@@ -322,6 +326,7 @@ def _solve(f, x0, dt, x1, stats):
         d = x_next - x1
         inc = math.sqrt(d @ d)
         if inc <= NEWTON_TOL * max(1.0, math.sqrt(x_next @ x_next)):
+            stats["steps"] += 1
             return x_next if halving else x1
         x1 = x_next
         if not inc <= 0.5 * prev:
@@ -336,10 +341,12 @@ def _solve(f, x0, dt, x1, stats):
         stats["evaluations"] += 1
         nrm = math.sqrt(F @ F)
         if nrm <= NEWTON_TOL * max(1.0, math.sqrt(x1 @ x1)):
+            stats["steps"] += 1
             return x1
         if nrm >= 0.9 * best:
             if nrm <= 1e-10:
                 stats["stalls"] += 1
+                stats["steps"] += 1
                 return x1
             break
         best = nrm

@@ -228,7 +228,7 @@ def _central_phases(theta) -> np.ndarray:
 def phi_vector(z, params: CouplingParams) -> np.ndarray:
     """Globally smooth gauge transform of the f-vector: phi_k = conj(z_k) g_k,
     phi_{n+k} = conj(z_{k-1}) g_{n+k} with z_0 := 1 (built with A_tilde)."""
-    return _A_tilde_phi(z, params)[1]
+    return _A_tilde_phi(z, lambda_of_z(z, params), params)[1]
 
 
 def _diag_entry_n2n(lam, params: CouplingParams) -> float:
@@ -263,15 +263,15 @@ def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
     g_{n+a+1} at (a, a+1) and (n+a+1, n+a) for a = 1..n-1, and
     :func:`_diag_entry_n2n` at (n, 2n).  Nothing divides by zero anywhere.
     """
-    return StructuredMatrix(_A_tilde_phi(z, params)[0])
+    return StructuredMatrix(_A_tilde_phi(z, lambda_of_z(z, params), params)[0])
 
 
-def _A_tilde_phi(z, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
-    """(:func:`A_tilde`, :func:`phi_vector`) at z from one lambda(z) and g pass."""
+def _A_tilde_phi(z, lam, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
+    """(:func:`A_tilde`, :func:`phi_vector`) at z from one g pass, at the
+    caller's positions lam = lambda(z)."""
     z = np.asarray(z, dtype=complex)
     n = z.size
     N = 2 * n
-    lam = lambda_of_z(z, params)
     g = np.array(_g_profiles(lam.tolist(), params))
     zc = z.conj()
     phi = g.astype(complex)
@@ -296,7 +296,7 @@ def L_tilde(z, params: CouplingParams) -> StructuredMatrix:
     z = np.asarray(z, dtype=complex)
     lam = lambda_of_z(z, params)
     h = h_matrix(lam, params).h.m
-    return StructuredMatrix(h @ A_tilde(z, params).m @ h)
+    return StructuredMatrix(h @ _A_tilde_phi(z, lam, params)[0] @ h)
 
 
 def dual_Hk(z, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
@@ -355,7 +355,7 @@ def A_check(dual: DualPoint, params: CouplingParams,
     the removable singularities never appear.  With ``validate`` the unitarity
     and the rank-one commutator identity are checked against SELFCHECK_TOL.
     """
-    At = A_tilde(z_from_angle_rows(dual.lam, dual.theta, params), params).m
+    At, _ = _A_tilde_phi(z_from_angle_rows(dual.lam, dual.theta, params), dual.lam, params)
     m = _central_phases(dual.theta)
     A = (At * m) / m[:, None]
     if validate:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -77,20 +78,26 @@ def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:
     return SutherlandLax(Y=StructuredMatrix(Y), K=StructuredMatrix(K))
 
 
-def closed_form_H1(point: SutherlandPoint, params: CouplingParams) -> float:
-    """The physical Hamiltonian evaluated from its trigonometric closed form.
-
-    Loops over Python floats (``math.*``), as :func:`grad_H1` does.
+def _H1_kernel(q, p, params: CouplingParams):
+    """:func:`closed_form_H1` at raw coordinates (..., n), over any leading
+    stack axes: an array (...), a float for a single point, each row's value
+    the one that point alone gives, bit for bit (every sum runs left to right).
     """
-    q = point.q.tolist()
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     g, g1, g2 = params.gamma, params.gamma1, params.gamma2
-    val = 0.5 * sum(x * x for x in point.p.tolist())
-    for j, x in enumerate(q):
-        for y in q[j + 1:]:
-            val += g / math.sin(x - y) ** 2 + g / math.sin(x + y) ** 2
-    val += sum(g1 / math.sin(x) ** 2 for x in q)
-    val += sum(g2 / math.sin(2.0 * x) ** 2 for x in q)
-    return val
+    j, k = np.triu_indices(q.shape[-1], 1)
+    a, b = q[..., j], q[..., k]
+
+    def total(terms, start=0.0):
+        return reduce(np.add, np.moveaxis(terms, -1, 0), start)
+    H = total(g / np.sin(a - b) ** 2 + g / np.sin(a + b) ** 2, 0.5 * total(p * p))
+    H = H + total(g1 / np.sin(q) ** 2) + total(g2 / np.sin(2.0 * q) ** 2)
+    return float(H) if H.ndim == 0 else H
+
+
+def closed_form_H1(point: SutherlandPoint, params: CouplingParams) -> float:
+    """The physical Hamiltonian from its trigonometric closed form (one kernel over stacks)."""
+    return _H1_kernel(point.q, point.p, params)
 
 
 def spectrum(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:

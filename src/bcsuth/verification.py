@@ -281,8 +281,7 @@ def _grad_H1_fd(x) -> float:
     n, pt, params = x.n, x.point, x.params
     dq, dp = sutherland.grad_H1(pt.q, pt.p, params)
     fd = dynamics.fd_gradient(
-        dynamics._rows(lambda y: sutherland.closed_form_H1(
-            SutherlandPoint(q=y[:n], p=y[n:]), params)),
+        lambda y: sutherland._H1_kernel(y[..., :n], y[..., n:], params),
         np.r_[pt.q, pt.p], 1e-6)
     return (float(np.max(np.abs(np.r_[dq, dp] - fd)))
             / max(1.0, float(np.max(np.abs(fd)))))
@@ -447,14 +446,11 @@ def _control_dynamics(rng, config) -> float:
     pt = sample_sutherland(rng, 1)
     flow = dynamics.FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=2.0)
     f = dynamics.vector_field(flow, params)
-    y = np.r_[pt.q, pt.p]
-    H0 = sutherland.closed_form_H1(pt, params)
-    drift = 0.0
-    for _ in range(2000):
-        y = y + flow.dt * f(y)
-        drift = max(drift, abs(sutherland.closed_form_H1(
-            SutherlandPoint(q=y[:1], p=y[1:]), params) - H0))
-    return drift
+    ys = np.tile(np.r_[pt.q, pt.p], (2001, 1))
+    for i in range(2000):
+        ys[i + 1] = ys[i] + flow.dt * f(ys[i])
+    H = sutherland._H1_kernel(ys[:, :1], ys[:, 1:], params)
+    return float(np.max(np.abs(H - H[0])))
 
 
 def _draw_unitary(x, rng, config):

@@ -416,3 +416,18 @@ def test_backward_map_matches_the_angle_gauge_route(n):
         worst_p = max(worst_p, float(np.max(np.abs(pt.p - p_ref)))
                       / max(1.0, float(np.max(np.abs(p_ref)))))
     assert worst_q <= 1e-12 and worst_p <= 1e-12, (worst_q, worst_p)
+
+
+def test_backward_map_and_A_check_read_the_given_lambda(rng, monkeypatch):
+    # A_tilde and phi of the backward map and of A_check are built at the
+    # dual point's own lambda, not at lambda(z(lambda, theta)) recomputed
+    cases = []
+    for n in (1, 2, 3, 4):
+        p = sample_params(rng, n, CFG)
+        dual = sample_dual(rng, n, p)
+        cases.append((dual, p, backward_map_full(dual, p)[0], rsvd.A_check(dual, p).m))
+    _forbid(monkeypatch, params_module.lambda_of_z)
+    for dual, p, ref, A_ref in cases:
+        pt, _ = backward_map_full(dual, p)
+        assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
+        assert np.array_equal(rsvd.A_check(dual, p).m, A_ref)

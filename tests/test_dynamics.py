@@ -846,21 +846,65 @@ def test_dual_Hk_stack_matches_the_point_route_bit_for_bit(rng):
 
 def test_monitor_H_flow_is_one_call_on_the_sampled_stack(rng, monkeypatch):
     # the H_flow group maps the (samples, 2n) stack of sampled states in one
-    # hamiltonian_function call: one dual H0 kernel call, same values
-    kernel = dynamics._dual_H0_kernel
-    shapes = []
+    # hamiltonian_function call: one kernel call (the dual H0's, then the
+    # Sutherland H_1's), same values
+    for system, name in (("dual_H0", "_dual_H0_kernel"), ("sutherland_H1", "_H1_kernel")):
+        kernel = getattr(dynamics, name)
+        shapes = []
 
-    def counted(lam, theta, params):
-        shapes.append(np.shape(lam))
-        return kernel(lam, theta, params)
-    flow, x0, p = _flow_start(rng, "dual_H0", 2, T=0.05)
-    traj = integrate(flow, x0, p)
-    monkeypatch.setattr(dynamics, "_dual_H0_kernel", counted)
-    H = traj.monitors["H_flow"]
-    samples = traj.monitor_times.size
-    assert samples > 1 and shapes == [(samples, 2)]
-    sampled = traj.states[np.searchsorted(traj.times, traj.monitor_times)]
-    assert H.tolist() == [kernel(x[:2], x[2:], p) for x in sampled]
+        def counted(a, b, params, kernel=kernel):
+            shapes.append(np.shape(a))
+            return kernel(a, b, params)
+        flow, x0, p = _flow_start(rng, system, 2, T=0.05)
+        traj = integrate(flow, x0, p)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, name, counted)
+            H = traj.monitors["H_flow"]
+        samples = traj.monitor_times.size
+        assert samples > 1 and shapes == [(samples, 2)]
+        sampled = traj.states[np.searchsorted(traj.times, traj.monitor_times)]
+        assert H.tolist() == [kernel(x[:2], x[2:], p) for x in sampled]
+
+
+def test_H1_stencil_builds_no_sutherland_point(rng, monkeypatch):
+    # the FD H_1 field evaluates its Richardson stencil in one kernel call on
+    # raw arrays: no validated point per row
+    built = []
+    init = SutherlandPoint.__post_init__
+
+    def counted(self):
+        built.append(1)
+        init(self)
+    for n in (1, 2, 3):
+        flow, x0, p = _flow_start(rng, "sutherland_H1", n)
+        H = hamiltonian_function(flow, p)
+        with monkeypatch.context() as m:
+            m.setattr(SutherlandPoint, "__post_init__", counted)
+            g = fd_gradient(H, x0, flow.fd_step, richardson=True)
+            f = vector_field(replace(flow, gradient="fd"), p)(x0)
+        assert built == [] and g.shape == f.shape == (2 * n,)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_fd_gradient_stencil_bits_at_any_step(rng, richardson):
+    # the stencil is a cached unit table scaled by the step; the scaling by
+    # +-1 and +-1/2 is exact, so at every step each column has the bits of
+    # its own per-column stencil x +- h e_j (and x +- (h/2) e_j)
+    def column(H, x, j, h):
+        e = np.zeros_like(x)
+        e[j] = h
+        return np.subtract(H(x + e), H(x - e)) / (2.0 * h)
+
+    for n in (1, 2, 3):
+        for system in ("sutherland_H1", "dual_H0"):
+            flow, x0, p = _flow_start(rng, system, n, "fd")
+            H = hamiltonian_function(flow, p)
+            for h in np.geomspace(1e-9, 1e-4, 20):
+                ref = np.array([column(H, x0, j, h) for j in range(2 * n)])
+                if richardson:
+                    half = np.array([column(H, x0, j, h / 2) for j in range(2 * n)])
+                    ref = (4.0 * half - ref) / 3.0
+                assert np.array_equal(fd_gradient(H, x0, h, richardson), ref)
 
 
 def test_fd_field_matches_the_closed_form_field(rng):

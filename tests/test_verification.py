@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -297,3 +298,31 @@ def test_sampler_ids_are_unique_and_only_dynamics_reads_the_bare_seed():
     assert len(ids) == len(set(ids))
     assert {r.name.split(".")[0] for r in ROWS if r.sampler.id == 0} == {"dynamics"}
     assert {r.sampler.id for r in ROWS if r.name.startswith("dynamics.")} == {0}
+
+
+def _H1_float(q, p, params) -> float:
+    """The closed-form H_1 at n = 1 on Python floats: the per-step reference."""
+    return (0.5 * p * p + params.gamma1 / math.sin(q) ** 2
+            + params.gamma2 / math.sin(2.0 * q) ** 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_energy_control_trips_and_matches_a_per_step_reference(seed):
+    # the explicit Euler control evaluates H_1 once over its 2001 states; a
+    # float evaluation after each step reads the same drift to 1e-12
+    import bcsuth.dynamics as dynamics
+    import bcsuth.verification as verification
+    cfg = SuiteConfig(suite="dynamics", seed=seed)
+    drift = verification._control_dynamics(np.random.default_rng(seed + 1), cfg)
+    rng = np.random.default_rng(seed + 1)
+    params = sample_params(rng, 1, cfg)
+    pt = sample_sutherland(rng, 1)
+    f = dynamics.vector_field(dynamics.FlowSpec(system="sutherland_H1", chart="qp",
+                                                dt=1e-3, T=2.0), params)
+    y = np.r_[pt.q, pt.p]
+    H0, ref = _H1_float(y[0], y[1], params), 0.0
+    for _ in range(2000):
+        y = y + 1e-3 * f(y)
+        ref = max(ref, abs(_H1_float(y[0], y[1], params) - H0))
+    assert abs(drift - ref) <= 1e-12 * ref
+    assert drift > 10 * DEFAULT_TOLERANCES["dynamics.energy_drift"]
