@@ -222,9 +222,9 @@ def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
     }
 
 
-def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
-                         mmax: int = 4, kmax: int = 2) -> dict:
-    """Gauge-invariant trace functions versus their closed forms at the image.
+def invariant_crosscheck(point: SutherlandPoint, dual: DualPoint,
+                         params: CouplingParams, mmax: int = 4, kmax: int = 2) -> dict:
+    """Gauge-invariant trace functions versus their closed forms at the image ``dual``.
 
     phi_m = Re tr(Y^m)/m vanishes for odd m and equals
     (-1)^(m/2) (2/m) sum lambda^m for even m; chi_k = Re tr(Y^k y^{-1} V V^dag y C)
@@ -232,7 +232,6 @@ def invariant_crosscheck(point: SutherlandPoint, params: CouplingParams,
     Returns the evaluated pairs and the maximum absolute errors.
     """
     n = point.n
-    dual, _ = forward_map_full(point, params)
     lam, theta = dual.lam, dual.theta
     Fsq, _ = F_squared_branches(lam, params)
     X = np.sqrt(Fsq[:n] * Fsq[n:])

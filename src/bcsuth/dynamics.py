@@ -24,11 +24,10 @@ rounding noise is about 1e-12 relative, well below the integrator's
 tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
-a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_1
-and the dual H0 are each one numpy kernel over such stacks and the dual h_k
-read z for the whole stack in one pass; the higher H_k, and the maps of one
-point (the Newton Jacobian's vector field among them), are lifted to stacks
-row by row by ``_rows``.
+a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_k
+and the dual H0 are numpy kernels over such stacks and the dual h_k read z
+for the whole stack in one pass; only the duality maps and the Newton
+Jacobian's vector field are lifted to stacks row by row by ``_rows``.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -63,7 +62,7 @@ from .params import (CouplingParams, DualPoint, SutherlandPoint,
                      canonical_angle, chart_membership, chart_slacks,
                      require_finite, require_inside, z_from_angle_rows)
 from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
-from .sutherland import _H1_kernel, action_map, grad_H1, hamiltonians
+from .sutherland import _H1_kernel, _Hk_kernel, _action_kernel, _lax_K_kernel, grad_H1
 
 #: each system and the chart it lives in
 SYSTEMS = {"sutherland_H1": "qp", "sutherland_Hk": "qp",
@@ -245,10 +244,10 @@ def _rows(fn):
 
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     """The Hamiltonian as a map of stacks (..., 2n) -> (...) in the flow's
-    chart coordinates, a float at a single point: the Sutherland H_1 and the
-    dual H0 are each one array kernel, the dual h_k read z for the whole
-    stack in one pass and evaluate ``dual_Hk`` row by row, the higher H_k go
-    through :func:`_rows`."""
+    chart coordinates, a float at a single point: the Sutherland H_1, the
+    higher H_k (one Lax stack, one ``eigvalsh``) and the dual H0 are array
+    kernels, the dual h_k read z for the whole stack in one pass and
+    evaluate ``dual_Hk`` row by row."""
     n = params.n
     k = flow.k
     if flow.system == "dual_H0":
@@ -256,8 +255,10 @@ def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     if flow.system == "sutherland_H1":
         return lambda x: _H1_kernel(x[..., :n], x[..., n:], params)
     if flow.system == "sutherland_Hk":
-        return _rows(lambda x: float(
-            hamiltonians(SutherlandPoint(q=x[:n], p=x[n:]), params, kmax=k)[k - 1]))
+        def Hk(x):
+            H = _Hk_kernel(_lax_K_kernel(x[..., :n], x[..., n:], params), params, k)
+            return float(H[k - 1]) if H.ndim == 1 else H[..., k - 1]
+        return Hk
     # dual Hamiltonians restricted to the angle chart, via the global Lax
     # matrix; a row's z is the one its DualPoint gives, bit for bit
     def H(x):
@@ -396,19 +397,17 @@ def default_monitors(flow: FlowSpec, params: CouplingParams):
 
     ``H_flow``, the flow Hamiltonian, alone, from one
     :func:`hamiltonian_function` call; qp chart: every H_k and every action
-    component, from one ``hamiltonians`` and one ``action_map`` call per
-    sample; lambda_theta chart: the dual actions q_j, from one backward map
-    per sample.
+    component, from one Lax stack and its two ``eigvalsh`` stacks;
+    lambda_theta chart: the dual actions q_j, from one backward map per sample.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
     groups = [(("H_flow",), lambda xs: H(xs)[:, None])]
     if flow.chart == "qp":
-        def lax(x):
-            pt = SutherlandPoint(q=x[:n], p=x[n:])
-            return np.r_[hamiltonians(pt, params), action_map(pt, params)]
-        groups.append(([f"H{k+1}" for k in range(n)]
-                       + [f"lambda{j+1}" for j in range(n)], _rows(lax)))
+        def lax(xs):
+            K = _lax_K_kernel(xs[:, :n], xs[:, n:], params)
+            return np.concatenate((_Hk_kernel(K, params), _action_kernel(K, params)), axis=1)
+        groups.append(([f"H{k+1}" for k in range(n)] + [f"lambda{j+1}" for j in range(n)], lax))
     else:
         def positions(x):
             pt, _ = backward_map_full(

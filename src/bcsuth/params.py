@@ -297,25 +297,27 @@ def require_inside(pos: list, chart: str, params: CouplingParams):
                 f"point is {status} ({name} = {pos})")
 
 
+def _slack_rows(pos, chart: str, params: CouplingParams) -> np.ndarray:
+    """:func:`chart_slacks` over a stack (..., n) of positions, bit for bit per row."""
+    gaps = pos[..., :-1] - pos[..., 1:]
+    if chart == "qp":
+        return np.concatenate((math.pi / 2 - pos[..., :1], gaps, pos[..., -1:]), -1)
+    return np.concatenate((gaps - 2 * params.mu, pos[..., -1:] - params.nu), -1)
+
+
+def _inside_slack_rows(pos, chart: str, params: CouplingParams) -> np.ndarray:
+    """:func:`_slack_rows`, each row checked: the first not inside raises its DomainError."""
+    slack = _slack_rows(pos, chart, params)
+    if not (slack.min() > DOMAIN_MARGIN and slack.max() < math.inf):
+        bad = ~np.all((slack > DOMAIN_MARGIN) & (slack < math.inf), axis=-1)
+        require_inside(pos[bad][0].tolist(), chart, params)
+    return slack
+
+
 def require_inside_rows(lam, params: CouplingParams):
-    """:func:`require_inside` on every row of a stack (..., n) of lambda
-    vectors in one numpy pass; the first row that is not inside raises its
-    error.  The slacks are those of :func:`chart_membership`, bit for bit.
-    A single row goes to :func:`require_inside` itself, whose float loop is
-    cheaper than the numpy pass at that size."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 1:
-        require_inside(lam.tolist(), "lambda_theta", params)
-        return
-    slack = np.empty_like(lam)
-    np.subtract(lam[..., :-1], lam[..., 1:], out=slack[..., :-1])
-    slack[..., :-1] -= 2 * params.mu
-    np.subtract(lam[..., -1], params.nu, out=slack[..., -1])
-    if slack.min() > DOMAIN_MARGIN and slack.max() < math.inf:
-        return
-    bad = ~np.all((slack > DOMAIN_MARGIN) & (slack < math.inf), axis=-1)
-    require_inside(lam.reshape(-1, lam.shape[-1])[np.argmax(bad)].tolist(),
-                   "lambda_theta", params)
+    """:func:`require_inside` on every row of a stack (..., n) of lambda vectors
+    in one numpy pass; the first row that is not inside raises its error."""
+    _inside_slack_rows(np.asarray(lam, dtype=float), "lambda_theta", params)
 
 
 def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> bool:
@@ -371,15 +373,10 @@ def z_from_angles(dual: DualPoint, params: CouplingParams) -> OscillatorPoint:
 def z_from_angle_rows(lam, theta, params: CouplingParams) -> np.ndarray:
     """:func:`z_from_angles` over a stack (..., n) of positions and angles in
     one numpy pass, each row's z the bits that point alone gives when its
-    angles are canonical (:func:`canonical_angle`).  Every row is checked by
-    one :func:`require_inside_rows`."""
-    lam = np.asarray(lam, dtype=float)
-    require_inside_rows(lam, params)
-    gaps = np.empty_like(lam)
-    np.subtract(lam[..., :-1], lam[..., 1:], out=gaps[..., :-1])
-    gaps[..., :-1] -= 2 * params.mu
-    np.subtract(lam[..., -1], params.nu, out=gaps[..., -1])
-    return np.sqrt(gaps) * np.exp(1j * np.cumsum(theta, axis=-1))
+    angles are canonical (:func:`canonical_angle`).  The chamber slacks are
+    computed once, checked and read as |z|^2 (:func:`_inside_slack_rows`)."""
+    slack = _inside_slack_rows(np.asarray(lam, dtype=float), "lambda_theta", params)
+    return np.sqrt(slack) * np.exp(1j * np.cumsum(theta, axis=-1))
 
 
 def angles_from_z(osc: OscillatorPoint, params: CouplingParams) -> DualPoint:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .matkernel import StructuredMatrix, conj_by_C, exchange_matrix, exp_iQ
-from .params import CouplingParams, SutherlandPoint, chart_membership, require_inside
+from .params import CouplingParams, SutherlandPoint, _inside_slack_rows, _slack_rows
 
 
 def real_constraint_vector(n: int) -> np.ndarray:
@@ -40,35 +40,43 @@ class SutherlandLax:
     K: StructuredMatrix
 
 
+@lru_cache
+def _lax_layout(n: int):
+    """The pairs (j, k), j < k, and for each entry of K = [[A, B], [-B, -A]]
+    flattened its index in (v, -v, i p, -i p), v = (B_jj, -A_jk, B_jk); read-only."""
+    j, k = pairs = np.array(np.triu_indices(n, 1))
+    d, a, h = np.arange(n), n + np.arange(j.size), n + 2 * j.size
+    T = np.empty((2 * n, 2 * n), dtype=np.intp)
+    T[d, d], T[n + d, n + d], T[d, n + d], T[n + d, d] = 2 * h + d, 2 * h + n + d, d, h + d
+    T[j, k], T[k, j], T[n + j, n + k], T[n + k, n + j] = h + a, a, a, h + a
+    T[j, n + k] = T[k, n + j] = a + j.size
+    T[n + j, k] = T[n + k, j] = h + a + j.size
+    pairs.flags.writeable = T.flags.writeable = False
+    return pairs, T.ravel()
+
+
+def _lax_K_kernel(q, p, params: CouplingParams) -> np.ndarray:
+    """:func:`lax_K` over a stack (..., n) of raw q and p: (..., 2n, 2n), each
+    matrix the bits of its point's; a row off the chamber raises DomainError."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    _inside_slack_rows(q, "qp", params)
+    n = q.shape[-1]
+    (j, k), table = _lax_layout(n)
+    s = np.sin(np.concatenate((2.0 * q, q[..., j] - q[..., k], q[..., j] + q[..., k]), -1))
+    v = np.concatenate((params.nu / s[..., :n] + params.kappa * np.cos(2.0 * q) / s[..., :n],
+                        params.mu / s[..., n:]), -1)  # -mu / x is -(mu / x), bit for bit
+    K = np.concatenate((v, -v, 1j * p, -(1j * p)), -1).take(table, axis=-1)
+    return K.reshape(q.shape[:-1] + (2 * n, 2 * n))
+
+
 def lax_K(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     """The C-odd block matrix [[A, B], [-B, -A]] of the Lax construction.
 
-    A_jj = i p_j, A_jk = -mu / sin(q_j - q_k); B_jj = nu/sin(2 q_j)
-    + kappa*cot(2 q_j), B_jk = mu / sin(q_j + q_k).  Built so the structure
-    relations hold exactly in floating point: each entry is computed once
-    and placed, negated where the structure says so, in all its positions.
-    Loops over Python floats (``math.*``) and converts the rows once.
-    """
-    q, p = point.q.tolist(), point.p.tolist()
-    require_inside(q, "qp", params)
-    n = len(q)
-    mu, nu, kappa = params.mu, params.nu, params.kappa
-    rows = [[0j] * (2 * n) for _ in range(2 * n)]
-    for j, x in enumerate(q):
-        top, bottom = rows[j], rows[n + j]
-        top[j] = 1j * p[j]
-        bottom[n + j] = -top[j]
-        s2 = math.sin(2.0 * x)
-        top[n + j] = nu / s2 + kappa * math.cos(2.0 * x) / s2
-        bottom[j] = -top[n + j]
-        for k in range(j + 1, n):
-            a = -mu / math.sin(x - q[k])
-            b = mu / math.sin(x + q[k])
-            top[k] = rows[n + k][n + j] = a
-            rows[k][j] = bottom[n + k] = -a
-            top[n + k] = rows[k][n + j] = b
-            bottom[k] = rows[n + k][j] = -b
-    return np.array(rows)
+    A_jj = i p_j, A_jk = -mu / sin(q_j - q_k); B_jj = nu/sin(2 q_j) + kappa*cot(2 q_j),
+    B_jk = mu / sin(q_j + q_k).  Built so the structure relations hold exactly in
+    floating point: each entry is computed once and placed, negated where the
+    structure says so, in all its positions (:func:`_lax_K_kernel`)."""
+    return _lax_K_kernel(point.q, point.p, params)
 
 
 def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:
@@ -85,7 +93,7 @@ def _H1_kernel(q, p, params: CouplingParams):
     """
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     g, g1, g2 = params.gamma, params.gamma1, params.gamma2
-    j, k = np.triu_indices(q.shape[-1], 1)
+    j, k = _lax_layout(q.shape[-1])[0]
     a, b = q[..., j], q[..., k]
 
     def total(terms, start=0.0):
@@ -102,8 +110,16 @@ def closed_form_H1(point: SutherlandPoint, params: CouplingParams) -> float:
 
 def spectrum(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     """Eigenvalues of the Hermitian Lax matrix -i*Y, ascending."""
-    lax = lax_Y(point, params)
-    return np.linalg.eigvalsh(-1j * lax.Y.m)
+    return np.linalg.eigvalsh(-1j * lax_Y(point, params).Y.m)
+
+
+def _Hk_kernel(K, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
+    """:func:`hamiltonians` over a stack (..., 2n, 2n) of :func:`lax_K`: one ``eigvalsh``."""
+    kmax = params.n if kmax is None else int(kmax)
+    if not 1 <= kmax <= params.n:
+        raise ValueError(f"kmax must lie in 1..n = {params.n}")
+    eigs = np.linalg.eigvalsh(-1j * (K - 1j * params.kappa * exchange_matrix(params.n)))
+    return np.stack([np.sum(eigs ** (2 * k), -1) / (4.0 * k) for k in range(1, kmax + 1)], -1)
 
 
 def hamiltonians(point: SutherlandPoint, params: CouplingParams,
@@ -113,19 +129,13 @@ def hamiltonians(point: SutherlandPoint, params: CouplingParams,
     The agreement of H_1 with :func:`closed_form_H1` is measured by the
     verify row ``sutherland.H1_closed_form``.
     """
-    kmax = params.n if kmax is None else int(kmax)
-    if not 1 <= kmax <= params.n:
-        raise ValueError(f"kmax must lie in 1..n = {params.n}")
-    eigs = spectrum(point, params)
-    return np.array([np.sum(eigs ** (2 * k)) / (4.0 * k) for k in range(1, kmax + 1)])
+    return _Hk_kernel(lax_K(point, params), params, kmax)
 
 
 def hamiltonians_matrix_route(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     """H_1..H_n through explicit matrix powers (stability cross-check)."""
-    lax = lax_Y(point, params)
-    M = -1j * lax.Y.m
-    P = np.eye(M.shape[0], dtype=complex)
-    out = []
+    M = -1j * lax_Y(point, params).Y.m
+    P, out = np.eye(M.shape[0], dtype=complex), []
     for k in range(1, params.n + 1):
         P = P @ M @ M
         out.append(float(np.trace(P).real) / (4.0 * k))
@@ -138,12 +148,8 @@ def odd_trace_residual(point: SutherlandPoint, params: CouplingParams) -> float:
     Each |tr((-iY)^(2k+1))| is divided by max(1, sum |eig|^(2k+1)) so the
     cancellation is measured relative to the scale of the power sums.
     """
-    eigs = spectrum(point, params)
-    worst = 0.0
-    for k in range(params.n):
-        power = eigs ** (2 * k + 1)
-        worst = max(worst, abs(np.sum(power)) / max(1.0, np.sum(np.abs(power))))
-    return float(worst)
+    power = spectrum(point, params) ** (2 * np.arange(params.n)[:, None] + 1)
+    return float(np.max(np.abs(power.sum(-1)) / np.maximum(1.0, np.abs(power).sum(-1))))
 
 
 def grad_H1(q, p, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
@@ -170,6 +176,18 @@ def grad_H1(q, p, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
     return np.array(dq), np.array(p, dtype=float)
 
 
+def _action_kernel(K, params: CouplingParams) -> np.ndarray:
+    """:func:`action_map` over a stack (..., 2n, 2n) of :func:`lax_K`: one ``eigvalsh``."""
+    d = np.linalg.eigvalsh(-1j * K)[..., ::-1][..., :params.n]
+    lam = np.sqrt(d**2 + params.kappa**2)
+    slack = _slack_rows(lam, "lambda_theta", params)
+    inside = np.all((slack >= -1e-8) & (slack < math.inf), axis=-1)
+    if not inside.all():
+        raise ConsistencyError(f"action vector {lam[~inside][0].tolist()} "
+                               "exited the closed chamber by more than 1e-8")
+    return lam
+
+
 def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     """Action vector lambda_j = sqrt(d_j^2 + kappa^2), d descending.
 
@@ -178,12 +196,7 @@ def action_map(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     must land in the closure of the dual chamber; a violation beyond 1e-8
     raises ConsistencyError.
     """
-    d = np.linalg.eigvalsh(-1j * lax_K(point, params))[::-1][:params.n]
-    lam = np.sqrt(d**2 + params.kappa**2)
-    if chart_membership(lam.tolist(), "lambda_theta", params, 1e-8) == "outside":
-        raise ConsistencyError(
-            f"action vector {lam.tolist()} exited the closed chamber by more than 1e-8")
-    return lam
+    return _action_kernel(lax_K(point, params), params)
 
 
 def upsilon_left(V, params: CouplingParams) -> np.ndarray:

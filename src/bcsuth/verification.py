@@ -373,7 +373,7 @@ def _draw_duality(x, rng, config):
     x.back, Y = duality.backward_map_full(dual, params)
     x.moduli, x.h0 = duality.forward_residuals(pt, dual, F, params)
     x.momentum = max(duality.backward_residuals(x.back, Y, params)[1])
-    x.inv = duality.invariant_crosscheck(pt, params, mmax=4, kmax=2)
+    x.inv = duality.invariant_crosscheck(pt, dual, params, mmax=4, kmax=2)
     x.X, _, x.brackets = duality.superintegrability_data(pt, params)
 
 
@@ -427,8 +427,10 @@ def _draw_dynamics(x, rng, config):
     # involutivity of the unit-normalized spectral invariants (the raw H_k
     # scale like lambda^(2k); only the scale-free bracket is FD-meaningful)
     scale = np.maximum(1.0, np.abs(sutherland.hamiltonians(x.point, params)))
-    H = dynamics._rows(lambda y: sutherland.hamiltonians(
-        SutherlandPoint(q=y[:n], p=y[n:]), params) / scale)
+
+    def H(y):
+        K = sutherland._lax_K_kernel(y[..., :n], y[..., n:], params)
+        return sutherland._Hk_kernel(K, params) / scale
     x.brackets = dynamics.poisson_bracket_fd(H, H, x.x0, step=1e-5, richardson=True)
     dflow = dynamics.FlowSpec(system="dual_H0", chart="lambda_theta",
                               dt=5e-4, T=1.0, monitor_stride=200)

@@ -126,9 +126,10 @@ def test_invariant_crosscheck(rng):
         for kappa_zero in (True, False):
             p = sample_params(rng, n, CFG, force_kappa_zero=kappa_zero)
             pt = sample_sutherland(rng, n)
-            rep = invariant_crosscheck(pt, p, mmax=6, kmax=4)
+            dual = forward_map(pt, p)
+            rep = invariant_crosscheck(pt, dual, p, mmax=6, kmax=4)
             assert rep["phi"][1] == pytest.approx(0.0, abs=1e-10)
-            lam = forward_map(pt, p).lam
+            lam = dual.lam
             assert rep["phi"][2] == pytest.approx(-np.sum(lam**2), rel=1e-9)
             assert rep["phi_max_error"] < 1e-9
             assert rep["chi_max_error"] < 1e-8

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import lax_K_loop
 
 from bcsuth.duality import DUAL_PAIRING, backward_map, forward_map_full
 import bcsuth.dynamics as dynamics
@@ -13,6 +14,7 @@ from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
                              integrate, poisson_bracket_fd, vector_field)
 from bcsuth.errors import (BoundaryApproachError, DegenerateTorusError,
                            DomainError, NonConvergenceError)
+from bcsuth.matkernel import exchange_matrix
 from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
                            lambda_of_z, require_inside, z_from_angles)
 from bcsuth.rsvd import dual_Hk
@@ -266,25 +268,26 @@ def test_involutivity_of_invariants(rng):
 
 
 def test_involutivity_table_evaluates_each_stencil_point_once(monkeypatch):
-    # one Richardson Jacobian of the family (H_1, H_2, H_3) evaluates
-    # hamiltonians at 2 * 2 * 2n = 24 points; a gradient per H_k took 72
+    # one Richardson Jacobian of the family (H_1, H_2, H_3) evaluates the
+    # invariants once, on the stack of 2 * 2 * 2n = 24 stencil points; a
+    # gradient per H_k took 72 points
     import bcsuth.verification as verification
 
     calls, counts = [], []
-    hamiltonians_ = verification.sutherland.hamiltonians
+    kernel = verification.sutherland._Hk_kernel
     bracket = verification.dynamics.poisson_bracket_fd
 
     def counted_bracket(*a, **k):
         calls.clear()
         table = bracket(*a, **k)
-        counts.append(len(calls))
+        counts.append(list(calls))
         return table
 
-    monkeypatch.setattr(verification.sutherland, "hamiltonians",
-                        lambda *a, **k: calls.append(1) or hamiltonians_(*a, **k))
+    monkeypatch.setattr(verification.sutherland, "_Hk_kernel",
+                        lambda K, *a: calls.append(K.shape[:-2]) or kernel(K, *a))
     monkeypatch.setattr(verification.dynamics, "poisson_bracket_fd", counted_bracket)
     run_suite(SuiteConfig("dynamics", n_values=(3,), samples=1))
-    assert counts == [24]
+    assert counts == [[(24,)]]
 
 
 def test_actions_commute_under_pullback(rng):
@@ -365,8 +368,9 @@ def test_monitor_selection():
 
 
 def _count_monitor_calls(monkeypatch):
-    """Count the calls of the monitors' Lax-data functions on ``dynamics``."""
-    calls = {"hamiltonians": 0, "action_map": 0, "backward_map_full": 0}
+    """Count the calls of the monitors' Lax-data functions on ``dynamics``:
+    the stack kernels of the qp chart, the per-sample backward map."""
+    calls = {"_Hk_kernel": 0, "_action_kernel": 0, "backward_map_full": 0}
 
     def counted(name):
         fn = getattr(dynamics, name)
@@ -391,8 +395,7 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
     traj = integrate(flow, np.r_[pt.q, pt.p], p)
     for name in traj.monitors:
         traj.monitors[name]
-    samples = traj.monitor_times.size
-    assert calls["hamiltonians"] == calls["action_map"] == samples
+    assert calls["_Hk_kernel"] == calls["_action_kernel"] == 1
     for row, i in enumerate(np.searchsorted(traj.times, traj.monitor_times)):
         x = SutherlandPoint(q=traj.states[i, :n], p=traj.states[i, n:])
         Hs = hamiltonians(x, p)
@@ -420,12 +423,12 @@ def test_monitors_are_evaluated_on_first_read(rng, monkeypatch, system):
     if system == "sutherland_H1":
         chart, x0 = "qp", np.r_[pt.q, pt.p]
         first, group = "lambda1", ["H1", "H2", "lambda1", "lambda2"]
-        per_sample = {"hamiltonians": 1, "action_map": 1, "backward_map_full": 0}
+        once = {"_Hk_kernel": 1, "_action_kernel": 1, "backward_map_full": 0}
     else:
         dual, _ = forward_map_full(pt, p)
         chart, x0 = "lambda_theta", np.r_[dual.lam, dual.theta]
         first, group = "q1", ["q1", "q2"]
-        per_sample = {"hamiltonians": 0, "action_map": 0, "backward_map_full": 1}
+        once = {"_Hk_kernel": 0, "_action_kernel": 0, "backward_map_full": 1}
     flow = FlowSpec(system=system, chart=chart, dt=1e-3, T=0.02, monitor_stride=5)
     traj = integrate(flow, x0, p)
     assert sum(calls.values()) == 0
@@ -436,7 +439,8 @@ def test_monitors_are_evaluated_on_first_read(rng, monkeypatch, system):
     assert traj.monitors["H_flow"].shape == traj.monitor_times.shape
     assert sum(calls.values()) == 0
     assert traj.monitors[first].shape == traj.monitor_times.shape
-    once = {name: k * traj.monitor_times.size for name, k in per_sample.items()}
+    if system == "dual_H0":  # one backward map per sample
+        once["backward_map_full"] = traj.monitor_times.size
     assert calls == once
     for name in group:
         traj.monitors[name]
@@ -961,3 +965,57 @@ def test_fd_H1_flow_from_a_former_stall_follows_the_closed_form(dt):
     fd = integrate(FlowSpec(system="sutherland_Hk", chart="qp", dt=dt, T=0.05,
                             k=1, gradient="fd"), x0, p)
     assert np.max(np.abs(fd.states - exact.states)) <= 5e-11
+
+
+def test_Hk_stencil_is_one_kernel_call_and_builds_no_sutherland_point(rng, monkeypatch):
+    # the FD H_k field evaluates its Richardson stencil as one Lax stack on
+    # raw arrays: one kernel call, no validated point per row
+    built, stacks = [], []
+    init, kernel = SutherlandPoint.__post_init__, dynamics._lax_K_kernel
+
+    def counted(self):
+        built.append(1)
+        init(self)
+    monkeypatch.setattr(SutherlandPoint, "__post_init__", counted)
+    monkeypatch.setattr(dynamics, "_lax_K_kernel",
+                        lambda q, p, params: stacks.append(q.shape) or kernel(q, p, params))
+    for n in (1, 2, 3):
+        p = sample_params(rng, n, CFG)
+        x0 = np.r_[sample_sutherland(rng, n, gap=0.15).q, rng.standard_normal(n)]
+        for k in range(1, n + 1):
+            flow = FlowSpec(system="sutherland_Hk", chart="qp", dt=1e-3, T=0.01, k=k,
+                            gradient="fd")
+            built.clear()
+            stacks.clear()
+            g = fd_gradient(hamiltonian_function(flow, p), x0, flow.fd_step, richardson=True)
+            assert stacks == [(8 * n, n)] and built == [] and g.shape == (2 * n,)
+
+
+@pytest.mark.parametrize("dt, evaluations", [(0.01, 122), (0.001, 1050)])
+def test_Hk_flow_keeps_the_bits_of_the_row_by_row_float_loop(monkeypatch, dt, evaluations):
+    # the k = 2 flow of ROADMAP item 3 through the Lax stack kernel: every
+    # state and monitor, the counters (each step an accepted stall) and the end
+    # state are those of the per-row field on the float-loop Lax matrix
+    p = couplings_from_rsvd(1.0, 2.0, 0.0, 2)
+    flow = FlowSpec(system="sutherland_Hk", chart="qp", dt=dt, T=0.05, k=2, gradient="fd")
+    x0 = np.array([1.1, 0.4, 0.3, -0.7])
+    stacked = integrate(flow, x0, p)
+    steps = round(0.05 / dt)
+    assert stacked.stats == {"steps": steps, "evaluations": evaluations,
+                             "jacobians": steps, "stalls": steps}
+    end = {0.01: [1.1169583552010638, 0.4027014808072941, 0.05221638889833177,
+                  -0.7056105774430314],
+           0.001: [1.0958061453235763, 0.3955320098814236, -0.36957176503946204,
+                   0.6166373107076071]}[dt]
+    assert stacked.states[-1].tolist() == end
+
+    def H2(x):
+        eigs = np.linalg.eigvalsh(-1j * (lax_K_loop(x[:2], x[2:], p)
+                                         - 1j * p.kappa * exchange_matrix(2)))
+        return float(np.sum(eigs ** 4) / 8.0)
+    monkeypatch.setattr(dynamics, "hamiltonian_function", lambda flow, params: dynamics._rows(H2))
+    rowwise = integrate(flow, x0, p)
+    assert np.array_equal(stacked.states, rowwise.states)
+    assert stacked.stats == rowwise.stats
+    for name in ("H1", "H2", "lambda1", "lambda2"):
+        assert np.array_equal(stacked.monitors[name], rowwise.monitors[name])

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from conftest import lax_K_loop
 
 from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import ConsistencyError, DomainError
 from bcsuth.matkernel import (exp_iQ, pair_diagonalize_gminus,
                               structure_residual)
 from bcsuth.params import SutherlandPoint, couplings_from_rsvd
-from bcsuth.sutherland import (action_map, closed_form_H1, grad_H1,
+from bcsuth.sutherland import (_Hk_kernel, _action_kernel, _lax_K_kernel,
+                               action_map, closed_form_H1, grad_H1,
                                hamiltonians, hamiltonians_matrix_route, lax_K,
                                lax_Y, momentum_residual, odd_trace_residual,
                                real_constraint_vector, spectrum,
@@ -289,3 +291,89 @@ def test_spectral_H1_selfcheck_fires_for_wrong_params():
 def test_require_kmax_in_range():
     with pytest.raises(ValueError):
         hamiltonians(SutherlandPoint(q=[np.pi / 4], p=[0.0]), P1, kmax=2)
+
+
+def _bits(a):
+    """The raw words of a float or complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _chamber_stack(rng, n, shape=(3, 4)):
+    """A stack of q in the chamber with momenta, some of them signed zeros."""
+    q = np.array([sample_sutherland(rng, n).q for _ in range(np.prod(shape))])
+    p = rng.standard_normal(q.shape)
+    p.flat[::5], p.flat[1::7] = 0.0, -0.0
+    return q.reshape(shape + (n,)), p.reshape(shape + (n,))
+
+
+def test_lax_K_kernel_matches_the_float_loop_bit_for_bit(rng):
+    # the kernel computes each entry once and places it with its sign through
+    # the cached layout: every matrix, signed zeros included, is the one the
+    # float loop builds, for single points and for every row of a stack
+    cfg = SuiteConfig(suite="sutherland")
+    for n in range(1, 9):
+        for s in range(130):
+            params = sample_params(rng, n, cfg, force_kappa_zero=(s % 5 == 0))
+            pt = sample_sutherland(rng, n)
+            q, p = pt.q.copy(), pt.p.copy()
+            if s % 3 == 1:
+                q[-1] = 1e-7
+            if s % 4 == 2:
+                p[rng.integers(n)] = (0.0, -0.0)[s % 8 == 2]
+            K = lax_K(SutherlandPoint(q=q, p=p), params)
+            assert np.array_equal(_bits(K), _bits(lax_K_loop(q, p, params)))
+        qs, ps = _chamber_stack(rng, n)
+        qs[0, 0, -1] = 1e-7
+        Ks = _lax_K_kernel(qs, ps, params)
+        assert Ks.shape == (3, 4, 2 * n, 2 * n)
+        for i in np.ndindex(3, 4):
+            assert np.array_equal(_bits(Ks[i]), _bits(lax_K_loop(qs[i], ps[i], params)))
+
+
+def test_stack_spectra_match_the_point_functions_bit_for_bit(rng):
+    # one eigvalsh per stack: each row's H_k and lambda are those of its point
+    cfg = SuiteConfig(suite="sutherland")
+    for n in range(1, 9):
+        for s in range(5):
+            params = sample_params(rng, n, cfg, force_kappa_zero=(s % 5 == 0))
+            qs, ps = _chamber_stack(rng, n)
+            K = _lax_K_kernel(qs, ps, params)
+            H, lam = _Hk_kernel(K, params), _action_kernel(K, params)
+            Hlow = _Hk_kernel(K, params, 1)
+            assert H.shape == lam.shape == (3, 4, n) and Hlow.shape == (3, 4, 1)
+            for i in np.ndindex(3, 4):
+                pt = SutherlandPoint(q=qs[i], p=ps[i])
+                assert np.array_equal(_bits(H[i]), _bits(hamiltonians(pt, params)))
+                assert np.array_equal(_bits(Hlow[i]), _bits(hamiltonians(pt, params, kmax=1)))
+                assert np.array_equal(_bits(lam[i]), _bits(action_map(pt, params)))
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_stack_rows_off_the_chamber_raise_the_error_of_the_point_path(monkeypatch):
+    import bcsuth.sutherland as sutherland
+
+    params = couplings_from_rsvd(1.0, 2.0, 0.0, 2)
+    inside, wall, outside, nan = [1.2, 0.5], [1.2, 1.2 - 5e-10], [0.5, 1.2], [np.nan, 0.5]
+    p = np.array([0.3, -0.4])
+    for rows, first in (([inside, wall, outside], wall), ([inside, outside, wall], outside),
+                        ([inside, inside, nan], nan), ([[1.6, 0.5], inside], [1.6, 0.5])):
+        error = _raised(lax_K, SutherlandPoint(q=first, p=p), params)
+        assert error[0] is DomainError
+        assert _raised(_lax_K_kernel, np.array(rows), np.tile(p, (len(rows), 1)), params) == error
+    # the closed-chamber check of the actions reads every row: at nu = 2.5 the
+    # lambda_2 of the last two rows lie below the wall; the error is the one
+    # action_map raises at the first of them
+    qs = np.array([[1.4, 0.2], [1.3, 0.7], [1.3, 0.9]])
+    K = _lax_K_kernel(qs, np.zeros_like(qs), params)
+    lam = _action_kernel(K, params)
+    assert lam[0, 1] > 2.5 > lam[2, 1] > lam[1, 1]
+    shifted = couplings_from_rsvd(1.0, 2.5, 0.0, 2)
+    monkeypatch.setattr(sutherland, "lax_K", lambda point, params: K[1])
+    error = _raised(action_map, SutherlandPoint(q=qs[1], p=[0.0, 0.0]), shifted)
+    assert error[0] is ConsistencyError
+    assert _raised(_action_kernel, K, shifted) == error
