@@ -31,13 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateTorusError, DomainError
-from .matkernel import exchange_matrix, exp_iQ, exp_iQ_diagonal, \
+from .matkernel import _dag, exchange_matrix, exp_iQ, exp_iQ_diagonal, \
     cartan_decompose_gminus, pair_diagonalize_gminus
-from .params import (CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, canonical_angle, chart_membership,
+from .params import (DOMAIN_MARGIN, CouplingParams, DualPoint, OscillatorPoint,
+                     SutherlandPoint, _slack_rows, canonical_angle, chart_membership,
                      z_from_angle_rows)
 from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
-from .sutherland import lax_K, lax_Y, momentum_residual, \
+from .sutherland import _lax_K_kernel, lax_Y, momentum_residual, \
     real_constraint_vector, sutherland_section
 
 #: pullback constant: forward_map^* [sum dlambda ^ dtheta] = DUAL_PAIRING * sum dq ^ dp
@@ -53,22 +53,29 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     The residual central freedom multiplies both args by a common phase, so
     theta is well defined.  Raises DegenerateTorusError when lambda lands on
     the chamber wall (the angle chart is undefined there; use the z chart).
-    :func:`forward_residuals` measures F.
+    :func:`forward_residuals` measures F.  One point of :func:`_forward_kernel`.
     """
-    n = point.n
-    spec = pair_diagonalize_gminus(lax_K(point, params))
-    lam = np.sqrt(spec.values**2 + params.kappa**2)
-    probe = chart_membership(lam.tolist(), "lambda_theta", params, 1e-9)
-    if probe != "inside":
-        raise DegenerateTorusError(
-            f"degenerate torus: action vector {lam.tolist()} is {probe} "
-            "relative to the open chamber; angles are undefined there"
-        )
-    g = spec.frame.m
-    h = h_matrix(lam, params).h.m
-    F = h.T @ (g.conj().T @ (exp_iQ_diagonal(point.q).conj() * real_constraint_vector(n)))
-    theta = canonical_angle(np.angle(F[n:]) - np.angle(F[:n]))
+    lam, theta, F = _forward_kernel(point.q, point.p, params)
     return DualPoint(lam=lam, theta=theta), F
+
+
+def _forward_kernel(q, p, params: CouplingParams):
+    """:func:`forward_map_full` over a stack (..., n) of raw q and p: (lambda, theta, F), each
+    row the bits of its point; the first row with lambda off the chamber raises its error."""
+    n = np.shape(q)[-1]
+    spec = pair_diagonalize_gminus(_lax_K_kernel(q, p, params))
+    lam = np.sqrt(spec.values**2 + params.kappa**2)
+    slack = _slack_rows(lam, "lambda_theta", params)
+    if not (slack.min() > DOMAIN_MARGIN and slack.max() < np.inf):
+        row = lam[~np.all((slack > DOMAIN_MARGIN) & (slack < np.inf), axis=-1)][0].tolist()
+        raise DegenerateTorusError(
+            f"degenerate torus: action vector {row} is "
+            f"{chart_membership(row, 'lambda_theta', params)} relative to the open "
+            "chamber; angles are undefined there")
+    w = exp_iQ_diagonal(q).conj() * real_constraint_vector(n)
+    F = (h_matrix(lam, params).h.m.swapaxes(-1, -2) @ (_dag(spec.frame.m) @ w[..., None]))[..., 0]
+    theta = canonical_angle(np.angle(F[..., n:]) - np.angle(F[..., :n]))
+    return lam, theta, F
 
 
 def forward_residuals(point: SutherlandPoint, dual: DualPoint, F,
@@ -154,26 +161,22 @@ def backward_map(dual: DualPoint, params: CouplingParams) -> SutherlandPoint:
     return point
 
 
-def _forward_pullback(point: SutherlandPoint, params: CouplingParams,
-                      richardson: bool = False):
-    """(J^T Omega J, Omega) for the FD Jacobian J, step 1e-5, of the forward
-    map (q, p) -> (lambda, theta); Omega = [[0, I], [-I, 0]].
-
-    theta lives on the circle; it is measured from its value at the point and
-    wrapped to (-pi, pi], so the central differences need no wrapping.
-    """
-    from .dynamics import _rows, fd_gradient
-
+def _canonicity(point: SutherlandPoint, theta0, params: CouplingParams, scales,
+                richardson: bool = False) -> list:
+    """|| J^T Omega J - s * Omega || for each s in ``scales``, J the FD Jacobian, step 1e-5,
+    of the forward map (q, p) -> (lambda, theta), its stencil one :func:`_forward_kernel`
+    call; Omega = [[0, I], [-I, 0]].  theta is measured from theta0, its value at the point,
+    and wrapped to (-pi, pi], so the central differences need no wrapping."""
+    from .dynamics import fd_gradient
     n = point.n
-    theta0 = forward_map(point, params).theta
 
     def lifted(x):
-        dual, _ = forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), params)
-        return np.r_[dual.lam, (dual.theta - theta0 + np.pi) % (2.0 * np.pi) - np.pi]
+        lam, theta, _ = _forward_kernel(x[..., :n], x[..., n:], params)
+        return np.concatenate((lam, (theta - theta0 + np.pi) % (2.0 * np.pi) - np.pi), -1)
 
-    J = fd_gradient(_rows(lifted), np.r_[point.q, point.p], 1e-5, richardson)
+    J = fd_gradient(lifted, np.r_[point.q, point.p], 1e-5, richardson)
     Omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    return J.T @ Omega @ J, Omega
+    return [float(np.linalg.norm(J.T @ Omega @ J - s * Omega)) for s in scales]
 
 
 def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
@@ -188,15 +191,14 @@ def canonicity_residual(point: SutherlandPoint, params: CouplingParams,
     ``richardson`` combines the steps h and h/2, which suppresses the h^2
     truncation error near steep chamber walls.
     """
-    pullback, Omega = _forward_pullback(point, params, richardson)
-    return float(np.linalg.norm(pullback - scale * Omega))
+    return _canonicity(point, forward_map(point, params).theta, params, (scale,), richardson)[0]
 
 
 def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
     """Forward-then-backward report with all standing residuals attached.
 
     Both canonicity residuals, uncalibrated and calibrated, are read off one
-    finite-difference Jacobian of the forward map.
+    finite-difference Jacobian of the forward map, measured from the image's angles.
     """
     dual, F = forward_map_full(point, params)
     moduli, h0 = forward_residuals(point, dual, F, params)
@@ -204,9 +206,7 @@ def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
     lax_err, mom = backward_residuals(back, Y, params)
     err = float(max(np.max(np.abs(back.q - point.q)),
                     np.max(np.abs(back.p - point.p))))
-    pullback, Omega = _forward_pullback(point, params)
-    can, can_cal = (float(np.linalg.norm(pullback - s * Omega))
-                    for s in (1.0, DUAL_PAIRING))
+    can, can_cal = _canonicity(point, dual.theta, params, (1.0, DUAL_PAIRING))
     return {
         "input": point.to_dict(),
         "output": dual.to_dict(),

@@ -24,10 +24,12 @@ rounding noise is about 1e-12 relative, well below the integrator's
 tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
-a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_k
-and the dual H0 are numpy kernels over such stacks and the dual h_k read z
-for the whole stack in one pass; only the duality maps and the Newton
-Jacobian's vector field are lifted to stacks row by row by ``_rows``.
+a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_k,
+the dual H0 and the forward map of the FD canonicity residual are numpy
+kernels over such stacks, and the dual h_k read z for the whole stack in one
+pass; ``_rows`` lifts the rest row by row: the backward map of the
+lambda_theta monitors and of ``angle_linearity_check``'s energy, and the
+Newton Jacobian's vector field.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -205,11 +207,11 @@ def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarr
 
     ``fn`` maps a stack of points (..., d) to values (...) or (..., p); it is
     called once, on the (2d, d) stencil x + h e_j, x - h e_j, or with
-    ``richardson`` on the (4d, d) stencil of the steps h and h/2, which are
-    combined as (4 D(h/2) - D(h)) / 3 to cancel the h^2 error.  Returns the
-    gradient for a scalar fn and the Jacobian, one column per component of
-    x, for a vector fn.  A map of one point goes through :func:`_rows`.
-    """
+    ``richardson`` on the (4d, d) stencil of the steps h and h/2, combined as
+    (4 D(h/2) - D(h)) / 3 to cancel the h^2 error.  Returns the gradient for a
+    scalar fn and the Jacobian, one column per component of x, for a vector
+    fn.  A map of one point goes through :func:`_rows`: the backward map of
+    the monitors and the angle energy, and the Newton field, do."""
     x = np.asarray(x, dtype=float)
     d = x.size
     steps = (step, step / 2.0) if richardson else (step,)

@@ -48,10 +48,15 @@ def exchange_matrix(n: int) -> np.ndarray:
 
 
 def conj_by_C(X: np.ndarray) -> np.ndarray:
-    """C X C computed as an exact index permutation (no float arithmetic)."""
-    n = X.shape[0] // 2
+    """C X C over a stack (..., N, N), an exact index permutation (no float arithmetic)."""
+    n = X.shape[-1] // 2
     idx = np.arange(-n, n)  # -n..-1 index the second half: the halves swapped
-    return X[idx[:, None], idx]
+    return X[..., idx[:, None], idx]
+
+
+def _dag(X: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a stack (..., M, N)."""
+    return X.conj().swapaxes(-1, -2)
 
 
 def exp_iQ(q) -> np.ndarray:
@@ -62,7 +67,7 @@ def exp_iQ(q) -> np.ndarray:
 def exp_iQ_diagonal(q) -> np.ndarray:
     """The diagonal exp(i*(q, -q)) of :func:`exp_iQ`, for broadcasting."""
     q = np.asarray(q, dtype=float)
-    return np.exp(1j * np.concatenate((q, -q)))
+    return np.exp(1j * np.concatenate((q, -q), -1))
 
 
 #: tag -> (its own relation: X^dag X = 1 if True, else X^dag = -X; the matrix
@@ -71,10 +76,21 @@ def exp_iQ_diagonal(q) -> np.ndarray:
 _RELATIONS = {
     "unitary": (True, None),
     "Gplus": (True, lambda X: X),
-    "Gminus": (True, lambda X: X.conj().T),
+    "Gminus": (True, _dag),
     "gplus": (False, lambda X: X),
     "gminus": (False, lambda X: -X),
 }
+
+
+def _relation_defects(X: np.ndarray, tag: str) -> tuple:
+    """The defects of the relation(s) of ``tag`` (_RELATIONS) over a stack X (..., N, N)."""
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2] or X.shape[-1] % 2:
+        raise ValueError("X must be square of even size")
+    if tag not in _RELATIONS:
+        raise ValueError(f"unknown structure tag {tag!r}; expected one of {STRUCTURE_TAGS}")
+    unitary, image = _RELATIONS[tag]
+    own = _dag(X) @ X - np.eye(X.shape[-1]) if unitary else _dag(X) + X
+    return (own,) if image is None else (own, conj_by_C(X) - image(X))
 
 
 def structure_residual(X, tag: str) -> float:
@@ -84,15 +100,9 @@ def structure_residual(X, tag: str) -> float:
     so 0 still means exact membership.
     """
     X = np.asarray(X, dtype=complex)
-    N = X.shape[0]
-    if X.shape != (N, N) or N % 2:
+    if X.ndim != 2:
         raise ValueError("X must be square of even size")
-    if tag not in _RELATIONS:
-        raise ValueError(f"unknown structure tag {tag!r}; expected one of {STRUCTURE_TAGS}")
-    unitary, image = _RELATIONS[tag]
-    Xh = X.conj().T
-    r = float(np.linalg.norm(Xh @ X - np.eye(N) if unitary else Xh + X))
-    return r if image is None else max(r, float(np.linalg.norm(conj_by_C(X) - image(X))))
+    return max(float(np.linalg.norm(D)) for D in _relation_defects(X, tag))
 
 
 @dataclass(frozen=True)
@@ -114,9 +124,12 @@ class PairedSpectrum:
 
 
 def _require_structure(X, tag):
-    r = structure_residual(X, tag)
-    if r > CHECK_TOL:
-        raise StructureError(f"input fails {tag} residual check: {r:.3e} > {CHECK_TOL:.1e}")
+    """Raise StructureError for the first matrix of the stack X (..., N, N) whose residual
+    exceeds CHECK_TOL, screening X at half that by the norm of all defects, which bounds each."""
+    screen = np.linalg.norm(np.concatenate(_relation_defects(X, tag), -1), axis=(-2, -1))
+    for M in X[screen > CHECK_TOL / 2]:
+        if (r := structure_residual(M, tag)) > CHECK_TOL:
+            raise StructureError(f"input fails {tag} residual check: {r:.3e} > {CHECK_TOL:.1e}")
 
 
 def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
@@ -139,13 +152,14 @@ def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _paired_frame(V: np.ndarray) -> np.ndarray:
-    """The Gplus frame [v, Cv] of the primary columns V (2n x n), each column's
-    largest-magnitude entry made real positive (this fixes the residual Z
-    freedom, one phase per pair of columns)."""
-    n = V.shape[1]
-    peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
-    V = V / (peak / np.abs(peak))
-    return np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
+    """The Gplus frames [v, Cv] of a stack (..., 2n, n) of primary columns V,
+    each column's largest-magnitude entry made real positive (this fixes the
+    residual Z freedom, one phase per pair of columns)."""
+    n = V.shape[-1]
+    Vs = V.reshape(-1, 2 * n, n)
+    peak = Vs[np.arange(len(Vs))[:, None], np.argmax(np.abs(Vs), axis=1), np.arange(n)]
+    V = (Vs / (peak / np.abs(peak))[:, None, :]).reshape(V.shape)
+    return np.concatenate((V, np.concatenate((V[..., n:, :], V[..., :n, :]), -2)), -1)
 
 
 def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
@@ -161,27 +175,28 @@ def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     -i*Y_minus follows: with E = g^dag (-i*Y_minus) v and L = (d, -d), d_j
     becomes E_jj and v_j gains g z_j, z the anti-Hermitian part of
     E_kj / (d_j - L_k) over the gaps above 1e-6 * max(1, ||Y_minus||_F).
-    The input must be gminus within CHECK_TOL.
+    The input must be gminus within CHECK_TOL.  A stack (..., 2n, 2n) takes one
+    batched SVD; each item gets its own bits, and the first that fails raises its error.
     """
     Y = np.asarray(Yminus, dtype=complex)
     _require_structure(Y, "gminus")
-    n = Y.shape[0] // 2
-    scale = max(1.0, float(np.linalg.norm(Y)))
-    X, d, Wh = np.linalg.svd(-1j * (Y[:n, :n] + Y[:n, n:]))
-    W = Wh.conj().T
-    V = np.concatenate((W + X, W - X)) / 2.0
-    g = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)  # [v, Cv]
-    E = g.conj().T @ (Y @ V) * -1j
-    d = np.abs(E.diagonal().real)
-    gap = d - np.concatenate((d, -d))[:, None]
+    n = Y.shape[-1] // 2
+    scale = np.maximum(1.0, np.linalg.norm(Y, axis=(-2, -1)))[..., None, None]
+    X, d, Wh = np.linalg.svd(-1j * (Y[..., :n, :n] + Y[..., :n, n:]))
+    W = _dag(Wh)
+    V = np.concatenate((W + X, W - X), -2) / 2.0
+    g = np.concatenate((V, np.concatenate((V[..., n:, :], V[..., :n, :]), -2)), -1)  # [v, Cv]
+    E = _dag(g) @ (Y @ V) * -1j
+    d = np.abs(E.diagonal(0, -2, -1).real)
+    gap = d[..., None, :] - np.concatenate((d, -d), -1)[..., None]
     Z = E / np.where(np.abs(gap) > 1e-6 * scale, gap, np.inf)
-    Z -= np.concatenate((Z[:n].conj().T, Z[n:].conj().T))  # twice its anti-Hermitian part
+    Z -= _dag(np.concatenate((Z[..., :n, :], Z[..., n:, :]), -1))  # twice its anti-Hermitian part
     g = _paired_frame(V + g @ (Z / 2.0))
 
-    recon = (g * (1j * np.concatenate((d, -d)))) @ g.conj().T
-    err = float(np.linalg.norm(recon - Y))
-    if err > 1e-8 * scale:
-        raise PairingError(f"pair diagonalization reconstruction residual {err:.3e}")
+    recon = (g * (1j * np.concatenate((d, -d), -1))[..., None, :]) @ _dag(g)
+    err = np.linalg.norm(recon - Y, axis=(-2, -1))
+    if (bad := err > 1e-8 * scale[..., 0, 0]).any():
+        raise PairingError(f"pair diagonalization reconstruction residual {err[bad][0]:.3e}")
     return PairedSpectrum(values=d, frame=StructuredMatrix(g))
 
 
@@ -249,25 +264,6 @@ def cartan_decompose_gminus(B):
     return StructuredMatrix(eta), q
 
 
-def _perm_parity(perm) -> int:
-    """Sign of a permutation given as a list of 0-based indices."""
-    perm = list(perm)
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def jacobi_minor_residual(A, rows, cols, p: int, det_tol: float = 1e-8) -> float:
     """Numerical residual of the complementary-minor identity for det(A) = 1.
 
@@ -289,7 +285,8 @@ def jacobi_minor_residual(A, rows, cols, p: int, det_tol: float = 1e-8) -> float
     B = np.linalg.inv(A).T
     minor_B = np.linalg.det(B[np.ix_(rows[:p], cols[:p])])
     minor_A = np.linalg.det(A[np.ix_(rows[p:], cols[p:])])
-    sign = _perm_parity(rows) * _perm_parity(cols)
+    # the determinant of a permutation matrix is its sign, exactly: LU pivots only
+    sign = round(np.linalg.det(np.eye(N)[rows]) * np.linalg.det(np.eye(N)[cols]))
     return float(abs(minor_B - sign * minor_A))
 
 

@@ -59,28 +59,22 @@ def h_matrix(lam, params: CouplingParams) -> DualFrame:
     they are exactly alpha = 1, beta = 0 in floating point (sqrt(x^2) = x and
     x/x = 1), so h is the identity.  The identities alpha^2 + beta^2 = 1 and
     h diag(lambda, -lambda) h^T = diag(d, -d) - kappa*C are measured by the
-    verify row ``rsvd.h_frame_identity``.
+    verify row ``rsvd.h_frame_identity``.  Over a stack (..., n), h is (..., 2n, 2n).
     """
-    lam = np.asarray(lam, dtype=float).tolist()
+    lam = np.asarray(lam, dtype=float)
     kappa = params.kappa
-    if any(x < abs(kappa) for x in lam):
-        raise DomainError(
-            f"every lambda_j must be >= |kappa| = {abs(kappa)}, got {lam}"
-        )
-    alpha, beta = [], []
-    for x in lam:
-        s = math.sqrt(x + math.sqrt(x * x - kappa * kappa))
-        r = math.sqrt(2.0 * x)
-        alpha.append(s / r)
-        beta.append(kappa / (r * s))
-    n = len(lam)
-    N = 2 * n
-    h = np.zeros((N, N), dtype=complex)
-    flat = h.reshape(-1)  # diagonals of the four n x n blocks, as strided slices
-    flat[::N + 1] = alpha + alpha
-    flat[n:n * N:N + 1] = beta
-    flat[n * N::N + 1] = [-b for b in beta]
-    return DualFrame(h=StructuredMatrix(h), alpha=np.array(alpha), beta=np.array(beta))
+    if (low := lam < abs(kappa)).any():
+        raise DomainError(f"every lambda_j must be >= |kappa| = {abs(kappa)}, "
+                          f"got {lam[low.any(-1)][0].tolist()}")
+    s = np.sqrt(lam + np.sqrt(lam * lam - kappa * kappa))
+    r = np.sqrt(2.0 * lam)
+    alpha, beta = s / r, kappa / (r * s)
+    n, N = lam.shape[-1], 2 * lam.shape[-1]
+    h = np.zeros(lam.shape[:-1] + (N * N,), dtype=complex)  # each h flattened: the diagonals
+    h[..., ::N + 1] = np.concatenate((alpha, alpha), -1)    # of its four blocks are slices
+    h[..., n:n * N:N + 1] = beta
+    h[..., n * N::N + 1] = -beta
+    return DualFrame(StructuredMatrix(h.reshape(lam.shape[:-1] + (N, N))), alpha, beta)
 
 
 def f_vector(dual: DualPoint, params: CouplingParams) -> np.ndarray:

@@ -115,10 +115,15 @@ def spectrum(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
 
 def _Hk_kernel(K, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
     """:func:`hamiltonians` over a stack (..., 2n, 2n) of :func:`lax_K`: one ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(-1j * (K - 1j * params.kappa * exchange_matrix(params.n)))
+    return _Hk_of_spectrum(eigs, params, kmax)
+
+
+def _Hk_of_spectrum(eigs, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
+    """H_1..H_kmax from a stack (..., 2n) of spectra of -i*Y."""
     kmax = params.n if kmax is None else int(kmax)
     if not 1 <= kmax <= params.n:
         raise ValueError(f"kmax must lie in 1..n = {params.n}")
-    eigs = np.linalg.eigvalsh(-1j * (K - 1j * params.kappa * exchange_matrix(params.n)))
     return np.stack([np.sum(eigs ** (2 * k), -1) / (4.0 * k) for k in range(1, kmax + 1)], -1)
 
 
@@ -142,13 +147,14 @@ def hamiltonians_matrix_route(point: SutherlandPoint, params: CouplingParams) ->
     return np.array(out)
 
 
-def odd_trace_residual(point: SutherlandPoint, params: CouplingParams) -> float:
-    """Largest normalized odd trace of -iY, k = 0..n-1; zero for the paired spectrum.
+def odd_trace_residual(eigs) -> float:
+    """Largest normalized odd trace of -iY, k = 0..n-1, from its spectrum ``eigs``
+    (:func:`spectrum`); zero for the paired spectrum.
 
     Each |tr((-iY)^(2k+1))| is divided by max(1, sum |eig|^(2k+1)) so the
     cancellation is measured relative to the scale of the power sums.
     """
-    power = spectrum(point, params) ** (2 * np.arange(params.n)[:, None] + 1)
+    power = eigs ** (np.arange(1, eigs.size, 2)[:, None])
     return float(np.max(np.abs(power.sum(-1)) / np.maximum(1.0, np.abs(power).sum(-1))))
 
 

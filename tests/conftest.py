@@ -46,3 +46,47 @@ def lax_K_loop(q, p, params):
             top[n + k] = rows[k][n + j] = b
             bottom[k] = rows[n + k][j] = -b
     return np.array(rows)
+
+
+def h_matrix_loop(lam, params):
+    """Reference dual frame (h, alpha, beta) at one lambda: a loop over Python
+    floats, alpha = sqrt(x + sqrt(x^2 - kappa^2)) / sqrt(2x) and
+    beta = kappa / (sqrt(2x) sqrt(x + sqrt(x^2 - kappa^2)))."""
+    lam = np.asarray(lam, dtype=float).tolist()
+    kappa = params.kappa
+    alpha, beta = [], []
+    for x in lam:
+        s = math.sqrt(x + math.sqrt(x * x - kappa * kappa))
+        r = math.sqrt(2.0 * x)
+        alpha.append(s / r)
+        beta.append(kappa / (r * s))
+    n = len(lam)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    for j in range(n):
+        h[j, j] = h[n + j, n + j] = alpha[j]
+        h[j, n + j] = beta[j]
+        h[n + j, j] = -beta[j]
+    return h, np.array(alpha), np.array(beta)
+
+
+def pair_diagonalize_one(Y):
+    """Reference paired spectrum (d, g) of one gminus matrix Y (2n x 2n): the
+    SVD of M = -i(Y_11 + Y_12), its Jordan-Wielandt eigenvectors paired as
+    g = [v, Cv], one first-order step against -iY over the gaps above
+    1e-6 max(1, ||Y||_F), and each column's largest entry made real positive."""
+    Y = np.asarray(Y, dtype=complex)
+    n = Y.shape[0] // 2
+    scale = max(1.0, float(np.linalg.norm(Y)))
+    X, d, Wh = np.linalg.svd(-1j * (Y[:n, :n] + Y[:n, n:]))
+    W = Wh.conj().T
+    V = np.concatenate((W + X, W - X)) / 2.0
+    g = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
+    E = g.conj().T @ (Y @ V) * -1j
+    d = np.abs(E.diagonal().real)
+    gap = d - np.concatenate((d, -d))[:, None]
+    Z = E / np.where(np.abs(gap) > 1e-6 * scale, gap, np.inf)
+    Z -= np.concatenate((Z[:n].conj().T, Z[n:].conj().T))
+    V = V + g @ (Z / 2.0)
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V = V / (peak / np.abs(peak))
+    return d, np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)

@@ -234,8 +234,12 @@ def test_round_trip_report_reads_one_jacobian(rng, monkeypatch):
         return forward_map_full(*args, **kwargs)
 
     monkeypatch.setattr(duality, "forward_map_full", counted)
+    kernel, stacks = duality._forward_kernel, []
+    monkeypatch.setattr(duality, "_forward_kernel",
+                        lambda q, *a: stacks.append(np.shape(q)) or kernel(q, *a))
     rep = round_trip_report(pt, p)
-    assert len(calls) <= 10
+    # the point is mapped once; its image's angles are the Jacobian's origin
+    assert len(calls) == 1 and stacks == [(2,), (8, 2)]
     assert rep["canonicity_residual"] == canonicity_residual(pt, p, scale=1.0)
     assert rep["canonicity_residual_calibrated"] == canonicity_residual(
         pt, p, scale=DUAL_PAIRING)
@@ -432,3 +436,61 @@ def test_backward_map_and_A_check_read_the_given_lambda(rng, monkeypatch):
         pt, _ = backward_map_full(dual, p)
         assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
         assert np.array_equal(rsvd.A_check(dual, p).m, A_ref)
+
+
+def _bits(a):
+    """The raw words of a float or complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_forward_kernel_rows_match_the_point_map_bit_for_bit(rng):
+    # the Richardson stencil rows of canonicity_residual around points at
+    # n = 1-8, kappa = 0 at every fifth, and stencils around q_n = 1e-7 at a
+    # step that keeps them inside: every row's lambda, theta and F are the
+    # bits forward_map_full gives its point
+    from bcsuth.dynamics import _unit_stencil
+
+    for n in range(1, 9):
+        for s in range(10):
+            p = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
+            q, mom = sample_sutherland(rng, n).q.copy(), rng.standard_normal(n)
+            step = 1e-5
+            if s % 5 == 3:
+                q[-1], step = 1e-7, 1e-8
+            x = np.r_[q, mom] + step * _unit_stencil(2 * n, True)
+            lam, theta, F = duality._forward_kernel(x[:, :n], x[:, n:], p)
+            assert lam.shape == theta.shape == (8 * n, n) and F.shape == (8 * n, 2 * n)
+            for row, xr in enumerate(x):
+                dual, F1 = forward_map_full(SutherlandPoint(q=xr[:n], p=xr[n:]), p)
+                assert np.array_equal(_bits(lam[row]), _bits(dual.lam))
+                assert np.array_equal(_bits(theta[row]), _bits(dual.theta))
+                assert np.array_equal(_bits(F[row]), _bits(F1))
+
+
+def test_forward_kernel_degenerate_row_raises_the_error_of_its_point():
+    # at n = 1, kappa = 0 the action is nu / sin(2q) at p = 0: q = pi/4 lies
+    # on the wall and q = pi/4 + 1e-6 within the margin of it
+    q = np.array([[0.5], [np.pi / 4], [np.pi / 4 + 1e-6]])
+    p = np.array([[0.3], [0.0], [0.0]])
+    with pytest.raises(DegenerateTorusError) as alone:
+        forward_map_full(SutherlandPoint(q=q[1], p=p[1]), P1)
+    with pytest.raises(DegenerateTorusError) as stacked:
+        duality._forward_kernel(q, p, P1)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DegenerateTorusError) as last:
+        duality._forward_kernel(q[::2], p[::2], P1)
+    assert str(last.value) != str(alone.value)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_canonicity_residual_is_one_kernel_call_per_jacobian(rng, monkeypatch, richardson):
+    # theta0 from the point's own map, then the whole stencil in one call
+    n = 3
+    p = sample_params(rng, n, CFG)
+    pt = sample_sutherland(rng, n)
+    expected = canonicity_residual(pt, p, scale=DUAL_PAIRING, richardson=richardson)
+    kernel, stacks = duality._forward_kernel, []
+    monkeypatch.setattr(duality, "_forward_kernel",
+                        lambda q, *a: stacks.append(np.shape(q)) or kernel(q, *a))
+    assert canonicity_residual(pt, p, scale=DUAL_PAIRING, richardson=richardson) == expected
+    assert stacks == [(n,), ((8 if richardson else 4) * n, n)]

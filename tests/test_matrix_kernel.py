@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import pair_diagonalize_one
 
 import bcsuth
 from bcsuth.errors import PairingError, StructureError
@@ -152,6 +153,76 @@ def test_pair_diagonalize_phase_freedom_invariance(rng):
     Y2 = g2 @ (1j * np.diag(np.r_[d, -d])) @ g2.conj().T
     spec2 = pair_diagonalize_gminus(Y2)
     assert spec2.values == pytest.approx(d, abs=1e-11)
+
+
+def _bits(a):
+    """The raw words of a float or complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _gminus_stack(rng, n, shape=(3, 4)):
+    """Random gminus matrices, the zero matrix and one with a repeated pair."""
+    Ys = np.array([random_gminus_algebra(rng, n) for _ in range(int(np.prod(shape)))])
+    Ys[1] = 0.0
+    Ys[2] *= 1e-3
+    d = np.r_[1.5, 1.5, rng.uniform(0.0, 2.0, max(n - 2, 0))][:n]
+    g = random_gplus(rng, n)
+    Ys[3] = g @ (1j * np.diag(np.r_[d, -d])) @ g.conj().T
+    return Ys.reshape(shape + Ys.shape[1:])
+
+
+def test_pair_diagonalize_stack_matches_each_matrix_bit_for_bit(rng):
+    # one batched SVD: each matrix's values and frame are the bits it gets
+    # alone, and those of the single-matrix reference (and 1,040 more draws)
+    for n in range(1, 9):
+        for _ in range(130):
+            Y = random_gminus_algebra(rng, n)
+            spec, (d, g) = pair_diagonalize_gminus(Y), pair_diagonalize_one(Y)
+            assert np.array_equal(_bits(spec.values), _bits(d))
+            assert np.array_equal(_bits(spec.frame.m), _bits(g))
+        Ys = _gminus_stack(rng, n)
+        spec = pair_diagonalize_gminus(Ys)
+        assert spec.values.shape == (3, 4, n) and spec.frame.m.shape == (3, 4, 2 * n, 2 * n)
+        for i in np.ndindex(3, 4):
+            alone = pair_diagonalize_gminus(Ys[i])
+            d, g = pair_diagonalize_one(Ys[i])
+            for got in (spec.values[i], alone.values):
+                assert np.array_equal(_bits(got), _bits(d))
+            for got in (spec.frame.m[i], alone.frame.m):
+                assert np.array_equal(_bits(got), _bits(g))
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_pair_diagonalize_stack_raises_the_error_of_its_failing_matrix(rng, monkeypatch):
+    n = 3
+    Ys = _gminus_stack(rng, n)
+    bad = Ys.copy()
+    bad[1, 2] += 1e-3 * random_gplus_algebra(rng, n)  # not gminus
+    error = _raised(pair_diagonalize_gminus, bad[1, 2])
+    assert error[0] is StructureError
+    assert _raised(pair_diagonalize_gminus, bad) == error
+    # an SVD that leaves the large matrices' frames off by 1e-3 trips the
+    # reconstruction gate of those matrices only; the first of them is named
+    svd = np.linalg.svd
+
+    def rough_svd(M):
+        X, d, Wh = svd(M)
+        return X + 1e-3 * (d[..., :1, None] > 50.0), d, Wh
+
+    big = Ys.copy()
+    big[2, 1] *= 100.0
+    big[2, 3] *= 300.0
+    monkeypatch.setattr(np.linalg, "svd", rough_svd)
+    error = _raised(pair_diagonalize_gminus, big[2, 1])
+    assert error[0] is PairingError
+    assert _raised(pair_diagonalize_gminus, big) == error
+    assert _raised(pair_diagonalize_gminus, big[2, 3]) != error
+    pair_diagonalize_gminus(Ys)
 
 
 def test_cartan_decompose_diagonal_example():

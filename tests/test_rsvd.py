@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import match_spectra
+from conftest import h_matrix_loop, match_spectra
 
 from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import DomainError
@@ -51,6 +51,46 @@ def test_h_matrix_is_Gminus(rng):
 def test_h_matrix_rejects_small_lambda():
     with pytest.raises(DomainError):
         h_matrix([0.5], couplings_from_rsvd(1.0, 2.0, 1.0, 1))
+
+
+def _bits(a):
+    """The raw words of a float or complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_h_matrix_matches_the_float_loop_bit_for_bit(rng):
+    # 1,200 lambda draws at n = 1-8, a fifth of them at kappa = 0 (and one
+    # row exactly at |kappa|): every word of h, alpha and beta, signed zeros
+    # included, is the float loop's, for a point and for each row of a stack
+    for n in range(1, 9):
+        for s in range(150):
+            p = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
+            lam = sample_dual(rng, n, p).lam.copy() if s % 2 else \
+                np.sort(abs(p.kappa) + 10.0 ** rng.uniform(-3.0, 3.0, n))[::-1]
+            if s == 7:
+                lam[-1] = abs(p.kappa)
+            frame, (h, alpha, beta) = h_matrix(lam, p), h_matrix_loop(lam, p)
+            for got, ref in ((frame.h.m, h), (frame.alpha, alpha), (frame.beta, beta)):
+                assert np.array_equal(_bits(got), _bits(ref))
+        lams = np.sort(abs(p.kappa) + rng.uniform(0.0, 5.0, (3, 4, n)))[..., ::-1]
+        stack = h_matrix(lams, p)
+        assert stack.h.m.shape == (3, 4, 2 * n, 2 * n)
+        for i in np.ndindex(3, 4):
+            h, alpha, beta = h_matrix_loop(lams[i], p)
+            assert np.array_equal(_bits(stack.h.m[i]), _bits(h))
+            assert np.array_equal(_bits(stack.alpha[i]), _bits(alpha))
+            assert np.array_equal(_bits(stack.beta[i]), _bits(beta))
+
+
+def test_h_matrix_stack_raises_the_error_of_its_first_low_row():
+    p = couplings_from_rsvd(1.0, 2.0, 1.0, 2)
+    rows = np.array([[3.0, 2.0], [3.0, 0.5], [0.2, 0.1]])
+    with pytest.raises(DomainError) as alone:
+        h_matrix(rows[1], p)
+    with pytest.raises(DomainError) as stacked:
+        h_matrix(rows, p)
+    assert str(stacked.value) == str(alone.value)
+    assert "got [3.0, 0.5]" in str(alone.value)
 
 
 def test_f_vector_single_particle():

@@ -326,3 +326,22 @@ def test_energy_control_trips_and_matches_a_per_step_reference(seed):
         ref = max(ref, abs(_H1_float(y[0], y[1], params) - H0))
     assert abs(drift - ref) <= 1e-12 * ref
     assert drift > 10 * DEFAULT_TOLERANCES["dynamics.energy_drift"]
+
+
+def test_sutherland_suite_builds_one_lax_matrix_and_two_spectra_per_sample(monkeypatch):
+    # 75 samples at seed 1 and the negative control: one Lax matrix per
+    # sample, one eigvalsh of -iY and one of -iK (the parent built the Lax
+    # matrix five times and took four eigvalsh per sample: 376 and 300)
+    import bcsuth.sutherland as sutherland
+
+    calls = {"lax": 0, "eigvalsh": 0}
+    kernel, eigvalsh = sutherland._lax_K_kernel, np.linalg.eigvalsh
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+    monkeypatch.setattr(sutherland, "_lax_K_kernel", counted("lax", kernel))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    report = run_suite(SuiteConfig("sutherland", seed=1))
+    assert report.passed
+    assert calls == {"lax": 76, "eigvalsh": 150}
