@@ -10,6 +10,16 @@ points.  Each ``*_full`` map also returns the array its residuals
 are read from (F forward, the reconstructed Lax matrix Y backward), which
 :func:`forward_residuals` and :func:`backward_residuals` measure.
 
+Both maps are one-point wrappers of twin stack kernels over raw (..., n)
+arrays, :func:`_forward_kernel` of q and p and :func:`_backward_kernel` of
+lambda and theta, which take one coupling triple per row
+(:class:`~bcsuth.params.CouplingRows`) and give each row the bits of its
+point.  The forward kernel also returns its Lax part K, off which
+:func:`invariant_crosscheck` reads Y; the backward kernel checks the
+recovered q once and builds the Lax matrix of its gate straight from
+:func:`~bcsuth.sutherland._lax_K_kernel`, and returns the defect that gate
+measured, which :func:`backward_residuals` reuses.
+
 Measured symplectic normalization
 ---------------------------------
 With the angle convention used here (theta_c = arg F_{n+c} - arg F_c, the
@@ -31,14 +41,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateTorusError, DomainError
-from .matkernel import _dag, exchange_matrix, exp_iQ, exp_iQ_diagonal, \
+from .matkernel import _dag, _frobenius, exchange_matrix, exp_iQ, exp_iQ_diagonal, \
     cartan_decompose_gminus, pair_diagonalize_gminus
 from .params import (DOMAIN_MARGIN, CouplingParams, DualPoint, OscillatorPoint,
-                     SutherlandPoint, _slack_rows, canonical_angle, chart_membership,
-                     z_from_angle_rows)
+                     SutherlandPoint, _outside_rows, _slack_rows, canonical_angle,
+                     chart_membership, require_inside, row_params, z_from_angle_rows)
 from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
-from .sutherland import _lax_K_kernel, lax_Y, momentum_residual, \
-    real_constraint_vector, sutherland_section
+from .sutherland import _lax_K_kernel, _lax_Y_of_K, momentum_residual, \
+    real_constraint_vector
 
 #: pullback constant: forward_map^* [sum dlambda ^ dtheta] = DUAL_PAIRING * sum dq ^ dp
 DUAL_PAIRING = -2.0
@@ -55,27 +65,31 @@ def forward_map_full(point: SutherlandPoint, params: CouplingParams):
     the chamber wall (the angle chart is undefined there; use the z chart).
     :func:`forward_residuals` measures F.  One point of :func:`_forward_kernel`.
     """
-    lam, theta, F = _forward_kernel(point.q, point.p, params)
+    lam, theta, F, _ = _forward_kernel(point.q, point.p, params)
     return DualPoint(lam=lam, theta=theta), F
 
 
 def _forward_kernel(q, p, params: CouplingParams):
-    """:func:`forward_map_full` over a stack (..., n) of raw q and p: (lambda, theta, F), each
-    row the bits of its point; the first row with lambda off the chamber raises its error."""
+    """:func:`forward_map_full` over a stack (..., n) of raw q and p: (lambda, theta, F, K),
+    each row the bits of its point, K its Lax part :func:`~bcsuth.sutherland.lax_K`;
+    ``params`` may hold one coupling triple per row (:class:`~bcsuth.params.CouplingRows`).
+    The first row with lambda off the chamber raises its error."""
     n = np.shape(q)[-1]
-    spec = pair_diagonalize_gminus(_lax_K_kernel(q, p, params))
-    lam = np.sqrt(spec.values**2 + params.kappa**2)
+    K = _lax_K_kernel(q, p, params)
+    spec = pair_diagonalize_gminus(K)
+    lam = np.sqrt(spec.values**2 + params.kappa_sq)
     slack = _slack_rows(lam, "lambda_theta", params)
     if not (slack.min() > DOMAIN_MARGIN and slack.max() < np.inf):
-        row = lam[~np.all((slack > DOMAIN_MARGIN) & (slack < np.inf), axis=-1)][0].tolist()
+        bad = _outside_rows(slack)
+        row = lam[bad][0].tolist()
         raise DegenerateTorusError(
             f"degenerate torus: action vector {row} is "
-            f"{chart_membership(row, 'lambda_theta', params)} relative to the open "
-            "chamber; angles are undefined there")
+            f"{chart_membership(row, 'lambda_theta', row_params(params, bad))} relative "
+            "to the open chamber; angles are undefined there")
     w = exp_iQ_diagonal(q).conj() * real_constraint_vector(n)
     F = (h_matrix(lam, params).h.m.swapaxes(-1, -2) @ (_dag(spec.frame.m) @ w[..., None]))[..., 0]
     theta = canonical_angle(np.angle(F[..., n:]) - np.angle(F[..., :n]))
-    return lam, theta, F
+    return lam, theta, F, K
 
 
 def forward_residuals(point: SutherlandPoint, dual: DualPoint, F,
@@ -103,54 +117,80 @@ def backward_map_full(dual: DualPoint, params: CouplingParams,
     gives q, W = eta^dag h carries phi(z) to e^{iQ(q)} W phi(z) = (u, -u), the
     central phase zeta = conj(u)/|u| makes u positive, and p is read off the
     diagonal of Y = i (zeta W) diag(lambda, -lambda) (zeta W)^dag.
-    Raises ConsistencyError when the gauge-fixed constraint vector leaves the
-    section by more than 1e-6 and, with ``validate``, when || Y - Y(q, p) ||
-    exceeds 1e-6.
+    Raises DomainError when q leaves the chamber, ConsistencyError when the
+    gauge-fixed constraint vector leaves the section by more than 1e-6 and,
+    with ``validate``, when || Y - Y(q, p) || exceeds 1e-6.  One point of
+    :func:`_backward_kernel`.
     """
-    n = dual.n
-    z = z_from_angle_rows(dual.lam, dual.theta, params)
-    h = h_matrix(dual.lam, params).h.m
-    A, phi = _A_tilde_phi(z, dual.lam, params)
-    eta, q = cartan_decompose_gminus(-(h @ A @ h).conj().T)
-    qpoint_probe = chart_membership(q.tolist(), "qp", params, 1e-12)
-    if qpoint_probe != "inside":
-        raise DomainError(
-            f"recovered q = {q.tolist()} is {qpoint_probe} relative to the "
-            "open Sutherland chamber")
+    q, p, Y, _ = _backward_kernel(dual.lam, dual.theta, params, validate)
+    return SutherlandPoint(q=q, p=p), Y
 
-    W = eta.m.conj().T @ h
-    v = exp_iQ_diagonal(q) * (W @ phi)
-    u = v[:n]
-    unit_defect = float(np.max(np.abs(np.abs(u) - 1.0)))
-    mirror_defect = float(np.linalg.norm(v[n:] + u))
-    if unit_defect > 1e-6 or mirror_defect > 1e-6:
+
+def _backward_kernel(lam, theta, params: CouplingParams, validate: bool = True):
+    """:func:`backward_map_full` over a stack (..., n) of raw lambda and theta:
+    (q, p, Y, lax), each row the bits of its point, lax the Lax defect
+    || Y - Y(q, p) || of each row that the ``validate`` gate measured (None
+    without it); ``params`` may hold one coupling triple per row
+    (:class:`~bcsuth.params.CouplingRows`), and theta must be reduced as
+    :class:`~bcsuth.params.DualPoint` reduces it.  Each gate raises the error
+    of its first failing row: q is checked once, against the open chamber
+    within 1e-12 and, with ``validate``, within DOMAIN_MARGIN before the Lax
+    matrix is built from it.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
+    z = z_from_angle_rows(lam, theta, params)
+    h = h_matrix(lam, params).h.m
+    A, phi = _A_tilde_phi(z, lam, params)
+    eta, q = cartan_decompose_gminus(-_dag(h @ A @ h))
+    slack = _slack_rows(q, "qp", params)
+    inside = slack.min() > DOMAIN_MARGIN and slack.max() < np.inf  # every row, both margins
+    if not inside and (bad := _outside_rows(slack, 1e-12)).any():
+        row = q[bad][0].tolist()
+        raise DomainError(f"recovered q = {row} is {chart_membership(row, 'qp', params, 1e-12)} "
+                          "relative to the open Sutherland chamber")
+
+    W = _dag(eta.m) @ h
+    v = exp_iQ_diagonal(q) * (W @ phi[..., None])[..., 0]
+    u = v[..., :n]
+    mirror = np.square((v[..., n:] + u).view(float)).sum(-1)  # squared norms
+    if (bad := (np.abs(np.abs(u) - 1.0).max(-1) > 1e-6) | (mirror > 1e-12)).any():
+        u, v = u[bad][0], v[bad][0]
         raise ConsistencyError(
             f"gauge-fixed constraint vector malformed: |u|-1 defect "
-            f"{unit_defect:.3e}, mirror defect {mirror_defect:.3e}")
+            f"{float(np.max(np.abs(np.abs(u) - 1.0))):.3e}, mirror defect "
+            f"{float(np.linalg.norm(v[n:] + u)):.3e}")
 
     zeta = u.conj() / np.abs(u)
-    ZW = np.concatenate((zeta, zeta))[:, None] * W
-    Y = 1j * ((ZW * np.concatenate((dual.lam, -dual.lam))) @ ZW.conj().T)
-    p = np.imag(np.diag(Y)[:n])
-    point = SutherlandPoint(q=q, p=p)
+    ZW = np.concatenate((zeta, zeta), -1)[..., None] * W
+    Y = 1j * ((ZW * np.concatenate((lam, -lam), -1)[..., None, :]) @ _dag(ZW))
+    p = np.imag(Y.diagonal(0, -2, -1)[..., :n])
+    lax = None
     if validate:
-        lax_err = _lax_defect(point, Y, params)
-        if lax_err > 1e-6:
+        if not inside and (bad := _outside_rows(slack)).any():
+            require_inside(q[bad][0].tolist(), "qp", row_params(params, bad))
+        lax = _lax_defect(q, p, Y, params, checked=True)
+        if (bad := lax > 1e-6).any():
             raise ConsistencyError(
-                f"reconstructed Lax matrix deviates by {lax_err:.3e} from the "
+                f"reconstructed Lax matrix deviates by {lax[bad][0]:.3e} from the "
                 "canonical form at the recovered point")
-    return point, Y
+    return q, p, Y, lax
 
 
-def _lax_defect(point: SutherlandPoint, Y, params: CouplingParams) -> float:
-    """|| Y - Y(q, p) ||: distance of Y from the Lax matrix at the point."""
-    return float(np.linalg.norm(Y - lax_Y(point, params).Y.m))
+def _lax_defect(q, p, Y, params: CouplingParams, checked: bool = False):
+    """|| Y - Y(q, p) || over a stack: distance of each Y from the Lax matrix at its
+    point, whose q the caller may have ``checked`` against the chamber."""
+    return _frobenius(Y - _lax_Y_of_K(_lax_K_kernel(q, p, params, not checked), params))
 
 
-def backward_residuals(point: SutherlandPoint, Y, params: CouplingParams):
+def backward_residuals(point: SutherlandPoint, Y, params: CouplingParams, lax=None):
     """Defects of a backward image: || Y - Y(q, p) || and the two constraint
-    defects of (e^{iQ(q)}, Y, V_R) (verify row ``duality.momentum_residual``)."""
-    return (_lax_defect(point, Y, params),
+    defects of (e^{iQ(q)}, Y, V_R) (verify row ``duality.momentum_residual``).
+    ``lax`` is the first defect as the backward map's gate measured it; it is
+    measured here only when not given."""
+    if lax is None:
+        lax = _lax_defect(point.q, point.p, Y, params)
+    return (float(lax),
             momentum_residual(exp_iQ(point.q), Y, real_constraint_vector(point.n),
                               params))
 
@@ -171,7 +211,7 @@ def _canonicity(point: SutherlandPoint, theta0, params: CouplingParams, scales,
     n = point.n
 
     def lifted(x):
-        lam, theta, _ = _forward_kernel(x[..., :n], x[..., n:], params)
+        lam, theta, _, _ = _forward_kernel(x[..., :n], x[..., n:], params)
         return np.concatenate((lam, (theta - theta0 + np.pi) % (2.0 * np.pi) - np.pi), -1)
 
     J = fd_gradient(lifted, np.r_[point.q, point.p], 1e-5, richardson)
@@ -202,8 +242,9 @@ def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
     """
     dual, F = forward_map_full(point, params)
     moduli, h0 = forward_residuals(point, dual, F, params)
-    back, Y = backward_map_full(dual, params)
-    lax_err, mom = backward_residuals(back, Y, params)
+    q, p, Y, lax = _backward_kernel(dual.lam, dual.theta, params)
+    back = SutherlandPoint(q=q, p=p)
+    lax_err, mom = backward_residuals(back, Y, params, lax)
     err = float(max(np.max(np.abs(back.q - point.q)),
                     np.max(np.abs(back.p - point.p))))
     can, can_cal = _canonicity(point, dual.theta, params, (1.0, DUAL_PAIRING))
@@ -223,12 +264,15 @@ def round_trip_report(point: SutherlandPoint, params: CouplingParams) -> dict:
 
 
 def invariant_crosscheck(point: SutherlandPoint, dual: DualPoint,
-                         params: CouplingParams, mmax: int = 4, kmax: int = 2) -> dict:
+                         params: CouplingParams, mmax: int = 4, kmax: int = 2,
+                         K=None) -> dict:
     """Gauge-invariant trace functions versus their closed forms at the image ``dual``.
 
     phi_m = Re tr(Y^m)/m vanishes for odd m and equals
     (-1)^(m/2) (2/m) sum lambda^m for even m; chi_k = Re tr(Y^k y^{-1} V V^dag y C)
     has closed forms in (lambda, theta) and the plus-branch moduli.
+    Y = K - i kappa C is read off K, the Lax part the forward map built at the
+    point (:func:`_forward_kernel`), which is built here only when not given.
     Returns the evaluated pairs and the maximum absolute errors.
     """
     n = point.n
@@ -237,7 +281,9 @@ def invariant_crosscheck(point: SutherlandPoint, dual: DualPoint,
     X = np.sqrt(Fsq[:n] * Fsq[n:])
     kappa = params.kappa
 
-    y, Y, V = sutherland_section(point, params)
+    if K is None:
+        K = _lax_K_kernel(point.q, point.p, params)
+    y, Y, V = exp_iQ(point.q), _lax_Y_of_K(K, params), real_constraint_vector(n)
     C = exchange_matrix(n)
     core = y.conj().T @ np.outer(V, V.conj()) @ y @ C
 

@@ -25,11 +25,11 @@ tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
 a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_k,
-the dual H0 and the forward map of the FD canonicity residual are numpy
-kernels over such stacks, and the dual h_k read z for the whole stack in one
-pass; ``_rows`` lifts the rest row by row: the backward map of the
-lambda_theta monitors and of ``angle_linearity_check``'s energy, and the
-Newton Jacobian's vector field.
+the dual H0 and both duality maps are numpy kernels over such stacks, and
+the dual h_k read z for the whole stack in one pass: the lambda_theta
+monitors, and ``angle_linearity_check``'s forward maps and energy stencil,
+make one kernel call each.  ``_rows`` lifts only the Newton Jacobian's vector
+field, a map of one point, row by row.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -58,10 +58,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .duality import DUAL_PAIRING, backward_map_full, forward_map_full
+# forward_map_full is read here by perfbench's tracer test, which patches every alias
+from .duality import DUAL_PAIRING, _backward_kernel, _forward_kernel, forward_map_full  # noqa: F401
 from .errors import BoundaryApproachError, NonConvergenceError
-from .params import (CouplingParams, DualPoint, SutherlandPoint,
-                     canonical_angle, chart_membership, chart_slacks,
+from .params import (CouplingParams, canonical_angle, chart_membership, chart_slacks,
                      require_finite, require_inside, z_from_angle_rows)
 from .rsvd import _dual_H0_kernel, dual_Hk, grad_dual_H0
 from .sutherland import _H1_kernel, _Hk_kernel, _action_kernel, _lax_K_kernel, grad_H1
@@ -210,8 +210,7 @@ def fd_gradient(fn, x, step: float = 1e-6, richardson: bool = False) -> np.ndarr
     ``richardson`` on the (4d, d) stencil of the steps h and h/2, combined as
     (4 D(h/2) - D(h)) / 3 to cancel the h^2 error.  Returns the gradient for a
     scalar fn and the Jacobian, one column per component of x, for a vector
-    fn.  A map of one point goes through :func:`_rows`: the backward map of
-    the monitors and the angle energy, and the Newton field, do."""
+    fn.  A map of one point goes through :func:`_rows`, as the Newton field does."""
     x = np.asarray(x, dtype=float)
     d = x.size
     steps = (step, step / 2.0) if richardson else (step,)
@@ -400,7 +399,7 @@ def default_monitors(flow: FlowSpec, params: CouplingParams):
     ``H_flow``, the flow Hamiltonian, alone, from one
     :func:`hamiltonian_function` call; qp chart: every H_k and every action
     component, from one Lax stack and its two ``eigvalsh`` stacks;
-    lambda_theta chart: the dual actions q_j, from one backward map per sample.
+    lambda_theta chart: the dual actions q_j, from one backward-map stack.
     """
     n = params.n
     H = hamiltonian_function(flow, params)
@@ -411,11 +410,9 @@ def default_monitors(flow: FlowSpec, params: CouplingParams):
             return np.concatenate((_Hk_kernel(K, params), _action_kernel(K, params)), axis=1)
         groups.append(([f"H{k+1}" for k in range(n)] + [f"lambda{j+1}" for j in range(n)], lax))
     else:
-        def positions(x):
-            pt, _ = backward_map_full(
-                DualPoint(lam=x[:n], theta=x[n:]), params, validate=False)
-            return pt.q
-        groups.append(([f"q{j+1}" for j in range(n)], _rows(positions)))
+        groups.append(([f"q{j+1}" for j in range(n)],
+                       lambda xs: _backward_kernel(xs[:, :n], canonical_angle(xs[:, n:]),
+                                                   params, False)[0]))
     return groups
 
 
@@ -503,13 +500,7 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
     n = params.n
     idx = np.arange(0, traj.times.size, traj.flow.monitor_stride)
     ts = traj.times[idx]
-    lams = np.empty((idx.size, n))
-    thetas = np.empty((idx.size, n))
-    for row, i in enumerate(idx):
-        s = traj.states[i]
-        dual, _ = forward_map_full(SutherlandPoint(q=s[:n], p=s[n:]), params)
-        lams[row] = dual.lam
-        thetas[row] = dual.theta
+    lams, thetas, _, _ = _forward_kernel(traj.states[idx, :n], traj.states[idx, n:], params)
     thetas = np.unwrap(thetas, axis=0)
 
     slopes = np.empty(n)
@@ -521,15 +512,14 @@ def angle_linearity_check(traj: Trajectory, params: CouplingParams) -> dict:
         fit_residuals[j] = float(np.max(np.abs(fit - thetas[:, j])))
 
     lam0 = lams[0]
-    theta0 = thetas[0] % (2.0 * np.pi)
+    theta0 = canonical_angle(thetas[0])
     flow_H = hamiltonian_function(traj.flow, params)
 
-    def energy_at(lam):
-        pt, _ = backward_map_full(DualPoint(lam=lam, theta=theta0), params,
-                                  validate=False)
-        return flow_H(np.r_[pt.q, pt.p])
+    def energy(lam):
+        q, p, _, _ = _backward_kernel(lam, theta0, params, validate=False)
+        return flow_H(np.concatenate((q, p), -1))
 
-    dHdlam = fd_gradient(_rows(energy_at), lam0, 1e-5)
+    dHdlam = fd_gradient(energy, lam0, 1e-5)
 
     sample_dt = float(ts[1] - ts[0]) if ts.size > 1 else float(traj.flow.dt)
     unwrap_hazard = bool(sample_dt * float(np.max(np.abs(slopes))) > np.pi)

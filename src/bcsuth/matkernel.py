@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,16 +43,32 @@ STRUCTURE_TAGS = ("unitary", "Gplus", "Gminus", "gplus", "gminus")
 
 def exchange_matrix(n: int) -> np.ndarray:
     """The 2n x 2n Hermitian unitary C with identity off-diagonal blocks."""
+    return _exchange(n).copy()
+
+
+@lru_cache
+def _exchange(n: int) -> np.ndarray:
+    """:func:`exchange_matrix`, read-only, for the kernels that only read it."""
     C = np.zeros((2 * n, 2 * n), dtype=complex)
     C[:n, n:] = C[n:, :n] = np.eye(n)
+    C.flags.writeable = False
     return C
 
 
 def conj_by_C(X: np.ndarray) -> np.ndarray:
     """C X C over a stack (..., N, N), an exact index permutation (no float arithmetic)."""
-    n = X.shape[-1] // 2
-    idx = np.arange(-n, n)  # -n..-1 index the second half: the halves swapped
-    return X[..., idx[:, None], idx]
+    rows, cols = _swapped_halves(X.shape[-1])
+    return X[..., rows, cols]
+
+
+@lru_cache
+def _swapped_halves(N: int):
+    """Row and column indices of :func:`conj_by_C`: -n..-1 index the second
+    half, so the halves are swapped."""
+    idx = np.arange(-(N // 2), N // 2)
+    idx.flags.writeable = False
+    return idx[:, None], idx
+
 
 
 def _dag(X: np.ndarray) -> np.ndarray:
@@ -126,8 +143,9 @@ class PairedSpectrum:
 def _require_structure(X, tag):
     """Raise StructureError for the first matrix of the stack X (..., N, N) whose residual
     exceeds CHECK_TOL, screening X at half that by the norm of all defects, which bounds each."""
-    screen = np.linalg.norm(np.concatenate(_relation_defects(X, tag), -1), axis=(-2, -1))
-    for M in X[screen > CHECK_TOL / 2]:
+    defects = np.concatenate(_relation_defects(X, tag), -1)
+    flagged = np.square(defects.view(float)).sum((-2, -1)) > (CHECK_TOL / 2) ** 2
+    for M in X[flagged]:
         if (r := structure_residual(M, tag)) > CHECK_TOL:
             raise StructureError(f"input fails {tag} residual check: {r:.3e} > {CHECK_TOL:.1e}")
 
@@ -151,6 +169,11 @@ def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
     return Y_plus, Y_minus
 
 
+def _frame(V: np.ndarray) -> np.ndarray:
+    """[V, CV] for a stack (..., 2n, n) of columns V: C swaps the halves of each column."""
+    return np.concatenate((V, V[..., _swapped_halves(V.shape[-2])[1], :]), -1)
+
+
 def _paired_frame(V: np.ndarray) -> np.ndarray:
     """The Gplus frames [v, Cv] of a stack (..., 2n, n) of primary columns V,
     each column's largest-magnitude entry made real positive (this fixes the
@@ -159,7 +182,7 @@ def _paired_frame(V: np.ndarray) -> np.ndarray:
     Vs = V.reshape(-1, 2 * n, n)
     peak = Vs[np.arange(len(Vs))[:, None], np.argmax(np.abs(Vs), axis=1), np.arange(n)]
     V = (Vs / (peak / np.abs(peak))[:, None, :]).reshape(V.shape)
-    return np.concatenate((V, np.concatenate((V[..., n:, :], V[..., :n, :]), -2)), -1)
+    return _frame(V)
 
 
 def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
@@ -185,7 +208,7 @@ def pair_diagonalize_gminus(Yminus) -> PairedSpectrum:
     X, d, Wh = np.linalg.svd(-1j * (Y[..., :n, :n] + Y[..., :n, n:]))
     W = _dag(Wh)
     V = np.concatenate((W + X, W - X), -2) / 2.0
-    g = np.concatenate((V, np.concatenate((V[..., n:, :], V[..., :n, :]), -2)), -1)  # [v, Cv]
+    g = _frame(V)
     E = _dag(g) @ (Y @ V) * -1j
     d = np.abs(E.diagonal(0, -2, -1).real)
     gap = d[..., None, :] - np.concatenate((d, -d), -1)[..., None]
@@ -216,52 +239,92 @@ def cartan_decompose_gminus(B):
     C-balanced the element admits no such factorization and PairingError is
     raised.  Next to a mirror eig mixes v with Cv by about eps/q, so one
     Newton-Schulz step makes the blocks a + b and a - b of eta unitary
-    again.  The input must be Gminus within CHECK_TOL.
+    again.  The input must be Gminus within CHECK_TOL.  A stack (..., 2n, 2n)
+    takes one batched eig, Cholesky-QR and Newton-Schulz step; only an item
+    with an eigenvalue at a mirror takes the cluster path, and each item gets
+    its own bits.  The first item that fails raises its error.
     """
     B = np.asarray(B, dtype=complex)
     _require_structure(B, "Gminus")
-    n = B.shape[0] // 2
-
-    w, Z = np.linalg.eig(B)
+    N = B.shape[-1]
+    n = N // 2
+    Bs = B.reshape(-1, N, N)
+    w, Z = np.linalg.eig(Bs)
     q = np.angle(w) / 2.0
     # eigenvalue -1 has angle +pi or -pi: both are the mirror q = pi/2
     q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
     primary = (q > PAIR_TOL) & (q < math.pi / 2 - PAIR_TOL)
-    V = Z[:, primary]
+    # an item is plain when n half-angles are primary and the other n lie in
+    # (PAIR_TOL - pi/2, -PAIR_TOL): none at a mirror
+    plain = (primary.sum(-1) == n) & ((q < -PAIR_TOL).sum(-1) == n)
+    every = plain.all()
+    # the n primary columns of each plain item, in eig's order
+    take = primary if every else primary & plain[:, None]
+    V = np.ascontiguousarray(Z.swapaxes(-1, -2)[take].reshape(-1, n, N).swapaxes(-1, -2))
     # Cholesky-QR: V^dag V = L L^dag, so V L^{-dag} = (conj(L)^{-1} V^T)^T has
     # orthonormal columns
-    L = np.linalg.cholesky(V.conj().T @ V)
-    cols, values = [np.linalg.solve(L.conj(), V.T).T], [q[primary]]
-    for m in (0.0, math.pi / 2):
-        basis = Z[:, np.abs(q - m) <= PAIR_TOL]
-        if not basis.shape[1]:
-            continue
-        basis = np.linalg.qr(basis)[0]
-        # C restricted to the cluster; C @ basis swaps the halves of each column
-        w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
-        plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
-        if plus.shape != minus.shape:
-            raise PairingError(f"cartan_decompose_gminus ({m:g}): unbalanced C signature "
-                               f"in cluster ({plus.shape[1]} vs {minus.shape[1]})")
-        cols.append((plus + minus) / math.sqrt(2.0))
-        values.append(np.full(plus.shape[1], m))
-    V, q = np.concatenate(cols, axis=1), np.concatenate(values)
-    if V.shape[1] != n:
-        raise PairingError(f"cartan_decompose_gminus: {V.shape[1]} primary columns, expected {n}")
-    order = np.argsort(-q, kind="stable")
-    V, q = V[:, order], q[order]
+    L = np.linalg.cholesky(_dag(V) @ V)
+    V, q_V = np.linalg.solve(L.conj(), V.swapaxes(-1, -2)).swapaxes(-1, -2), q[take].reshape(-1, n)
+    if not every:
+        V, q_V = _with_mirror_items(Z, q, primary, plain, V, q_V)
+    order = np.argsort(-q_V, axis=-1, kind="stable")
+    rows = np.arange(len(Bs))[:, None]
+    V, q = V[rows[:, None], np.arange(N)[:, None], order[:, None, :]], q_V[rows, order]
     # one Newton-Schulz step eta <- eta (3 - eta^dag eta) / 2 on eta = [V, CV]
     # (Higham, Functions of Matrices, section 8.3): in C's eigenbasis eta is
     # diag(a + b, a - b), a and b the halves of V, so both blocks move toward
     # unitary and eta stays in Gplus
-    M = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
-    eta = _paired_frame(1.5 * V - 0.5 * (M @ (M.conj().T @ V)))
+    M = _frame(V)
+    eta = _paired_frame(1.5 * V - 0.5 * (M @ (_dag(M) @ V)))
 
-    recon = (eta * exp_iQ_diagonal(2.0 * q)) @ eta.conj().T
-    err = float(np.linalg.norm(recon - B))
-    if err > 1e-7:
-        raise PairingError(f"Cartan reconstruction residual {err:.3e}")
-    return StructuredMatrix(eta), q
+    defect = (eta * exp_iQ_diagonal(2.0 * q)[:, None, :]) @ _dag(eta) - Bs
+    if (bad := np.square(defect.view(float)).sum((-2, -1)) > 1e-14).any():
+        raise PairingError(f"Cartan reconstruction residual "
+                           f"{float(np.linalg.norm(defect[bad][0])):.3e}")
+    return StructuredMatrix(eta.reshape(B.shape)), q.reshape(B.shape[:-2] + (n,))
+
+
+def _with_mirror_items(Z, q, primary, plain, V, q_V):
+    """The primary columns and half-angles of every item of
+    :func:`cartan_decompose_gminus`: those of the plain items (V, q_V), and,
+    for an item with an eigenvalue at a mirror, the Cholesky-QR of its primary
+    columns and each mirror cluster paired through the C eigenbasis of its
+    eigenspace."""
+    N, n = Z.shape[-1], Z.shape[-1] // 2
+    cols, values = np.empty((len(Z), N, n), dtype=complex), np.empty((len(Z), n))
+    cols[plain], values[plain] = V, q_V
+    for i in np.flatnonzero(~plain):
+        Zi, qi = Z[i], q[i]
+        Vi = Zi[:, primary[i]]
+        L = np.linalg.cholesky(Vi.conj().T @ Vi)
+        parts, angles = [np.linalg.solve(L.conj(), Vi.T).T], [qi[primary[i]]]
+        for m in (0.0, math.pi / 2):
+            basis = Zi[:, np.abs(qi - m) <= PAIR_TOL]
+            if not basis.shape[1]:
+                continue
+            basis = np.linalg.qr(basis)[0]
+            # C restricted to the cluster; C @ basis swaps the halves of each column
+            w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
+            plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
+            if plus.shape != minus.shape:
+                raise PairingError(f"cartan_decompose_gminus ({m:g}): unbalanced C signature "
+                                   f"in cluster ({plus.shape[1]} vs {minus.shape[1]})")
+            parts.append((plus + minus) / math.sqrt(2.0))
+            angles.append(np.full(plus.shape[1], m))
+        if sum(part.shape[1] for part in parts) != n:
+            raise PairingError(f"cartan_decompose_gminus: "
+                               f"{sum(part.shape[1] for part in parts)} primary columns, expected {n}")
+        cols[i], values[i] = np.concatenate(parts, axis=1), np.concatenate(angles)
+    return cols, values
+
+
+def _frobenius(D: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack (..., M, N), the bits
+    ``np.linalg.norm`` gives that matrix alone: one dot product each of its
+    real and imaginary parts."""
+    re = D.real.reshape(D.shape[:-2] + (1, -1))
+    im = D.imag.reshape(re.shape)
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
 
 
 def jacobi_minor_residual(A, rows, cols, p: int, det_tol: float = 1e-8) -> float:

@@ -87,6 +87,11 @@ class CouplingParams:
         return 2 * self.n
 
     @property
+    def kappa_sq(self) -> float:
+        """kappa**2, rounded as Python's float power rounds it (``CouplingRows`` per row)."""
+        return self.kappa**2
+
+    @property
     def gamma(self) -> float:
         return self.mu**2
 
@@ -131,6 +136,30 @@ def couplings_from_sutherland(gamma, gamma1, gamma2, n) -> CouplingParams:
     nu = (total + diff) / 2.0
     kappa = (total - diff) / 2.0
     return CouplingParams(n=n, mu=mu, nu=nu, kappa=kappa)
+
+
+class CouplingRows:
+    """The couplings of a stack of points (B, n), one validated triple per row.
+
+    ``mu``, ``nu``, ``kappa`` and ``kappa_sq`` are arrays (B, 1), so they broadcast
+    against positions (B, n): a stack kernel reads them where it reads the floats of
+    a :class:`CouplingParams`, and each row gets the bits its own triple gives.
+    """
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        self.n = self.rows[0].n
+        self.mu, self.nu, self.kappa, self.kappa_sq = (
+            np.array([[getattr(r, key)] for r in self.rows])
+            for key in ("mu", "nu", "kappa", "kappa_sq"))
+
+
+def row_params(params, bad) -> CouplingParams:
+    """The couplings of the first row of a stack where the mask ``bad`` holds:
+    ``params`` itself unless it is a :class:`CouplingRows`."""
+    if isinstance(params, CouplingRows):
+        return params.rows[int(np.flatnonzero(bad)[0])]
+    return params
 
 
 def _freeze(arr):
@@ -298,19 +327,26 @@ def require_inside(pos: list, chart: str, params: CouplingParams):
 
 
 def _slack_rows(pos, chart: str, params: CouplingParams) -> np.ndarray:
-    """:func:`chart_slacks` over a stack (..., n) of positions, bit for bit per row."""
+    """:func:`chart_slacks` over a stack (..., n) of positions, bit for bit per row;
+    ``params`` may hold one coupling triple per row (:class:`CouplingRows`)."""
     gaps = pos[..., :-1] - pos[..., 1:]
     if chart == "qp":
         return np.concatenate((math.pi / 2 - pos[..., :1], gaps, pos[..., -1:]), -1)
     return np.concatenate((gaps - 2 * params.mu, pos[..., -1:] - params.nu), -1)
 
 
+def _outside_rows(slack, margin: float = DOMAIN_MARGIN) -> np.ndarray:
+    """The rows of a stack of chamber slacks (..., m) that are not inside
+    within ``margin``: some slack at most the margin, or not finite."""
+    return ~np.all((slack > margin) & (slack < math.inf), axis=-1)
+
+
 def _inside_slack_rows(pos, chart: str, params: CouplingParams) -> np.ndarray:
     """:func:`_slack_rows`, each row checked: the first not inside raises its DomainError."""
     slack = _slack_rows(pos, chart, params)
     if not (slack.min() > DOMAIN_MARGIN and slack.max() < math.inf):
-        bad = ~np.all((slack > DOMAIN_MARGIN) & (slack < math.inf), axis=-1)
-        require_inside(pos[bad][0].tolist(), chart, params)
+        bad = _outside_rows(slack)
+        require_inside(pos[bad][0].tolist(), chart, row_params(params, bad))
     return slack
 
 

@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import (StructuredMatrix, exchange_matrix, jacobi_minor_residual,
-                        structure_residual)
+from .matkernel import (StructuredMatrix, _swapped_halves, exchange_matrix,
+                        jacobi_minor_residual, structure_residual)
 from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
-                     require_inside, require_inside_rows, strongly_regular,
-                     z_from_angle_rows)
+                     require_inside, require_inside_rows, row_params,
+                     strongly_regular, z_from_angle_rows)
 
 #: bound of A_check's optional unitarity and commutator checks
 SELFCHECK_TOL = 1e-8
@@ -59,13 +60,15 @@ def h_matrix(lam, params: CouplingParams) -> DualFrame:
     they are exactly alpha = 1, beta = 0 in floating point (sqrt(x^2) = x and
     x/x = 1), so h is the identity.  The identities alpha^2 + beta^2 = 1 and
     h diag(lambda, -lambda) h^T = diag(d, -d) - kappa*C are measured by the
-    verify row ``rsvd.h_frame_identity``.  Over a stack (..., n), h is (..., 2n, 2n).
+    verify row ``rsvd.h_frame_identity``.  Over a stack (..., n), h is (..., 2n, 2n),
+    and ``params`` may hold one triple per row (:class:`~bcsuth.params.CouplingRows`).
     """
     lam = np.asarray(lam, dtype=float)
     kappa = params.kappa
-    if (low := lam < abs(kappa)).any():
-        raise DomainError(f"every lambda_j must be >= |kappa| = {abs(kappa)}, "
-                          f"got {lam[low.any(-1)][0].tolist()}")
+    if (low := lam < np.abs(kappa)).any():
+        bad = low.any(-1)
+        raise DomainError(f"every lambda_j must be >= |kappa| = "
+                          f"{abs(row_params(params, bad).kappa)}, got {lam[bad][0].tolist()}")
     s = np.sqrt(lam + np.sqrt(lam * lam - kappa * kappa))
     r = np.sqrt(2.0 * lam)
     alpha, beta = s / r, kappa / (r * s)
@@ -171,37 +174,53 @@ def g_functions(z, params: CouplingParams) -> np.ndarray:
     Each g depends on z only through lambda(z) and extends smoothly and
     positively to all of C^n.
     """
-    return np.array(_g_profiles(lambda_of_z(z, params).tolist(), params))
+    return _g_profiles(lambda_of_z(z, params), params)
 
 
-def _g_profiles(lam: list, params: CouplingParams) -> list:
-    """:func:`g_functions` at the positions lambda(z), on plain floats."""
-    n = len(lam)
+_SIGNS = np.array([-1.0, 1.0])
+_SIGNS.flags.writeable = False
+
+
+@lru_cache
+def _g_factors(n: int) -> np.ndarray:
+    """The read-only mask of the factors :func:`_g_profiles` takes, over its
+    table (c, half, a, kind): all but a = c and the stripped neighbour factor
+    of each half (a = c + 1 in the first, a = c - 1 in the second)."""
+    take = np.ones((n, 2, n, 2), dtype=bool)
+    take[np.arange(n), :, np.arange(n)] = False
+    take[np.arange(n - 1), 0, np.arange(1, n), 0] = False
+    take[np.arange(1, n), 1, np.arange(n - 1), 0] = False
+    take.flags.writeable = False
+    return take
+
+
+def _g_profiles(lam, params: CouplingParams) -> np.ndarray:
+    """:func:`g_functions` at the positions lambda(z), over a stack (..., n): (..., 2n).
+
+    Profile c of each half is the product, taken left to right, of its first
+    factor and then, for each partner a = 1..n in turn, of a difference
+    factor and a sum factor; a factor left out is the exact 1.0.
+    """
+    lam = np.asarray(lam, dtype=float)
+    n = lam.shape[-1]
     mu, nu = params.mu, params.nu
-    first, second = [], []
-    for c, x in enumerate(lam):
-        # ---- first half: strip (lam_c - lam_{c+1} - 2mu) = |z_c|^2 (c < n-1
-        # in 0-based terms), or (lam_n - nu) = |z_n|^2 for the last entry
-        val = (x - nu) / x / (x - lam[c + 1]) if c < n - 1 else 1.0 / x
-        for a, y in enumerate(lam):
-            if a == c:
-                continue
-            if a != c + 1:
-                val *= (x - y - 2 * mu) / (x - y)
-            val *= (x + y - 2 * mu) / (x + y)
-        first.append(math.sqrt(val))
-        # ---- second half: strip (lam_{c-1} - lam_c - 2mu) = |z_{c-1}|^2 for c > 0
-        val = (x + nu) / x
-        if c > 0:
-            val /= lam[c - 1] - x
-        for a, y in enumerate(lam):
-            if a == c:
-                continue
-            if a != c - 1:
-                val *= (x - y + 2 * mu) / (x - y)
-            val *= (x + y + 2 * mu) / (x + y)
-        second.append(math.sqrt(val))
-    return first + second
+    factors = np.ones(lam.shape + (2, n + 1, 2))  # (..., c, half, 1 + a, kind)
+    # first half: strip (lam_c - lam_{c+1} - 2mu) = |z_c|^2 (c < n-1 in
+    # 0-based terms), or (lam_n - nu) = |z_n|^2 for the last entry; second
+    # half: strip (lam_{c-1} - lam_c - 2mu) = |z_{c-1}|^2 for c > 0
+    x = lam[..., None]
+    first = np.divide(x + np.multiply.outer(nu, _SIGNS), x, out=factors[..., 0, 0])
+    gaps = lam[..., :-1] - lam[..., 1:]
+    first[..., :-1, 0] /= gaps
+    first[..., -1, 0] = 1.0 / lam[..., -1]
+    first[..., 1:, 1] /= gaps
+    # then (x - y -+ 2mu) / (x - y) and (x + y -+ 2mu) / (x + y) for y = lam_a;
+    # the factors left out, x - y = 0 at a = c among them, are never divided
+    base = x[..., None, None] + lam[..., None, None, :, None] * _SIGNS
+    np.divide(base + np.multiply.outer(2 * np.asarray(mu), _SIGNS[:, None, None]), base,
+              out=factors[..., 1:, :], where=_g_factors(n))
+    g = np.sqrt(np.multiply.reduce(factors.reshape(lam.shape + (2, 2 * n + 2)), -1))
+    return np.concatenate((g[..., 0], g[..., 1]), -1)
 
 
 def m_of_theta(theta) -> np.ndarray:
@@ -225,7 +244,7 @@ def phi_vector(z, params: CouplingParams) -> np.ndarray:
     return _A_tilde_phi(z, lambda_of_z(z, params), params)[1]
 
 
-def _diag_entry_n2n(lam, params: CouplingParams) -> float:
+def _diag_entry_n2n(lam, params: CouplingParams):
     """The cancelled (n, 2n) entry of A_tilde, smooth through lambda_n = mu.
 
     Direct form [(mu - nu) - mu(x - nu) gtil(x)] / d with x = lambda_n,
@@ -234,18 +253,20 @@ def _diag_entry_n2n(lam, params: CouplingParams) -> float:
     Each factor of gtil is 1 + d c_a with c_a = -4mu/(x^2 - lambda_a^2), and
     mu(x - nu)/x = (mu - nu) + d nu/x.  With P the product of the factors and
     S = sum_a c_a prod_{b<a} (1 + d c_b), so that P - 1 = d S, the numerator
-    is -d [(mu - nu) S + (nu/x) P], and d divides out exactly.
+    is -d [(mu - nu) S + (nu/x) P], and d divides out exactly.  Over a stack
+    (..., n) of lambda: (...), a float for a single lambda.
     """
-    lam = np.asarray(lam, dtype=float).tolist()
+    lam = np.asarray(lam, dtype=float)
     mu, nu = params.mu, params.nu
-    x = lam[-1]
-    d = x - mu
+    x, y = lam[..., -1:], lam[..., :-1]
     P, S = 1.0, 0.0
-    for y in lam[:-1]:
+    if y.shape[-1]:  # P and S accumulate left to right
         c = -4 * mu / ((x - y) * (x + y))
-        S += c * P
-        P *= 1 + d * c
-    return -((mu - nu) * S + nu / x * P)
+        P = np.multiply.accumulate(1 + (x - mu) * c, -1)  # P after each factor
+        c[..., 1:] *= P[..., :-1]                         # c_a times P before a
+        S, P = np.add.accumulate(c, -1)[..., -1:], P[..., -1:]
+    entry = -((mu - nu) * S + nu / x * P)[..., 0]
+    return float(entry) if entry.ndim == 0 else entry
 
 
 def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
@@ -262,26 +283,27 @@ def A_tilde(z, params: CouplingParams) -> StructuredMatrix:
 
 def _A_tilde_phi(z, lam, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
     """(:func:`A_tilde`, :func:`phi_vector`) at z from one g pass, at the
-    caller's positions lam = lambda(z)."""
+    caller's positions lam = lambda(z); over a stack (..., n) of z and lam,
+    with one coupling triple per row where ``params`` holds them."""
     z = np.asarray(z, dtype=complex)
-    n = z.size
+    n = z.shape[-1]
     N = 2 * n
-    g = np.array(_g_profiles(lam.tolist(), params))
+    g = _g_profiles(lam, params)
     zc = z.conj()
     phi = g.astype(complex)
-    phi[:n] *= zc
-    phi[n + 1:] *= zc[:-1]
+    phi[..., :n] *= zc
+    phi[..., n + 1:] *= zc[..., :-1]
     num, den = _cauchy_parts(phi, lam, params)
-    # the cancelled entries, as strided slices of the flattened matrix
+    # the cancelled entries, as strided slices of each flattened matrix
     upper = slice(1, (n - 1) * (N + 1), N + 1)  # (a, a+1), a < n-1
     lower = slice(n * N + n + N, None, N + 1)   # (n+a+1, n+a), a < n-1
     corner = n * N - 1                          # (n-1, 2n-1)
-    fden = den.reshape(-1)
-    fden[upper] = fden[lower] = fden[corner] = 1.0
+    fden = den.reshape(den.shape[:-2] + (N * N,))
+    fden[..., upper] = fden[..., lower] = fden[..., corner] = 1.0
     A = num / den
-    flat = A.reshape(-1)
-    flat[upper] = flat[lower] = -2 * params.mu * g[:n - 1] * g[n + 1:]
-    flat[corner] = _diag_entry_n2n(lam, params)
+    flat = A.reshape(fden.shape)
+    flat[..., upper] = flat[..., lower] = -2 * params.mu * g[..., :n - 1] * g[..., n + 1:]
+    flat[..., corner] = _diag_entry_n2n(lam, params)
     return A, phi
 
 
@@ -307,16 +329,18 @@ def dual_Hk(z, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
 
 def _cauchy_parts(F, lam, params: CouplingParams):
     """Numerator 2mu F (CF)^dag - 2(mu - nu) C and denominator 2mu + L_k - L_j
-    (L = (lambda, -lambda)) of the Cauchy-like core matrix, as fresh arrays."""
-    n = lam.size
+    (L = (lambda, -lambda)) of the Cauchy-like core matrix, as fresh arrays;
+    over a stack (..., n) of lambda and (..., 2n) of F."""
+    n = lam.shape[-1]
     N = 2 * n
-    L = np.concatenate((lam, -lam))
-    num = np.multiply.outer(F, np.concatenate((F[n:], F[:n])).conj())
-    num *= 2 * params.mu
-    flat = num.reshape(-1)  # C's entries (a, n+a) and (n+a, a), a < n
-    flat[n:n * N:N + 1] -= 2 * (params.mu - params.nu)
-    flat[n * N::N + 1] -= 2 * (params.mu - params.nu)
-    return num, (2 * params.mu + L)[None, :] - L[:, None]
+    mu, nu = params.mu, params.nu
+    L = np.concatenate((lam, -lam), -1)
+    num = F[..., :, None] * F[..., _swapped_halves(N)[1]].conj()[..., None, :]  # F (CF)^dag
+    num *= np.asarray(2 * mu)[..., None]
+    flat = num.reshape(num.shape[:-2] + (N * N,))  # C's entries (a, n+a) and (n+a, a), a < n
+    flat[..., n:n * N:N + 1] -= 2 * (mu - nu)
+    flat[..., n * N::N + 1] -= 2 * (mu - nu)
+    return num, (2 * mu + L)[..., None, :] - L[..., :, None]
 
 
 def A_from_F(F, lam, params: CouplingParams) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .matkernel import StructuredMatrix, conj_by_C, exchange_matrix, exp_iQ
+from .matkernel import StructuredMatrix, _exchange, conj_by_C, exchange_matrix, exp_iQ
 from .params import CouplingParams, SutherlandPoint, _inside_slack_rows, _slack_rows
 
 
@@ -55,11 +55,14 @@ def _lax_layout(n: int):
     return pairs, T.ravel()
 
 
-def _lax_K_kernel(q, p, params: CouplingParams) -> np.ndarray:
+def _lax_K_kernel(q, p, params: CouplingParams, check: bool = True) -> np.ndarray:
     """:func:`lax_K` over a stack (..., n) of raw q and p: (..., 2n, 2n), each
-    matrix the bits of its point's; a row off the chamber raises DomainError."""
+    matrix the bits of its point's; ``params`` may hold one triple per row
+    (:class:`~bcsuth.params.CouplingRows`).  With ``check``, a row off the
+    chamber raises DomainError; without, the caller has checked the rows."""
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    _inside_slack_rows(q, "qp", params)
+    if check:
+        _inside_slack_rows(q, "qp", params)
     n = q.shape[-1]
     (j, k), table = _lax_layout(n)
     s = np.sin(np.concatenate((2.0 * q, q[..., j] - q[..., k], q[..., j] + q[..., k]), -1))
@@ -79,11 +82,16 @@ def lax_K(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
     return _lax_K_kernel(point.q, point.p, params)
 
 
+def _lax_Y_of_K(K, params: CouplingParams) -> np.ndarray:
+    """Y = K - i*kappa*C over a stack (..., 2n, 2n) of :func:`lax_K`, one kappa per row."""
+    kappa = np.asarray(params.kappa)[..., None]
+    return K - 1j * kappa * _exchange(K.shape[-1] // 2)
+
+
 def lax_Y(point: SutherlandPoint, params: CouplingParams) -> SutherlandLax:
     """Full Lax matrix Y = K - i*kappa*C at a strictly interior point."""
     K = lax_K(point, params)
-    Y = K - 1j * params.kappa * exchange_matrix(point.n)
-    return SutherlandLax(Y=StructuredMatrix(Y), K=StructuredMatrix(K))
+    return SutherlandLax(Y=StructuredMatrix(_lax_Y_of_K(K, params)), K=StructuredMatrix(K))
 
 
 def _H1_kernel(q, p, params: CouplingParams):
@@ -115,7 +123,7 @@ def spectrum(point: SutherlandPoint, params: CouplingParams) -> np.ndarray:
 
 def _Hk_kernel(K, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
     """:func:`hamiltonians` over a stack (..., 2n, 2n) of :func:`lax_K`: one ``eigvalsh``."""
-    eigs = np.linalg.eigvalsh(-1j * (K - 1j * params.kappa * exchange_matrix(params.n)))
+    eigs = np.linalg.eigvalsh(-1j * _lax_Y_of_K(K, params))
     return _Hk_of_spectrum(eigs, params, kmax)
 
 
@@ -185,7 +193,7 @@ def grad_H1(q, p, params: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
 def _action_kernel(K, params: CouplingParams) -> np.ndarray:
     """:func:`action_map` over a stack (..., 2n, 2n) of :func:`lax_K`: one ``eigvalsh``."""
     d = np.linalg.eigvalsh(-1j * K)[..., ::-1][..., :params.n]
-    lam = np.sqrt(d**2 + params.kappa**2)
+    lam = np.sqrt(d**2 + params.kappa_sq)
     slack = _slack_rows(lam, "lambda_theta", params)
     inside = np.all((slack >= -1e-8) & (slack < math.inf), axis=-1)
     if not inside.all():

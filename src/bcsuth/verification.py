@@ -8,10 +8,14 @@ A row's suite is the prefix of its name, and ``SUITES`` and
 
 Each sampler draws one sample per (n, sample index) of its cases, in order,
 from its own stream ``np.random.default_rng([seed, id])``, the id written in
-the table.  It draws a sample's random numbers first, then computes the
-sample's maps once for every row that reads it.  So a row's samples depend
-only on the seed, its sampler's id, n and the sample index: adding or
-deleting a row moves no other row.  No id is 0 but the dynamics sampler's:
+the table.  It draws every sample of one n first, then computes that n's
+maps once for every row that reads them.  So a row's samples depend only on
+the seed, its sampler's id, n and the sample index: adding or deleting a row
+moves no other row.  The structure, sutherland and duality samplers compute
+an n in one stacked kernel call per quantity, each sample with its own
+couplings (:class:`~bcsuth.params.CouplingRows`); if that call raises a
+``BcsuthError``, the n is computed again one sample at a time, so each
+sample keeps the outcome it has alone.  No id is 0 but the dynamics sampler's:
 SeedSequence reads [seed, 0] as the bare seed, so that sampler keeps the
 stream ``default_rng(seed)`` and the draw order it has always had.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 from collections.abc import Callable
@@ -42,7 +47,7 @@ import numpy as np
 
 from . import duality, dynamics, matkernel, rsvd, sutherland
 from .errors import BcsuthError, DegenerateTorusError, DomainError
-from .params import (CouplingParams, DualPoint, OscillatorPoint,
+from .params import (CouplingParams, CouplingRows, DualPoint, OscillatorPoint,
                      SutherlandPoint, lambda_of_z, strongly_regular,
                      z_from_angles)
 
@@ -171,13 +176,17 @@ def sample_params(rng: np.random.Generator, n: int, config: SuiteConfig,
 
 def sample_sutherland(rng: np.random.Generator, n: int,
                       gap: float = 0.05) -> SutherlandPoint:
-    """q sorted in (gap, pi/2 - gap) with pairwise gaps >= gap; p ~ N(0, 1)."""
+    """q sorted in (gap, pi/2 - gap) with pairwise gaps >= gap; p ~ N(0, 1).
+
+    After 1000 draws that miss, q is a fixed lattice inside the chamber."""
     for _ in range(1000):
         q = np.sort(rng.uniform(gap, math.pi / 2 - gap, size=n))[::-1]
         if n == 1 or np.min(q[:-1] - q[1:]) >= gap:
             break
-    else:
+    else:  # the lattice of step 2 gap down from pi/2 - gap while it stays inside
         q = math.pi / 2 - gap - 2 * gap * np.arange(n, dtype=float)
+        if not q[-1] > 0:
+            q = math.pi / 2 * np.arange(n, 0, -1, dtype=float) / (n + 1)
     p = rng.standard_normal(n)
     return SutherlandPoint(q=q, p=p)
 
@@ -212,12 +221,17 @@ def sample_oscillator(rng: np.random.Generator, n: int) -> OscillatorPoint:
 class Sampler:
     """``draw(x, rng, config)`` fills the namespace x, which holds n and the
     sample index s, with one sample, or returns False to skip it (an expected
-    refusal); ``cases(config)`` gives the (n, s) drawn, in stream order."""
+    refusal); ``cases(config)`` gives the (n, s) drawn, in stream order.
+    ``compute(xs, config)``, where given, computes the maps of the drawn
+    samples xs of one n, one kernel call per quantity; a sample whose own
+    compute raises ``skip`` is skipped (an expected refusal)."""
 
     id: int
     draw: Callable
     cases: Callable = lambda config: ((n, s) for n in config.n_values
                                       for s in range(config.samples))
+    compute: Callable | None = None
+    skip: type | tuple = ()
 
 
 @dataclass(frozen=True)
@@ -238,15 +252,26 @@ def _draw_structure(x, rng, config):
     x.Y = matkernel.random_gminus_algebra(rng, x.n)
     x.Ytot = x.Y + matkernel.random_gplus_algebra(rng, x.n)
     x.B, _, x.q0 = matkernel.random_Gminus_group(rng, x.n)
-    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=x.n))
-    x.Yp, x.Ym = matkernel.gamma_split(x.Ytot)
-    spec = matkernel.pair_diagonalize_gminus(x.Y)
-    x.g, x.d = spec.frame.m, spec.values
-    # phase changes of the input eigenvectors only move the frame inside the
-    # central subgroup: recovered values are unchanged
-    zg = np.diag(np.r_[phases, phases]) @ x.g
-    x.d_rephased = matkernel.pair_diagonalize_gminus(
-        zg @ (1j * np.diag(np.r_[x.d, -x.d])) @ zg.conj().T).values
+    x.phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=x.n))
+
+
+def _map_structure(xs, config):
+    """Each sample's gamma split, then the n's paired spectra, rephased paired
+    spectra and Cartan factors, one stacked call each."""
+    for x in xs:
+        x.Yp, x.Ym = matkernel.gamma_split(x.Ytot)
+    spec = matkernel.pair_diagonalize_gminus(np.array([x.Y for x in xs]))
+    rephased = []
+    for x, g, d in zip(xs, spec.frame.m, spec.values):
+        x.g, x.d = g, d
+        # phase changes of the input eigenvectors only move the frame inside
+        # the central subgroup: recovered values are unchanged
+        zg = np.diag(np.r_[x.phases, x.phases]) @ g
+        rephased.append(zg @ (1j * np.diag(np.r_[d, -d])) @ zg.conj().T)
+    d_rephased = matkernel.pair_diagonalize_gminus(np.array(rephased)).values
+    q = matkernel.cartan_decompose_gminus(np.array([x.B for x in xs]))[1]
+    for x, d, qc in zip(xs, d_rephased, q):
+        x.d_rephased, x.q_cartan = d, qc
 
 
 def _pair_diag_residual(Y, g, d) -> float:
@@ -269,14 +294,24 @@ def _draw_point(x, rng, config):
     x.point = sample_sutherland(rng, x.n)
 
 
-def _draw_sutherland(x, rng, config):
-    _draw_point(x, rng, config)
-    lax = sutherland.lax_Y(x.point, x.params)
-    x.Y, x.spectrum = lax.Y.m, np.linalg.eigvalsh(-1j * lax.Y.m)
-    x.lam = sutherland._action_kernel(lax.K.m, x.params)
-    x.H = sutherland._Hk_of_spectrum(x.spectrum, x.params)
-    x.Hlam = np.array([np.sum(x.lam ** (2 * k)) / (2.0 * k)
-                       for k in range(1, x.n + 1)])
+def _stack(xs):
+    """The points of the samples xs of one n as rows (q, p), and their couplings."""
+    return (np.array([x.point.q for x in xs]), np.array([x.point.p for x in xs]),
+            CouplingRows([x.params for x in xs]))
+
+
+def _map_sutherland(xs, config):
+    """The n's Lax matrices, their spectra and their actions: one stack each."""
+    q, p, rows = _stack(xs)
+    K = sutherland._lax_K_kernel(q, p, rows)
+    Y = sutherland._lax_Y_of_K(K, rows)
+    spectra = np.linalg.eigvalsh(-1j * Y)
+    lam = sutherland._action_kernel(K, rows)
+    H = sutherland._Hk_of_spectrum(spectra, rows)
+    for x, *values in zip(xs, Y, spectra, lam, H):
+        x.Y, x.spectrum, x.lam, x.H = values
+        x.Hlam = np.array([np.sum(x.lam ** (2 * k)) / (2.0 * k)
+                           for k in range(1, x.n + 1)])
 
 
 def _grad_H1_fd(x) -> float:
@@ -365,18 +400,21 @@ def _control_rsvd(rng, config) -> float:
     return max(rsvd.w_system_residual(dual.lam, Fsq_bad, params))
 
 
-def _draw_duality(x, rng, config):
-    _draw_point(x, rng, config)
-    pt, params = x.point, x.params
-    try:
-        dual, F = duality.forward_map_full(pt, params)
-    except DegenerateTorusError:
-        return False
-    x.back, Y = duality.backward_map_full(dual, params)
-    x.moduli, x.h0 = duality.forward_residuals(pt, dual, F, params)
-    x.momentum = max(duality.backward_residuals(x.back, Y, params)[1])
-    x.inv = duality.invariant_crosscheck(pt, dual, params, mmax=4, kmax=2)
-    x.X, _, x.brackets = duality.superintegrability_data(pt, params)
+def _map_duality(xs, config):
+    """The n's forward maps, then the backward maps of their images, one kernel
+    call each; the residuals of each sample reuse the Lax part K of its
+    forward map and the Lax defect the backward map's gate measured."""
+    q, p, rows = _stack(xs)
+    lam, theta, F, K = duality._forward_kernel(q, p, rows)
+    q, p, Y, lax = duality._backward_kernel(lam, theta, rows)
+    for i, x in enumerate(xs):
+        pt, params = x.point, x.params
+        dual = DualPoint(lam=lam[i], theta=theta[i])
+        x.back = SutherlandPoint(q=q[i], p=p[i])
+        x.moduli, x.h0 = duality.forward_residuals(pt, dual, F[i], params)
+        x.momentum = max(duality.backward_residuals(x.back, Y[i], params, lax[i])[1])
+        x.inv = duality.invariant_crosscheck(pt, dual, params, mmax=4, kmax=2, K=K[i])
+        x.X, _, x.brackets = duality.superintegrability_data(pt, params)
 
 
 def _draw_oscillator(x, rng, config):
@@ -484,10 +522,11 @@ def _control_appendix(rng, config) -> float:
                                            det_tol=np.inf)
 
 
-_STRUCTURE = Sampler(1, _draw_structure)
-_SUTHERLAND = Sampler(2, _draw_sutherland)
+_STRUCTURE = Sampler(1, _draw_structure, compute=_map_structure)
+_SUTHERLAND = Sampler(2, _draw_point, compute=_map_sutherland)
 _RSVD = Sampler(3, _draw_rsvd)
-_DUALITY = Sampler(4, _draw_duality)
+# a degenerate torus in the forward map skips its sample
+_DUALITY = Sampler(4, _draw_point, compute=_map_duality, skip=DegenerateTorusError)
 _CANONICITY = Sampler(5, _draw_point, lambda config: (
     (n, s) for n in config.n_values if n <= 3
     for s in range(min(config.samples, max(3, config.samples // 5)))))
@@ -509,8 +548,8 @@ ROWS = (
     Row("structure.pair_diag_reconstruction", 1e-10, _STRUCTURE,
         lambda x: _pair_diag_residual(x.Y, x.g, x.d),
         _control_structure, "deliberately perturbed frame"),
-    Row("structure.cartan_recovery", 1e-10, _STRUCTURE, lambda x: float(
-        np.max(np.abs(matkernel.cartan_decompose_gminus(x.B)[1] - x.q0)))),
+    Row("structure.cartan_recovery", 1e-10, _STRUCTURE,
+        lambda x: float(np.max(np.abs(x.q_cartan - x.q0)))),
     Row("structure.frame_centrality", 1e-12, _STRUCTURE,
         lambda x: matkernel.structure_residual(x.g, "Gplus")),
     Row("structure.phase_invariance", 1e-10, _STRUCTURE,
@@ -615,6 +654,48 @@ def _context(x) -> dict:
                          for key in ("params", "point") if hasattr(x, key)}}
 
 
+def _attempt(fn, skip, *args):
+    """None when fn(*args) completes, False when it returns False or raises
+    ``skip``, else the BcsuthError it raised."""
+    try:
+        return False if fn(*args) is False else None
+    except skip:
+        return False
+    except BcsuthError as exc:
+        return exc
+
+
+def _compute(sampler, samples, status, config):
+    """Compute the drawn samples of one n in one call; if that raises, compute
+    them again one at a time, so that each sample keeps the outcome it has alone."""
+    drawn = [i for i, st in enumerate(status) if st is None]
+    batch = [samples[i] for i in drawn]
+    if batch and _attempt(sampler.compute, (), batch, config) is not None:
+        for i in drawn:
+            status[i] = _attempt(sampler.compute, sampler.skip, [samples[i]], config)
+
+
+def _read(readers, x, error, col):
+    """Add the residual of each row in ``readers`` at the sample x to ``col``;
+    a BcsuthError, the sample's ``error`` or one a row raises, gives each row
+    left without a value a NaN residual and the error's counterexample."""
+    done = 0
+    if error is None:
+        ctx = _context(x)
+        try:
+            for row in readers:
+                values = row.residual(x)
+                for value in np.atleast_1d(() if values is None else values):
+                    col.add(row.name, value, ctx)
+                done += 1
+        except BcsuthError as exc:
+            error = exc
+    if error is not None:
+        ctx = {**_context(x), "error": repr(error)}
+        for row in readers[done:]:
+            col.add(row.name, math.nan, ctx)
+
+
 def _run_rows(suite: str, config: SuiteConfig) -> list:
     """The suite's rows, sorted by name, then the suite's negative control."""
     rows = sorted((r for r in ROWS if r.name.startswith(suite + ".")),
@@ -623,21 +704,14 @@ def _run_rows(suite: str, config: SuiteConfig) -> list:
     for sampler in dict.fromkeys(r.sampler for r in rows):
         readers = [r for r in rows if r.sampler is sampler]
         rng = np.random.default_rng([config.seed, sampler.id])
-        for n, s in sampler.cases(config):
-            x, done = SimpleNamespace(n=n, s=s), 0
-            try:
-                if sampler.draw(x, rng, config) is False:
-                    continue
-                ctx = _context(x)
-                for row in readers:
-                    values = row.residual(x)
-                    for value in np.atleast_1d(() if values is None else values):
-                        col.add(row.name, value, ctx)
-                    done += 1
-            except BcsuthError as exc:
-                ctx = {**_context(x), "error": repr(exc)}
-                for row in readers[done:]:
-                    col.add(row.name, math.nan, ctx)
+        for n, cases in itertools.groupby(sampler.cases(config), key=lambda case: case[0]):
+            samples = [SimpleNamespace(n=n, s=s) for _, s in cases]
+            status = [_attempt(sampler.draw, (), x, rng, config) for x in samples]
+            if sampler.compute is not None:
+                _compute(sampler, samples, status, config)
+            for x, error in zip(samples, status):
+                if error is not False:
+                    _read(readers, x, error, col)
     controls = [r for r in rows if r.control is not None]
     for row in controls:
         try:

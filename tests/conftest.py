@@ -90,3 +90,84 @@ def pair_diagonalize_one(Y):
     peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V / (peak / np.abs(peak))
     return d, np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
+
+
+def g_profiles_loop(lam, params):
+    """Reference oscillator-chart profiles g at one lambda: a loop over Python
+    floats, each profile its first factor times the gap factors of the
+    partners a = 1..n in turn, the difference factor before the sum factor."""
+    lam = np.asarray(lam, dtype=float).tolist()
+    n = len(lam)
+    mu, nu = params.mu, params.nu
+    first, second = [], []
+    for c, x in enumerate(lam):
+        val = (x - nu) / x / (x - lam[c + 1]) if c < n - 1 else 1.0 / x
+        for a, y in enumerate(lam):
+            if a == c:
+                continue
+            if a != c + 1:
+                val *= (x - y - 2 * mu) / (x - y)
+            val *= (x + y - 2 * mu) / (x + y)
+        first.append(math.sqrt(val))
+        val = (x + nu) / x
+        if c > 0:
+            val /= lam[c - 1] - x
+        for a, y in enumerate(lam):
+            if a == c:
+                continue
+            if a != c - 1:
+                val *= (x - y + 2 * mu) / (x - y)
+            val *= (x + y + 2 * mu) / (x + y)
+        second.append(math.sqrt(val))
+    return np.array(first + second)
+
+
+def diag_entry_n2n_loop(lam, params):
+    """Reference cancelled (n, 2n) entry of A_tilde at one lambda, on Python
+    floats: P and S accumulated left to right over a < n."""
+    lam = np.asarray(lam, dtype=float).tolist()
+    mu, nu = params.mu, params.nu
+    x = lam[-1]
+    d = x - mu
+    P, S = 1.0, 0.0
+    for y in lam[:-1]:
+        c = -4 * mu / ((x - y) * (x + y))
+        S += c * P
+        P *= 1 + d * c
+    return -((mu - nu) * S + nu / x * P)
+
+
+def cartan_decompose_one(B):
+    """Reference Cartan factor (eta, q) of one Gminus matrix B (2n x 2n): eig,
+    the primary columns (half-angle in (PAIR_TOL, pi/2 - PAIR_TOL)) made
+    orthonormal by one Cholesky-QR, each mirror cluster paired through the C
+    eigenbasis of its eigenspace, columns sorted by descending q, one
+    Newton-Schulz step and each column's largest entry made real positive."""
+    from bcsuth.matkernel import PAIR_TOL
+
+    B = np.asarray(B, dtype=complex)
+    n = B.shape[0] // 2
+    w, Z = np.linalg.eig(B)
+    q = np.angle(w) / 2.0
+    q[q <= PAIR_TOL - math.pi / 2] = math.pi / 2
+    primary = (q > PAIR_TOL) & (q < math.pi / 2 - PAIR_TOL)
+    V = Z[:, primary]
+    L = np.linalg.cholesky(V.conj().T @ V)
+    cols, values = [np.linalg.solve(L.conj(), V.T).T], [q[primary]]
+    for m in (0.0, math.pi / 2):
+        basis = Z[:, np.abs(q - m) <= PAIR_TOL]
+        if not basis.shape[1]:
+            continue
+        basis = np.linalg.qr(basis)[0]
+        w, u = np.linalg.eigh(basis.conj().T @ np.concatenate((basis[n:], basis[:n])))
+        plus, minus = basis @ u[:, w > 0], basis @ u[:, w < 0]
+        cols.append((plus + minus) / math.sqrt(2.0))
+        values.append(np.full(plus.shape[1], m))
+    V, q = np.concatenate(cols, axis=1), np.concatenate(values)
+    order = np.argsort(-q, kind="stable")
+    V, q = V[:, order], q[order]
+    M = np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1)
+    V = 1.5 * V - 0.5 * (M @ (M.conj().T @ V))
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V = V / (peak / np.abs(peak))
+    return np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1), q

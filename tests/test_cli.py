@@ -284,7 +284,7 @@ def test_flow_monitor_failure_writes_no_file(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise ConsistencyError("monitor backward map refused")
 
-    monkeypatch.setattr(dynamics, "backward_map_full", refuse)
+    monkeypatch.setattr(dynamics, "_backward_kernel", refuse)
     out_csv = tmp_path / "dual.csv"
     code, out, err = run_cli(
         capsys, "--out", str(out_csv), "flow", "--system", "dual_H0", "--n", "1",

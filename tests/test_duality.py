@@ -12,10 +12,10 @@ from bcsuth.duality import (DUAL_PAIRING, backward_map, backward_map_full,
                             forward_residuals,
                             invariant_crosscheck, rank_of_dlambda,
                             round_trip_report, superintegrability_data)
-from bcsuth.errors import DegenerateTorusError
+from bcsuth.errors import ConsistencyError, DegenerateTorusError
 from bcsuth.matkernel import (cartan_decompose_gminus, exchange_matrix,
                               exp_iQ_diagonal)
-from bcsuth.params import (DualPoint, OscillatorPoint, SutherlandPoint,
+from bcsuth.params import (CouplingRows, DualPoint, OscillatorPoint, SutherlandPoint,
                            couplings_from_rsvd)
 from bcsuth.sutherland import closed_form_H1, lax_Y
 from bcsuth.verification import (SuiteConfig, sample_dual, sample_params,
@@ -319,7 +319,7 @@ def test_backward_map_computes_no_residuals(rng, monkeypatch):
     for dual, p, ref in cases:
         pt = backward_map(dual, p)
         assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
-    monkeypatch.setattr(duality, "lax_Y", boom)
+    monkeypatch.setattr(duality, "_lax_K_kernel", boom)
     for dual, p, ref in cases:
         pt, _ = backward_map_full(dual, p, validate=False)
         assert np.array_equal(pt.q, ref.q) and np.array_equal(pt.p, ref.p)
@@ -458,7 +458,7 @@ def test_forward_kernel_rows_match_the_point_map_bit_for_bit(rng):
             if s % 5 == 3:
                 q[-1], step = 1e-7, 1e-8
             x = np.r_[q, mom] + step * _unit_stencil(2 * n, True)
-            lam, theta, F = duality._forward_kernel(x[:, :n], x[:, n:], p)
+            lam, theta, F, _ = duality._forward_kernel(x[:, :n], x[:, n:], p)
             assert lam.shape == theta.shape == (8 * n, n) and F.shape == (8 * n, 2 * n)
             for row, xr in enumerate(x):
                 dual, F1 = forward_map_full(SutherlandPoint(q=xr[:n], p=xr[n:]), p)
@@ -480,6 +480,63 @@ def test_forward_kernel_degenerate_row_raises_the_error_of_its_point():
     with pytest.raises(DegenerateTorusError) as last:
         duality._forward_kernel(q[::2], p[::2], P1)
     assert str(last.value) != str(alone.value)
+
+
+def _backward_cases(rng, n, count):
+    """Dual points at n with couplings of their own, kappa = 0 at every fifth:
+    sampled interior points and, at every third, the forward image of a
+    Sutherland point with q_n = 1e-7 (its backward map trips the Lax gate)."""
+    cases = []
+    for s in range(count):
+        p = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
+        if s % 3 == 2:
+            pt = sample_sutherland(rng, n)
+            q = pt.q.copy()
+            q[-1] = 1e-7
+            cases.append((forward_map(SutherlandPoint(q=q, p=pt.p), p), p))
+        else:
+            cases.append((sample_dual(rng, n, p), p))
+    return cases
+
+
+def test_backward_kernel_rows_match_the_point_map_bit_for_bit(rng):
+    # n = 1-8: every row's q, p and Y are the bits backward_map_full gives
+    # its point, near-wall rows included (without the gate), and with the
+    # gate on the interior rows the defect it measured is the one
+    # backward_residuals measures at the point
+    for n in range(1, 9):
+        cases = _backward_cases(rng, n, 24)
+        lam = np.array([d.lam for d, _ in cases])
+        theta = np.array([d.theta for d, _ in cases])
+        q, p, Y, lax = duality._backward_kernel(lam, theta, CouplingRows([p for _, p in cases]),
+                                                validate=False)
+        assert lax is None and Y.shape == (24, 2 * n, 2 * n)
+        for i, (dual, pr) in enumerate(cases):
+            pt, Y1 = backward_map_full(dual, pr, validate=False)
+            for got, ref in ((q[i], pt.q), (p[i], pt.p), (Y[i], Y1)):
+                assert np.array_equal(_bits(got), _bits(ref))
+        inner = [i for i in range(24) if i % 3 != 2]
+        q, p, Y, lax = duality._backward_kernel(
+            lam[inner], theta[inner], CouplingRows([cases[i][1] for i in inner]))
+        for row, i in enumerate(inner):
+            dual, pr = cases[i]
+            pt, Y1 = backward_map_full(dual, pr)
+            assert np.array_equal(_bits(q[row]), _bits(pt.q))
+            assert np.array_equal(_bits(Y[row]), _bits(Y1))
+            assert _bits(lax[row]) == _bits(backward_residuals(pt, Y1, pr)[0])
+
+
+def test_backward_kernel_failing_row_raises_the_error_of_its_point(rng):
+    # a near-wall row trips the Lax gate inside a stack as it does alone
+    (good, p), (wall, p_wall) = _backward_cases(rng, 3, 3)[1:]
+    with pytest.raises(ConsistencyError) as alone:
+        backward_map_full(wall, p_wall)
+    rows = CouplingRows([p, p_wall, p])
+    with pytest.raises(ConsistencyError) as stacked:
+        duality._backward_kernel(np.array([good.lam, wall.lam, good.lam]),
+                                 np.array([good.theta, wall.theta, good.theta]), rows)
+    assert str(stacked.value) == str(alone.value)
+    assert "reconstructed Lax matrix" in str(alone.value)
 
 
 @pytest.mark.parametrize("richardson", [False, True])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import lax_K_loop
 
-from bcsuth.duality import DUAL_PAIRING, backward_map, forward_map_full
+from bcsuth.duality import DUAL_PAIRING, backward_map, backward_map_full, forward_map_full
 import bcsuth.dynamics as dynamics
 from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
                              default_monitors, fd_gradient,
@@ -320,6 +320,34 @@ def test_angle_linearity_single_particle():
     assert not rep["unwrap_hazard"]
 
 
+def test_angle_linearity_maps_each_stack_in_one_kernel_call(rng, monkeypatch):
+    # the sampled states in one forward-kernel call, the energy stencil in one
+    # backward-kernel call; each row is the bits its point's maps give
+    n = 2
+    p = sample_params(rng, n, CFG)
+    pt = sample_sutherland(rng, n, gap=0.15)
+    flow = FlowSpec(system="sutherland_H1", chart="qp", dt=1e-3, T=0.2, monitor_stride=10)
+    traj = integrate(flow, np.r_[pt.q, pt.p], p)
+    calls = {"_forward_kernel": [], "_backward_kernel": []}
+    for name in calls:
+        fn = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda x, *a, name=name, fn=fn, **k:
+                            calls[name].append(np.shape(x)) or fn(x, *a, **k))
+    rep = angle_linearity_check(traj, p)
+    assert calls == {"_forward_kernel": [(21, n)], "_backward_kernel": [(2 * n, n)]}
+    idx = np.arange(0, traj.times.size, flow.monitor_stride)
+    duals = [forward_map_full(SutherlandPoint(q=x[:n], p=x[n:]), p)[0] for x in traj.states[idx]]
+    lams = np.array([d.lam for d in duals])
+    assert rep["lambda_drift"] == float(np.max(np.abs(lams - lams[0, None])))
+
+    def energy_at(lam):
+        back = backward_map_full(DualPoint(lam=lam, theta=duals[0].theta), p, validate=False)[0]
+        return closed_form_H1(back, p)
+
+    assert np.array_equal(rep["dH_dlambda"], dynamics.fd_gradient(dynamics._rows(energy_at),
+                                                                  lams[0], 1e-5))
+
+
 def test_dual_flow_conserves_positions(rng):
     n = 2
     p = sample_params(rng, n, CFG)
@@ -369,8 +397,8 @@ def test_monitor_selection():
 
 def _count_monitor_calls(monkeypatch):
     """Count the calls of the monitors' Lax-data functions on ``dynamics``:
-    the stack kernels of the qp chart, the per-sample backward map."""
-    calls = {"_Hk_kernel": 0, "_action_kernel": 0, "backward_map_full": 0}
+    the stack kernels of the qp chart, the backward-map kernel."""
+    calls = {"_Hk_kernel": 0, "_action_kernel": 0, "_backward_kernel": 0}
 
     def counted(name):
         fn = getattr(dynamics, name)
@@ -410,8 +438,13 @@ def test_monitors_evaluate_lax_data_once_per_sample(rng, monkeypatch):
     dtraj = integrate(dflow, np.r_[dual.lam, dual.theta], p)
     for name in dtraj.monitors:
         dtraj.monitors[name]
-    assert calls["backward_map_full"] == dtraj.monitor_times.size
+    assert calls["_backward_kernel"] == 1
     assert {f"q{j+1}" for j in range(n)} <= set(dtraj.monitors)
+    for row, i in enumerate(np.searchsorted(dtraj.times, dtraj.monitor_times)):
+        x = DualPoint(lam=dtraj.states[i, :n], theta=dtraj.states[i, n:])
+        q = backward_map_full(x, p, validate=False)[0].q
+        for j in range(n):
+            assert dtraj.monitors[f"q{j+1}"][row] == q[j]
 
 
 @pytest.mark.parametrize("system", ["sutherland_H1", "dual_H0"])
@@ -423,12 +456,12 @@ def test_monitors_are_evaluated_on_first_read(rng, monkeypatch, system):
     if system == "sutherland_H1":
         chart, x0 = "qp", np.r_[pt.q, pt.p]
         first, group = "lambda1", ["H1", "H2", "lambda1", "lambda2"]
-        once = {"_Hk_kernel": 1, "_action_kernel": 1, "backward_map_full": 0}
+        once = {"_Hk_kernel": 1, "_action_kernel": 1, "_backward_kernel": 0}
     else:
         dual, _ = forward_map_full(pt, p)
         chart, x0 = "lambda_theta", np.r_[dual.lam, dual.theta]
         first, group = "q1", ["q1", "q2"]
-        once = {"_Hk_kernel": 0, "_action_kernel": 0, "backward_map_full": 1}
+        once = {"_Hk_kernel": 0, "_action_kernel": 0, "_backward_kernel": 1}
     flow = FlowSpec(system=system, chart=chart, dt=1e-3, T=0.02, monitor_stride=5)
     traj = integrate(flow, x0, p)
     assert sum(calls.values()) == 0
@@ -439,8 +472,6 @@ def test_monitors_are_evaluated_on_first_read(rng, monkeypatch, system):
     assert traj.monitors["H_flow"].shape == traj.monitor_times.shape
     assert sum(calls.values()) == 0
     assert traj.monitors[first].shape == traj.monitor_times.shape
-    if system == "dual_H0":  # one backward map per sample
-        once["backward_map_full"] = traj.monitor_times.size
     assert calls == once
     for name in group:
         traj.monitors[name]

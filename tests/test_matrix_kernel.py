@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import pair_diagonalize_one
+from conftest import cartan_decompose_one, pair_diagonalize_one
 
 import bcsuth
 from bcsuth.errors import PairingError, StructureError
@@ -312,6 +312,53 @@ def test_cartan_degenerate_clusters(case, n):
         recon = eta.m @ exp_iQ(2 * q) @ eta.m.conj().T
         assert np.linalg.norm(recon - B) < 1e-12
         assert structure_residual(eta.m, "Gplus") < 1e-12
+
+
+def _bits(a):
+    """The raw words of a float or complex array: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_cartan_stack_matches_each_matrix_bit_for_bit():
+    # a (3, 4) stack per n = 1-8 of random elements, one with mirror
+    # clusters (the only item on the cluster path), one next to a mirror and
+    # one with a degenerate pair: each item's eta and q are the bits of the
+    # single-matrix reference, as is a single call on each
+    for n in range(1, 9):
+        rng = np.random.default_rng(100 + n)
+        qs = [np.sort(rng.uniform(0.05, np.pi / 2 - 0.05, n))[::-1] for _ in range(12)]
+        qs[3] = np.r_[np.full(n - n // 2, np.pi / 2), np.zeros(n // 2)] if n > 1 else np.zeros(1)
+        qs[5][-1] = 1.5e-9
+        qs[8] = _clustered_q("pair", n, rng) if n > 2 else qs[8]
+        stack = np.array([g @ exp_iQ(2 * q0) @ g.conj().T
+                          for g, q0 in zip((random_gplus(rng, n) for _ in qs), qs)])
+        stack = stack.reshape(3, 4, 2 * n, 2 * n)
+        eta, q = cartan_decompose_gminus(stack)
+        assert eta.m.shape == stack.shape and q.shape == (3, 4, n)
+        for i in np.ndindex(3, 4):
+            eta_ref, q_ref = cartan_decompose_one(stack[i])
+            eta1, q1 = cartan_decompose_gminus(stack[i])
+            for got in ((eta.m[i], q[i]), (eta1.m, q1)):
+                assert np.array_equal(_bits(got[0]), _bits(eta_ref))
+                assert np.array_equal(_bits(got[1]), _bits(q_ref))
+
+
+def test_cartan_stack_raises_the_error_of_its_failing_matrix(rng):
+    # +-C has an unbalanced mirror cluster: inside a stack it raises the
+    # error it raises alone
+    n = 2
+    good = random_Gminus_group(rng, n)[0]
+    stack = np.array([good, -exchange_matrix(n), good])
+    with pytest.raises(PairingError) as alone:
+        cartan_decompose_gminus(stack[1])
+    with pytest.raises(PairingError) as stacked:
+        cartan_decompose_gminus(stack)
+    assert str(stacked.value) == str(alone.value)
+    assert "unbalanced" in str(alone.value)
+    # a NaN item passes the screen as it does alone, and hides no later item
+    stack = np.array([np.full((4, 4), np.nan + 0j), good, 2.0 * good])
+    with pytest.raises(StructureError, match="Gminus residual"):
+        cartan_decompose_gminus(stack)
 
 
 def test_package_runs_without_scipy():

@@ -2,15 +2,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import h_matrix_loop, match_spectra
+from conftest import diag_entry_n2n_loop, g_profiles_loop, h_matrix_loop, match_spectra
 
 from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import DomainError
 from bcsuth.matkernel import structure_residual
-from bcsuth.params import (DualPoint, couplings_from_rsvd, lambda_of_z,
-                           z_from_angles)
+from bcsuth.params import (CouplingRows, DualPoint, couplings_from_rsvd, lambda_of_z,
+                           z_from_angle_rows, z_from_angles)
 from bcsuth.rsvd import (A_check, A_check_direct, A_from_F, A_tilde, F_squared_branches,
-                         L_tilde, _diag_entry_n2n, _dual_H0_kernel, appendix_chain,
+                         L_tilde, _A_tilde_phi, _diag_entry_n2n, _dual_H0_kernel,
+                         _g_profiles, appendix_chain,
                          commutator_residual, dual_H0, dual_Hk, f_vector,
                          g_functions, grad_dual_H0, h_matrix, m_of_theta,
                          phi_vector, w_system_residual, w_weights)
@@ -91,6 +92,47 @@ def test_h_matrix_stack_raises_the_error_of_its_first_low_row():
         h_matrix(rows, p)
     assert str(stacked.value) == str(alone.value)
     assert "got [3.0, 0.5]" in str(alone.value)
+
+
+def test_oscillator_profiles_match_the_float_loop_bit_for_bit(rng):
+    # g and the cancelled (n, 2n) entry of A_tilde at 1,200 lambda draws,
+    # n = 1-8, a fifth at kappa = 0 and some next to the walls: every word is
+    # the float loop's, for a point and for each row of a stack with its own
+    # couplings
+    for n in range(1, 9):
+        rows, lams = [], []
+        for s in range(150):
+            p = sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0))
+            lam = sample_dual(rng, n, p).lam
+            if s % 3 == 1:  # within 1e-7 of the walls
+                lam = p.nu + 1e-7 + np.arange(n)[::-1] * (2 * p.mu + 1e-7)
+            assert np.array_equal(_bits(_g_profiles(lam, p)), _bits(g_profiles_loop(lam, p)))
+            entry = _diag_entry_n2n(lam, p)
+            assert isinstance(entry, float)
+            assert _bits(entry) == _bits(diag_entry_n2n_loop(lam, p))
+            rows.append(p)
+            lams.append(lam)
+        stack = CouplingRows(rows)
+        g, entries = _g_profiles(np.array(lams), stack), _diag_entry_n2n(np.array(lams), stack)
+        for i, (lam, p) in enumerate(zip(lams, rows)):
+            assert np.array_equal(_bits(g[i]), _bits(g_profiles_loop(lam, p)))
+            assert _bits(entries[i]) == _bits(diag_entry_n2n_loop(lam, p))
+
+
+def test_A_tilde_stack_rows_are_the_bits_of_their_points(rng):
+    # A_tilde and phi over a stack of dual points, each row with its own
+    # couplings (kappa = 0 at every fifth), against one point at a time
+    for n in range(1, 9):
+        rows = [sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0)) for s in range(20)]
+        duals = [sample_dual(rng, n, p) for p in rows]
+        lam = np.array([d.lam for d in duals])
+        stack = CouplingRows(rows)
+        z = z_from_angle_rows(lam, np.array([d.theta for d in duals]), stack)
+        A, phi = _A_tilde_phi(z, lam, stack)
+        for i, (d, p) in enumerate(zip(duals, rows)):
+            A1, phi1 = _A_tilde_phi(z_from_angles(d, p).z, d.lam, p)
+            assert np.array_equal(_bits(A[i]), _bits(A1))
+            assert np.array_equal(_bits(phi[i]), _bits(phi1))
 
 
 def test_f_vector_single_particle():

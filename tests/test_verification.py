@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,11 +227,11 @@ def _raise_consistency(*args, **kwargs):
 
 
 def test_an_error_in_a_sample_fails_its_rows_and_the_run_goes_on(monkeypatch):
-    # every row of the duality sampler reads the backward map, the other
+    # every row of the duality sampler reads the backward kernel, the other
     # samplers' rows and the control do not
     import bcsuth.duality as duality
 
-    monkeypatch.setattr(duality, "backward_map_full", _raise_consistency)
+    monkeypatch.setattr(duality, "_backward_kernel", _raise_consistency)
     report = run_suite(_cfg("duality", n_values=(1, 2), samples=3))
     failed = {c.name: c for c in report.checks if not c.passed}
     assert set(failed) == _DUALITY_SAMPLE_ROWS
@@ -243,7 +245,7 @@ def test_verify_writes_the_report_when_a_sample_raises(monkeypatch, tmp_path):
     import bcsuth.duality as duality
     from bcsuth import cli
 
-    monkeypatch.setattr(duality, "backward_map_full", _raise_consistency)
+    monkeypatch.setattr(duality, "_backward_kernel", _raise_consistency)
     out = tmp_path / "verify.json"
     code = cli.main(["verify", "--suite", "duality", "--n-max", "1",
                      "--samples", "2", "--out", str(out)])
@@ -328,20 +330,161 @@ def test_energy_control_trips_and_matches_a_per_step_reference(seed):
     assert drift > 10 * DEFAULT_TOLERANCES["dynamics.energy_drift"]
 
 
-def test_sutherland_suite_builds_one_lax_matrix_and_two_spectra_per_sample(monkeypatch):
-    # 75 samples at seed 1 and the negative control: one Lax matrix per
-    # sample, one eigvalsh of -iY and one of -iK (the parent built the Lax
-    # matrix five times and took four eigvalsh per sample: 376 and 300)
-    import bcsuth.sutherland as sutherland
-
-    calls = {"lax": 0, "eigvalsh": 0}
-    kernel, eigvalsh = sutherland._lax_K_kernel, np.linalg.eigvalsh
+def _count_calls(monkeypatch, module, *names):
+    """Wrap the functions ``names`` of ``module``: each call records the shape
+    of its first argument under its name."""
+    calls = {name: [] for name in names}
 
     def counted(name, fn):
-        return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+        return lambda *a, **k: calls[name].append(np.shape(a[0])) or fn(*a, **k)
 
-    monkeypatch.setattr(sutherland, "_lax_K_kernel", counted("lax", kernel))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_sutherland_suite_builds_one_lax_stack_and_two_spectra_per_n(monkeypatch):
+    # 25 samples per n at seed 1 and the negative control: one Lax stack per
+    # n, one eigvalsh of -iY and one of -iK over it (the sampler built a Lax
+    # matrix per sample, 76, and took two eigvalsh per sample, 150)
+    import bcsuth.sutherland as sutherland
+
+    calls = _count_calls(monkeypatch, sutherland, "_lax_K_kernel")
+    calls.update(_count_calls(monkeypatch, np.linalg, "eigvalsh"))
     report = run_suite(SuiteConfig("sutherland", seed=1))
     assert report.passed
-    assert calls == {"lax": 76, "eigvalsh": 150}
+    assert calls["_lax_K_kernel"] == [(25, 1), (25, 2), (25, 3), (2,)]
+    assert calls["eigvalsh"] == [(25, 2 * n, 2 * n) for n in (1, 2, 3) for _ in "YK"]
+
+
+def test_duality_sampler_maps_each_n_in_one_kernel_call(monkeypatch):
+    # the duality sampler's rows: one forward-kernel and one backward-kernel
+    # call per n, and the control's one forward map
+    import bcsuth.duality as duality
+    import bcsuth.verification as verification
+
+    monkeypatch.setattr(verification, "ROWS", tuple(
+        r for r in ROWS if r.sampler is verification._DUALITY))
+    calls = _count_calls(monkeypatch, duality, "_forward_kernel", "_backward_kernel")
+    assert run_suite(SuiteConfig("duality", seed=1)).passed
+    assert calls == {"_forward_kernel": [(25, 1), (25, 2), (25, 3), (2,)],
+                     "_backward_kernel": [(25, 1), (25, 2), (25, 3)]}
+
+
+def test_duality_suite_builds_the_lax_matrix_twice_per_sample(monkeypatch):
+    # one Lax stack per n in the forward kernel and one in the backward
+    # kernel's gate (the sampler built it four times per sample, 300 in all);
+    # the canonicity rows' 15 samples take two forward maps each and the
+    # control one
+    import bcsuth.duality as duality
+
+    calls = _count_calls(monkeypatch, duality, "_lax_K_kernel")
+    assert run_suite(SuiteConfig("duality", seed=1)).passed
+    expected = Counter({(25, n): 2 for n in (1, 2, 3)})
+    expected.update({(n,): 5 for n in (1, 2, 3)} | {(8 * n, n): 5 for n in (1, 2, 3)})
+    expected[(2,)] += 1
+    assert Counter(calls["_lax_K_kernel"]) == expected
+
+
+def test_structure_suite_factors_each_n_in_one_stacked_call_per_use(monkeypatch):
+    # per n: the paired spectra, the rephased paired spectra and the Cartan
+    # factors, each one stacked call; the control's one paired spectrum
+    import bcsuth.matkernel as matkernel
+
+    calls = _count_calls(monkeypatch, matkernel, "pair_diagonalize_gminus",
+                         "cartan_decompose_gminus")
+    assert run_suite(SuiteConfig("structure", seed=1)).passed
+    assert calls == {
+        "pair_diagonalize_gminus": [(25, 2 * n, 2 * n) for n in (1, 2, 3) for _ in "gz"]
+        + [(4, 4)],
+        "cartan_decompose_gminus": [(25, 2 * n, 2 * n) for n in (1, 2, 3)]}
+
+
+def _per_sample(sampler, samples, status, config):
+    """The runner's compute step, one sample at a time: what each sample gives alone."""
+    import bcsuth.verification as verification
+
+    for i, x in enumerate(samples):
+        if status[i] is None:
+            status[i] = verification._attempt(sampler.compute, sampler.skip, [x], config)
+
+
+@pytest.mark.parametrize("suite", ["structure", "sutherland", "duality"])
+def test_an_n_computed_in_one_call_reports_what_each_sample_gives_alone(monkeypatch, suite):
+    import bcsuth.verification as verification
+
+    cfg = SuiteConfig(suite, seed=3)
+    batched = run_suite(cfg).to_json()
+    monkeypatch.setattr(verification, "_compute", _per_sample)
+    assert run_suite(cfg).to_json() == batched
+
+
+def test_a_raising_sample_sends_its_n_back_to_one_sample_at_a_time(monkeypatch):
+    # sample 2 of n = 2 raises inside the batch: that n is computed again one
+    # sample at a time, so the report is the one of a run that computes every
+    # sample alone, with the raising sample's NaN counterexample
+    import bcsuth.duality as duality
+    import bcsuth.verification as verification
+
+    cfg = SuiteConfig("duality", seed=1)
+    rng = np.random.default_rng([cfg.seed, verification._DUALITY.id])
+    for n, s in verification._DUALITY.cases(cfg):
+        x = SimpleNamespace(n=n, s=s)
+        verification._draw_point(x, rng, cfg)
+        if (n, s) == (2, 2):
+            break
+    target, brackets = x.point, duality.superintegrability_data
+
+    def refuse(point, params):
+        if point.n == 2 and np.array_equal(point.q, target.q):
+            raise ConsistencyError("refused on purpose")
+        return brackets(point, params)
+
+    monkeypatch.setattr(duality, "superintegrability_data", refuse)
+    fallbacks = []
+    compute = verification._attempt
+
+    def spy(fn, skip, *args):
+        outcome = compute(fn, skip, *args)
+        if fn is verification._map_duality and len(args[0]) > 1:
+            fallbacks.append((args[0][0].n, outcome))
+        return outcome
+
+    monkeypatch.setattr(verification, "_attempt", spy)
+    report = run_suite(cfg)
+    assert [(n, type(outcome)) for n, outcome in fallbacks] == [
+        (1, type(None)), (2, ConsistencyError), (3, type(None))]
+    monkeypatch.setattr(verification, "_compute", _per_sample)
+    assert run_suite(cfg).to_json() == report.to_json()
+    failed = {c.name: c for c in report.checks if not c.passed}
+    assert set(failed) == _DUALITY_SAMPLE_ROWS
+    for row in failed.values():
+        assert np.isnan(row.max_residual)
+        assert row.counterexample["point"] == target.to_dict()
+        assert "refused on purpose" in row.counterexample["error"]
+
+
+class _MissingRng:
+    """A generator whose positions always collide, so that sample_sutherland
+    falls back to its fixed lattice."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5 * (low + high))
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_sample_sutherland_lattice_stays_inside_at_every_n():
+    # the fallback lattice pi/2 - gap - 2 gap k, kept while it fits (n <= 16
+    # at gap 0.05), then evenly spaced points
+    from bcsuth.params import CouplingParams, domain_membership
+
+    for n in range(2, 17):
+        q = sample_sutherland(_MissingRng(), n).q
+        assert np.array_equal(q, math.pi / 2 - 0.05 - 0.1 * np.arange(n, dtype=float))
+    params = CouplingParams(n=1, mu=1.0, nu=2.0, kappa=0.0)
+    for n in (17, 24, 32):
+        pt = sample_sutherland(np.random.default_rng(n), n)
+        assert domain_membership(pt, params) == "inside"
+        assert domain_membership(sample_sutherland(_MissingRng(), n), params) == "inside"
