@@ -15,9 +15,10 @@ arrays, :func:`_forward_kernel` of q and p and :func:`_backward_kernel` of
 lambda and theta, which take one coupling triple per row
 (:class:`~bcsuth.params.CouplingRows`) and give each row the bits of its
 point.  The forward kernel also returns its Lax part K, off which
-:func:`invariant_crosscheck` reads Y; the backward kernel checks the
-recovered q once and builds the Lax matrix of its gate straight from
-:func:`~bcsuth.sutherland._lax_K_kernel`, and returns the defect that gate
+:func:`invariant_crosscheck` reads Y; the backward kernel reads h, the dual
+Lax matrix and phi from :func:`~bcsuth.rsvd._L_tilde_kernel` at the point's
+own lambda, checks the recovered q once, builds its gate's Lax matrix from
+:func:`~bcsuth.sutherland._lax_K_kernel`, and returns the defect the gate
 measured, which :func:`backward_residuals` reuses.
 
 Measured symplectic normalization
@@ -46,7 +47,7 @@ from .matkernel import _dag, _frobenius, exchange_matrix, exp_iQ, exp_iQ_diagona
 from .params import (DOMAIN_MARGIN, CouplingParams, DualPoint, OscillatorPoint,
                      SutherlandPoint, _outside_rows, _slack_rows, canonical_angle,
                      chart_membership, require_inside, row_params, z_from_angle_rows)
-from .rsvd import F_squared_branches, _A_tilde_phi, dual_H0, h_matrix
+from .rsvd import F_squared_branches, _L_tilde_kernel, dual_H0, h_matrix
 from .sutherland import _lax_K_kernel, _lax_Y_of_K, momentum_residual, \
     real_constraint_vector
 
@@ -140,9 +141,8 @@ def _backward_kernel(lam, theta, params: CouplingParams, validate: bool = True):
     lam = np.asarray(lam, dtype=float)
     n = lam.shape[-1]
     z = z_from_angle_rows(lam, theta, params)
-    h = h_matrix(lam, params).h.m
-    A, phi = _A_tilde_phi(z, lam, params)
-    eta, q = cartan_decompose_gminus(-_dag(h @ A @ h))
+    h, L, phi = _L_tilde_kernel(z, lam, params)
+    eta, q = cartan_decompose_gminus(-_dag(L))
     slack = _slack_rows(q, "qp", params)
     inside = slack.min() > DOMAIN_MARGIN and slack.max() < np.inf  # every row, both margins
     if not inside and (bad := _outside_rows(slack, 1e-12)).any():

@@ -25,11 +25,10 @@ tolerance.  It is the only mode for the higher H_k and the dual h_k, and the
 reference the closed forms are tested against.  ``fd_gradient`` evaluates a
 whole stencil in one call: the maps it and ``poisson_bracket_fd`` take send
 a stack of points (..., d) to values (...) or (..., p).  The Sutherland H_k,
-the dual H0 and both duality maps are numpy kernels over such stacks, and
-the dual h_k read z for the whole stack in one pass: the lambda_theta
-monitors, and ``angle_linearity_check``'s forward maps and energy stencil,
-make one kernel call each.  ``_rows`` lifts only the Newton Jacobian's vector
-field, a map of one point, row by row.
+the dual H0, the dual h_k and both duality maps are numpy kernels over such
+stacks, one call per stack and not one per row, as are the lambda_theta
+monitors and ``angle_linearity_check``'s forward maps and energy stencil.
+``_rows`` lifts only the Newton Jacobian's field, a map of one point.
 
 Chart conventions: the Sutherland systems live on the (q, p) chart and the
 dual systems on the (lambda, theta) chart.  In the (q, p) chart the equations
@@ -245,10 +244,10 @@ def _rows(fn):
 
 def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     """The Hamiltonian as a map of stacks (..., 2n) -> (...) in the flow's
-    chart coordinates, a float at a single point: the Sutherland H_1, the
-    higher H_k (one Lax stack, one ``eigvalsh``) and the dual H0 are array
-    kernels, the dual h_k read z for the whole stack in one pass and
-    evaluate ``dual_Hk`` row by row."""
+    chart coordinates, a float at a single point, from one kernel call per
+    stack: the Sutherland H_1, the higher H_k (one Lax stack, one
+    ``eigvalsh``), the dual H0, and the dual h_k (z for the whole stack, then
+    one ``dual_Hk`` call)."""
     n = params.n
     k = flow.k
     if flow.system == "dual_H0":
@@ -263,11 +262,9 @@ def hamiltonian_function(flow: FlowSpec, params: CouplingParams):
     # dual Hamiltonians restricted to the angle chart, via the global Lax
     # matrix; a row's z is the one its DualPoint gives, bit for bit
     def H(x):
-        x = np.asarray(x, dtype=float)
         z = z_from_angle_rows(x[..., :n], canonical_angle(x[..., n:]), params)
-        values = np.array([dual_Hk(row, params, kmax=k)[k - 1]
-                           for row in z.reshape(-1, n)])
-        return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
+        values = dual_Hk(z, params, kmax=k)[..., k - 1]
+        return float(values) if values.ndim == 0 else values
     return H
 
 

@@ -1,13 +1,14 @@
 """Structured N x N complex matrices (N = 2n) and their decompositions.
 
 Everything revolves around the exchange matrix C (off-diagonal identity
-blocks) and conjugation by it.  Five structure tags are supported:
+blocks) and conjugation by it.  Six structure tags are supported:
 
 * ``unitary``  X^dag X = 1
 * ``Gplus``    unitary with C X C =  X      (block form [[a, b], [b, a]])
 * ``Gminus``   unitary with C X C =  X^{-1}
 * ``gplus``    anti-Hermitian with C X C =  X
 * ``gminus``   anti-Hermitian with C X C = -X
+* ``antihermitian``  X^dag = -X  (the input gate of :func:`gamma_split`)
 
 The three workhorse factorizations:
 
@@ -38,7 +39,7 @@ PAIR_TOL = 1e-9
 #: default residual bound accepted for structure membership of inputs
 CHECK_TOL = 1e-8
 
-STRUCTURE_TAGS = ("unitary", "Gplus", "Gminus", "gplus", "gminus")
+STRUCTURE_TAGS = ("unitary", "Gplus", "Gminus", "gplus", "gminus", "antihermitian")
 
 
 def exchange_matrix(n: int) -> np.ndarray:
@@ -88,14 +89,15 @@ def exp_iQ_diagonal(q) -> np.ndarray:
 
 
 #: tag -> (its own relation: X^dag X = 1 if True, else X^dag = -X; the matrix
-#: C X C must equal, None for unitary).  For Gminus that is X^{-1} = X^dag,
-#: since unitarity is checked in the same max.
+#: C X C must equal, None if there is no C relation).  For Gminus that is
+#: X^{-1} = X^dag, since unitarity is checked in the same max.
 _RELATIONS = {
     "unitary": (True, None),
     "Gplus": (True, lambda X: X),
     "Gminus": (True, _dag),
     "gplus": (False, lambda X: X),
     "gminus": (False, lambda X: -X),
+    "antihermitian": (False, None),
 }
 
 
@@ -161,7 +163,7 @@ def gamma_split(Y) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=complex)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] % 2:
         raise ValueError("Y must be square of even size")
-    r = float(np.linalg.norm(Y.conj().T + Y))
+    r = structure_residual(Y, "antihermitian")
     if r > CHECK_TOL:
         raise StructureError(f"gamma_split needs an anti-Hermitian input, residual {r:.3e}")
     Y_plus = (Y + conj_by_C(Y)) / 2.0

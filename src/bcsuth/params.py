@@ -350,12 +350,6 @@ def _inside_slack_rows(pos, chart: str, params: CouplingParams) -> np.ndarray:
     return slack
 
 
-def require_inside_rows(lam, params: CouplingParams):
-    """:func:`require_inside` on every row of a stack (..., n) of lambda vectors
-    in one numpy pass; the first row that is not inside raises its error."""
-    _inside_slack_rows(np.asarray(lam, dtype=float), "lambda_theta", params)
-
-
 def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN) -> bool:
     """True iff lambda avoids every resonance hyperplane with slack > margin.
 
@@ -386,15 +380,13 @@ def strongly_regular(lam, params: CouplingParams, margin: float = DOMAIN_MARGIN)
 def lambda_of_z(z, params: CouplingParams):
     """Positions lambda_k(z) = nu + 2*(n-k)*mu + sum_{j>=k} |z_j|^2 (k = 1..n).
 
-    Smooth on all of C^n; the image is the closure of the dual chamber.
+    Smooth on all of C^n; the image is the closure of the dual chamber.  Over a
+    stack (..., n), one triple per row for :class:`CouplingRows`; the tail sums
+    accumulate from the end, so each row gets the bits of its point alone.
     """
-    sq = (np.abs(np.asarray(z, dtype=complex)) ** 2).tolist()
-    n = len(sq)
-    lam, tail = [0.0] * n, 0.0
-    for k in range(n - 1, -1, -1):  # the tail sums, accumulated from the end
-        tail += sq[k]
-        lam[k] = params.nu + 2.0 * (n - 1 - k) * params.mu + tail
-    return np.array(lam)
+    sq = np.abs(np.asarray(z, dtype=complex)) ** 2
+    tail = np.cumsum(sq[..., ::-1], -1)[..., ::-1]
+    return params.nu + 2.0 * np.arange(sq.shape[-1] - 1, -1, -1) * params.mu + tail
 
 
 def z_from_angles(dual: DualPoint, params: CouplingParams) -> OscillatorPoint:

@@ -9,7 +9,9 @@ The central objects:
 * ``A_check``       the unitary Gminus matrix solving the rank-one commutator
                     equation (built smoothly through the oscillator chart),
 * ``A_tilde``       its globally smooth gauge transform on C^n, and
-* ``L_tilde``       the global dual Lax matrix h * A_tilde * h,
+* ``L_tilde``       the global dual Lax matrix h * A_tilde * h, formed only in
+                    ``_L_tilde_kernel``: the backward map, ``L_tilde`` and
+                    ``dual_Hk`` read it, each over stacks (..., n) of z,
 * ``F_squared_branches`` / ``w_system_residual``  the quadratic system obeyed
                     by the moduli |F_k|^2 and its two closed-form branches.
 
@@ -35,9 +37,8 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .matkernel import (StructuredMatrix, _swapped_halves, exchange_matrix,
                         jacobi_minor_residual, structure_residual)
-from .params import (TWO_PI, CouplingParams, DualPoint, lambda_of_z,
-                     require_inside, require_inside_rows, row_params,
-                     strongly_regular, z_from_angle_rows)
+from .params import (TWO_PI, CouplingParams, DualPoint, _inside_slack_rows, lambda_of_z,
+                     require_inside, row_params, strongly_regular, z_from_angle_rows)
 
 #: bound of A_check's optional unitarity and commutator checks
 SELFCHECK_TOL = 1e-8
@@ -307,24 +308,31 @@ def _A_tilde_phi(z, lam, params: CouplingParams) -> tuple[np.ndarray, np.ndarray
     return A, phi
 
 
-def L_tilde(z, params: CouplingParams) -> StructuredMatrix:
-    """Global dual Lax matrix h(lambda(z)) A_tilde(z) h(lambda(z))."""
-    z = np.asarray(z, dtype=complex)
-    lam = lambda_of_z(z, params)
+def _L_tilde_kernel(z, lam, params: CouplingParams):
+    """(h(lam), L = h A_tilde(z) h, phi(z)) over a stack (..., n) of z at the caller's
+    positions lam, each row the bits of its point; ``params`` may hold one coupling
+    triple per row (:class:`~bcsuth.params.CouplingRows`)."""
     h = h_matrix(lam, params).h.m
-    return StructuredMatrix(h @ _A_tilde_phi(z, lam, params)[0] @ h)
+    A, phi = _A_tilde_phi(z, lam, params)
+    return h, h @ A @ h, phi
+
+
+def L_tilde(z, params: CouplingParams) -> StructuredMatrix:
+    """Global dual Lax matrix h(lambda(z)) A_tilde(z) h(lambda(z)), over a stack (..., n)."""
+    return StructuredMatrix(_L_tilde_kernel(z, lambda_of_z(z, params), params)[1])
 
 
 def dual_Hk(z, params: CouplingParams, kmax: int | None = None) -> np.ndarray:
-    """Commuting dual Hamiltonians tr(L_tilde^k) / (2k) for k = 1..kmax."""
+    """Commuting dual Hamiltonians tr(L_tilde^k) / (2k) for k = 1..kmax: over a
+    stack (..., n) of z, (..., kmax) from stacked powers of L_tilde."""
     kmax = params.n if kmax is None else int(kmax)
     L = L_tilde(z, params).m
-    P = np.eye(L.shape[0], dtype=complex)
+    P = np.eye(L.shape[-1], dtype=complex)
     out = []
     for k in range(1, kmax + 1):
         P = P @ L
-        out.append(float(np.trace(P).real) / (2.0 * k))
-    return np.array(out)
+        out.append(np.trace(P, axis1=-2, axis2=-1).real / (2.0 * k))
+    return np.stack(out, -1)
 
 
 def _cauchy_parts(F, lam, params: CouplingParams):
@@ -447,14 +455,14 @@ def _dual_H0_kernel(lam, theta, params: CouplingParams):
 
     Returns an array of shape (...), a float for a single point; each row's
     value is the one that point alone gives, bit for bit.  Every row is
-    checked against the chamber by :func:`require_inside_rows`, and the
+    checked against the chamber in one pass (``_inside_slack_rows``), and the
     first row that is not inside raises its error.  Each theta_j is reduced
     mod 2*pi as :func:`canonical_angle` reduces it, so the value is the one
     ``dual_H0`` returns.  The pair factors of w_j and w_{j+o} are one array
     per neighbour offset o = 1 .. n-1; sum and product run left to right.
     """
     lam = np.asarray(lam, dtype=float)
-    require_inside_rows(lam, params)
+    _inside_slack_rows(lam, "lambda_theta", params)
     mu, nu, kappa = params.mu, params.nu, params.kappa
     mu4 = 4 * mu**2
     x2 = lam * lam

@@ -171,3 +171,38 @@ def cartan_decompose_one(B):
     peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
     V = V / (peak / np.abs(peak))
     return np.concatenate((V, np.concatenate((V[n:], V[:n]))), axis=1), q
+
+
+def lambda_of_z_loop(z, params):
+    """Reference positions lambda(z) at one z: a loop over Python floats, the
+    tail sums of |z_j|^2 accumulated from the end."""
+    sq = (np.abs(np.asarray(z, dtype=complex)) ** 2).tolist()
+    n = len(sq)
+    lam, tail = [0.0] * n, 0.0
+    for k in range(n - 1, -1, -1):
+        tail += sq[k]
+        lam[k] = params.nu + 2.0 * (n - 1 - k) * params.mu + tail
+    return np.array(lam)
+
+
+def L_tilde_one(z, params):
+    """Reference dual Lax matrix h A_tilde h at one z, lambda from the float loop."""
+    from bcsuth.rsvd import _A_tilde_phi, h_matrix
+
+    z = np.asarray(z, dtype=complex)
+    lam = lambda_of_z_loop(z, params)
+    h = h_matrix(lam, params).h.m
+    return h @ _A_tilde_phi(z, lam, params)[0] @ h
+
+
+def dual_Hk_one(z, params, kmax=None):
+    """Reference dual Hamiltonians tr(L^k) / (2k), k = 1..kmax, at one z: one
+    power of :func:`L_tilde_one` at a time, each trace a Python float."""
+    kmax = params.n if kmax is None else int(kmax)
+    L = L_tilde_one(z, params)
+    P = np.eye(L.shape[0], dtype=complex)
+    out = []
+    for k in range(1, kmax + 1):
+        P = P @ L
+        out.append(float(np.trace(P).real) / (2.0 * k))
+    return np.array(out)

@@ -526,6 +526,22 @@ def test_backward_kernel_rows_match_the_point_map_bit_for_bit(rng):
             assert _bits(lax[row]) == _bits(backward_residuals(pt, Y1, pr)[0])
 
 
+def test_backward_kernel_reads_the_dual_Lax_matrix_from_one_kernel_call(rng, monkeypatch):
+    # h, L = h A_tilde h and phi of a whole stack come from one _L_tilde_kernel
+    # call at the points' own lambda
+    lams = []
+    kernel = duality._L_tilde_kernel
+    monkeypatch.setattr(duality, "_L_tilde_kernel",
+                        lambda z, lam, params: lams.append(lam) or kernel(z, lam, params))
+    for n in (1, 2, 4):
+        cases = _backward_cases(rng, n, 6)[::3]
+        lam = np.array([d.lam for d, _ in cases])
+        theta = np.array([d.theta for d, _ in cases])
+        lams.clear()
+        duality._backward_kernel(lam, theta, CouplingRows([p for _, p in cases]))
+        assert len(lams) == 1 and np.array_equal(lams[0], lam)
+
+
 def test_backward_kernel_failing_row_raises_the_error_of_its_point(rng):
     # a near-wall row trips the Lax gate inside a stack as it does alone
     (good, p), (wall, p_wall) = _backward_cases(rng, 3, 3)[1:]

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import lax_K_loop
+from conftest import dual_Hk_one, lax_K_loop
 
 from bcsuth.duality import DUAL_PAIRING, backward_map, backward_map_full, forward_map_full
 import bcsuth.dynamics as dynamics
+import bcsuth.rsvd as rsvd
 from bcsuth.dynamics import (NEWTON_TOL, STATS, FlowSpec, angle_linearity_check,
                              default_monitors, fd_gradient,
                              hamiltonian_function, implicit_midpoint_step,
@@ -17,7 +18,6 @@ from bcsuth.errors import (BoundaryApproachError, DegenerateTorusError,
 from bcsuth.matkernel import exchange_matrix
 from bcsuth.params import (DualPoint, SutherlandPoint, couplings_from_rsvd,
                            lambda_of_z, require_inside, z_from_angles)
-from bcsuth.rsvd import dual_Hk
 from bcsuth.sutherland import action_map, closed_form_H1, hamiltonians
 from bcsuth.verification import (SuiteConfig, run_suite, sample_dual,
                                  sample_lambda, sample_params,
@@ -856,8 +856,9 @@ def test_dual_Hk_stack_raises_the_error_of_its_first_row_off_the_chamber():
 
 def test_dual_Hk_stack_matches_the_point_route_bit_for_bit(rng):
     # z is read for the whole stack in one pass, the angles reduced as
-    # canonical_angle reduces them: each row keeps the bits of DualPoint ->
-    # z_from_angles -> dual_Hk, also at angles just below 0 (which reduce to
+    # canonical_angle reduces them, and h_k is one dual_Hk call on the stack:
+    # each row keeps the bits of DualPoint -> z_from_angles -> the per-point
+    # reference dual_Hk_one, also at angles just below 0 (which reduce to
     # 0.0) and just below 2 pi
     below_2pi = np.nextafter(2 * np.pi, 0.0)
     for n in (1, 2, 3):
@@ -872,11 +873,46 @@ def test_dual_Hk_stack_matches_the_point_route_bit_for_bit(rng):
             flow = FlowSpec(system="dual_Hk", chart="lambda_theta", dt=1e-3,
                             T=0.01, k=k, gradient="fd")
             H = hamiltonian_function(flow, p)
-            ref = [float(dual_Hk(z_from_angles(DualPoint(lam=x[:n], theta=x[n:]), p).z,
-                                 p, kmax=k)[k - 1]) for x in stack]
+            ref = [float(dual_Hk_one(z_from_angles(DualPoint(lam=x[:n], theta=x[n:]), p).z,
+                                     p, kmax=k)[k - 1]) for x in stack]
             assert np.array_equal(H(stack), ref)
             assert np.array_equal(H(stack.reshape(2, 3, 2 * n)), np.reshape(ref, (2, 3)))
             assert H(stack[1]) == ref[1]
+
+
+def test_dual_Hk_stencil_is_one_dual_Lax_kernel_call(rng, monkeypatch):
+    # the FD dual h_k field evaluates its whole Richardson stencil with one
+    # _L_tilde_kernel call on the (8n, n) stack of z, at every k
+    shapes, kernel = [], rsvd._L_tilde_kernel
+    monkeypatch.setattr(rsvd, "_L_tilde_kernel",
+                        lambda z, lam, params: shapes.append(z.shape) or kernel(z, lam, params))
+    for n in (1, 2, 3):
+        flow, x0, p = _flow_start(rng, "dual_Hk", n, gradient="fd")
+        for k in range(1, n + 1):
+            shapes.clear()
+            H = hamiltonian_function(replace(flow, k=k), p)
+            g = fd_gradient(H, x0, flow.fd_step, richardson=True)
+            assert shapes == [(8 * n, n)] and g.shape == (2 * n,)
+
+
+@pytest.mark.parametrize("system, kernel", [("sutherland_H1", "_H1_kernel"),
+                                            ("sutherland_Hk", "_Hk_kernel"),
+                                            ("dual_H0", "_dual_H0_kernel"),
+                                            ("dual_Hk", "dual_Hk")])
+def test_hamiltonian_is_one_kernel_call_per_stack(rng, monkeypatch, system, kernel):
+    # each of the four systems' H maps an (m, 2n) stack with one call of its
+    # kernel, and gives every row the value of that row alone
+    n, m = 3, 12
+    flow, x0, p = _flow_start(rng, "sutherland_H1" if system.startswith("s") else "dual_H0", n)
+    flow = replace(flow, system=system, k=2, gradient="fd")
+    xs = x0 + 1e-4 * rng.standard_normal((m, 2 * n))
+    H = hamiltonian_function(flow, p)
+    ref = [H(x) for x in xs]
+    calls, fn = [], getattr(dynamics, kernel)
+    monkeypatch.setattr(dynamics, kernel,
+                        lambda *a, **kw: calls.append(np.shape(a[0])) or fn(*a, **kw))
+    values = H(xs)
+    assert len(calls) == 1 and np.array_equal(values, ref)
 
 
 def test_monitor_H_flow_is_one_call_on_the_sampled_stack(rng, monkeypatch):

@@ -32,7 +32,8 @@ def test_structure_residual_examples():
 
 def test_structure_residual_rejects_unknown_tag():
     with pytest.raises(ValueError, match=r"unknown structure tag 'nonsense'; expected one "
-                       r"of \('unitary', 'Gplus', 'Gminus', 'gplus', 'gminus'\)"):
+                       r"of \('unitary', 'Gplus', 'Gminus', 'gplus', 'gminus', "
+                       r"'antihermitian'\)"):
         structure_residual(np.eye(2), "nonsense")
 
 
@@ -49,6 +50,7 @@ def _reference_residual(X, tag):
         "Gminus": max(unitarity, float(np.linalg.norm(C @ X @ C - Xh))),
         "gplus": max(anti_hermiticity, float(np.linalg.norm(C @ X @ C - X))),
         "gminus": max(anti_hermiticity, float(np.linalg.norm(C @ X @ C + X))),
+        "antihermitian": anti_hermiticity,
     }[tag]
 
 
@@ -58,6 +60,7 @@ _MEMBERS = {
     "Gminus": lambda rng, n: random_Gminus_group(rng, n)[0],
     "gplus": random_gplus_algebra,
     "gminus": random_gminus_algebra,
+    "antihermitian": lambda rng, n: random_gplus_algebra(rng, n) + random_gminus_algebra(rng, n),
 }
 
 

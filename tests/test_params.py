@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from bcsuth.errors import DegenerateChartError, DomainError, ParameterError
 from bcsuth.params import (CouplingParams, DualPoint, OscillatorPoint,
-                           SutherlandPoint, angles_from_z, canonical_angle,
-                           chart_membership, couplings_from_rsvd,
+                           SutherlandPoint, _inside_slack_rows, angles_from_z,
+                           canonical_angle, chart_membership, couplings_from_rsvd,
                            couplings_from_sutherland, domain_membership,
-                           lambda_of_z, require_inside, require_inside_rows,
-                           strongly_regular, z_from_angles)
+                           lambda_of_z, require_inside, strongly_regular,
+                           z_from_angles)
 
 
 def test_couplings_forward():
@@ -124,10 +124,10 @@ def test_chart_membership_classifies_as_domain_membership(case):
         except DomainError as exc:
             for rows in (x, np.stack([ahead, x])):
                 with pytest.raises(DomainError, match=re.escape(str(exc))) as got:
-                    require_inside_rows(rows, params)
+                    _inside_slack_rows(rows, chart, params)
                 assert type(got.value) is type(exc)
         else:
-            require_inside_rows(np.stack([ahead, x]), params)
+            _inside_slack_rows(np.stack([ahead, x]), chart, params)
 
 
 @pytest.mark.parametrize("chart, pos", [

@@ -2,7 +2,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import diag_entry_n2n_loop, g_profiles_loop, h_matrix_loop, match_spectra
+from conftest import (L_tilde_one, diag_entry_n2n_loop, dual_Hk_one, g_profiles_loop,
+                      h_matrix_loop, lambda_of_z_loop, match_spectra)
 
 from bcsuth.dynamics import _rows, fd_gradient
 from bcsuth.errors import DomainError
@@ -11,7 +12,7 @@ from bcsuth.params import (CouplingRows, DualPoint, couplings_from_rsvd, lambda_
                            z_from_angle_rows, z_from_angles)
 from bcsuth.rsvd import (A_check, A_check_direct, A_from_F, A_tilde, F_squared_branches,
                          L_tilde, _A_tilde_phi, _diag_entry_n2n, _dual_H0_kernel,
-                         _g_profiles, appendix_chain,
+                         _g_profiles, _L_tilde_kernel, appendix_chain,
                          commutator_residual, dual_H0, dual_Hk, f_vector,
                          g_functions, grad_dual_H0, h_matrix, m_of_theta,
                          phi_vector, w_system_residual, w_weights)
@@ -133,6 +134,44 @@ def test_A_tilde_stack_rows_are_the_bits_of_their_points(rng):
             A1, phi1 = _A_tilde_phi(z_from_angles(d, p).z, d.lam, p)
             assert np.array_equal(_bits(A[i]), _bits(A1))
             assert np.array_equal(_bits(phi[i]), _bits(phi1))
+
+
+def test_dual_Lax_stack_rows_match_the_float_loop_bit_for_bit(rng):
+    # lambda(z), g, phi, A_tilde, L_tilde, dual_Hk and the kernel's (h, L, phi)
+    # over stacks of 20 z at n = 1-8: z = 0 in the first row, where lambda_j =
+    # nu + 2(n - j)mu, components zeroed at random in the others, kappa = 0 at
+    # every fifth row; shared couplings (with kappa = 0 and without) and one
+    # triple per row.  Every row is the bits of its point's reference
+    for n in range(1, 9):
+        rows = [sample_params(rng, n, CFG, force_kappa_zero=(s % 5 == 0)) for s in range(20)]
+        z = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        z[rng.uniform(size=(20, n)) < 0.3] = 0.0
+        z[0] = 0.0
+        for stack in (rows[0], rows[1], CouplingRows(rows)):
+            per_row = isinstance(stack, CouplingRows)
+            lam = lambda_of_z(z, stack)
+            h, L, phi = _L_tilde_kernel(z, lam, stack)
+            got = {"lambda": lam, "g": g_functions(z, stack), "phi": phi_vector(z, stack),
+                   "A": A_tilde(z, stack).m, "L": L_tilde(z, stack).m, "Hk": dual_Hk(z, stack),
+                   "kernel h": h, "kernel L": L, "kernel phi": phi}
+            assert got["Hk"].shape == (20, n) and L.shape == (20, 2 * n, 2 * n)
+            p0 = rows[0] if per_row else stack
+            assert np.array_equal(lam[0], p0.nu + 2 * p0.mu * np.arange(n - 1, -1, -1))
+            for i, zi in enumerate(z):
+                p = rows[i] if per_row else stack
+                lam1 = lambda_of_z_loop(zi, p)
+                A1, phi1 = _A_tilde_phi(zi, lam1, p)
+                h1 = h_matrix_loop(lam1, p)[0]
+                ref = {"lambda": lam1, "g": g_profiles_loop(lam1, p), "phi": phi1, "A": A1,
+                       "L": L_tilde_one(zi, p), "Hk": dual_Hk_one(zi, p),
+                       "kernel h": h1, "kernel L": h1 @ A1 @ h1, "kernel phi": phi1}
+                for key, value in ref.items():
+                    assert np.array_equal(_bits(got[key][i]), _bits(value)), (n, i, key)
+            if not per_row:  # any leading axes, and one point, give the same bits
+                assert np.array_equal(_bits(dual_Hk(z.reshape(4, 5, n), stack, kmax=1)),
+                                      _bits(got["Hk"][:, :1].reshape(4, 5, 1)))
+                assert np.array_equal(_bits(L_tilde(z[3], stack).m), _bits(L[3]))
+                assert np.array_equal(_bits(lambda_of_z(z[3], stack)), _bits(lam[3]))
 
 
 def test_f_vector_single_particle():
